@@ -16,8 +16,8 @@ from .model import (DecisionSet, EvalReport, ModelError, Rule, decode, deseriali
                     evaluate, load_model, save_model, serialize, verify_perfect)
 from .optimizer import (ContradictionError, MaxsatResult, OptimizerError, SearchLimits,
                         SolveOutcome, default_node_budget, maxsat_solve, minimize_bounded,
-                        minimize_perfect, minimize_sparse, oracle_min_size)
-from .solver import SolveBudgetExceeded, Solver, solve_dpll
+                        minimize_perfect, minimize_sparse)
+from .solver import SolveBudgetExceeded, Solver
 
 __version__ = "0.1.0"
 
@@ -67,11 +67,9 @@ __all__ = [
     "minimize_perfect",
     "minimize_sparse",
     "normalize_clause",
-    "oracle_min_size",
     "parse_dimacs",
     "sanitize",
     "save_model",
     "serialize",
-    "solve_dpll",
     "verify_perfect",
 ]

@@ -5,9 +5,10 @@ time budget ran out before any usable model was found.
 
 Per-class scope (the default) runs one optimizer per class and reports
 the union of the learned rule sets; classes absent from the training
-data contribute no rules.  With --jobs > 1 the per-class runs and the
-cross-validation folds are dispatched to a thread pool; result
-aggregation follows the input order, so output is stable.
+data contribute no rules.  Per-class runs and cross-validation folds run
+one after another, in input order.  --time-limit is one clock for the
+whole command, started when the command starts: each run gets only the
+time left on it.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import argparse
 import json
 import os
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .dataset import BinDataset, DatasetError, binarize, kfold_split, load_csv, sanitize
@@ -27,13 +26,11 @@ from .encoder import (EncodingError, Scope, build_bounded, build_perfect, build_
 from .formula import FormulaError
 from .model import DecisionSet, ModelError, evaluate, load_model, save_model
 from .optimizer import (ContradictionError, OptimizerError, SearchLimits, SolveOutcome,
-                        default_node_budget, minimize_bounded, minimize_perfect,
-                        minimize_sparse)
+                        _Clock, _remaining_limits, default_node_budget, minimize_bounded,
+                        minimize_perfect, minimize_sparse)
 
 MODES = ("opt", "mopt", "sparse")
 SCOPES = ("aggregated", "per-class")
-
-_print_lock = threading.Lock()
 
 
 class CliError(ValueError):
@@ -50,7 +47,6 @@ class RunConfig:
     step: int
     seed: int
     limits: SearchLimits
-    jobs: int
     verbose: bool
 
     @staticmethod
@@ -63,21 +59,11 @@ class RunConfig:
             raise CliError("--lambda only applies to --mode sparse")
         if lam is not None and lam < 0:
             raise CliError("--lambda must be >= 0")
-        jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-        if jobs < 1:
-            raise CliError("--jobs must be >= 1")
         limits = SearchLimits(wall_time_budget=args.time_limit,
                               per_solve_budget=args.solve_limit)
         return RunConfig(mode=mode, scope=getattr(args, "scope", "per-class"), lam=lam,
                          bins=args.bins, n0=getattr(args, "n0", None), step=args.step,
-                         seed=args.seed, limits=limits, jobs=jobs, verbose=args.verbose)
-
-
-def _emit_progress(record: dict, verbose: bool) -> None:
-    if not verbose:
-        return
-    with _print_lock:
-        print(json.dumps(record, sort_keys=True), file=sys.stderr)
+                         seed=args.seed, limits=limits, verbose=args.verbose)
 
 
 def _load_bindata(path: str, bins: int) -> BinDataset:
@@ -96,44 +82,42 @@ def _sanitized(ds: BinDataset, config: RunConfig) -> BinDataset:
     return clean
 
 
-def _run_one(ds: BinDataset, scope: Scope, config: RunConfig, context: dict) -> SolveOutcome:
+def _run_one(ds: BinDataset, scope: Scope, config: RunConfig, clock: _Clock,
+             context: dict) -> SolveOutcome:
+    """One optimizer run, given only the time left on the command's clock."""
     def progress(record):
-        _emit_progress({**context, **record}, config.verbose)
+        if config.verbose:
+            print(json.dumps({**context, **record}, sort_keys=True), file=sys.stderr)
 
+    limits = _remaining_limits(clock)
     if config.mode == "opt":
-        return minimize_perfect(ds, scope, limits=config.limits, progress=progress)
-    if config.mode == "mopt":
-        return minimize_bounded(ds, scope, n0=config.n0, step=config.step,
-                                limits=config.limits, progress=progress)
-    return minimize_sparse(ds, scope, config.lam, n0=config.n0, step=config.step,
-                           limits=config.limits, progress=progress)
+        outcome = minimize_perfect(ds, scope, limits=limits, progress=progress)
+    elif config.mode == "mopt":
+        outcome = minimize_bounded(ds, scope, n0=config.n0, step=config.step,
+                                   limits=limits, progress=progress)
+    else:
+        outcome = minimize_sparse(ds, scope, config.lam, n0=config.n0, step=config.step,
+                                  limits=limits, progress=progress)
+    if outcome.decision_set is None:
+        raise CliTimeout(outcome)
+    return outcome
 
 
-def _learn_model(ds: BinDataset, config: RunConfig, context: dict | None = None):
+def _learn_model(ds: BinDataset, config: RunConfig, clock: _Clock,
+                 context: dict | None = None):
     """Train per the configured scope; returns (DecisionSet, status) or
     raises CliTimeout when nothing usable was found in time."""
     context = context or {}
     if config.scope == "aggregated":
-        outcome = _run_one(ds, Scope.aggregated(), config, context)
-        if outcome.decision_set is None:
-            raise CliTimeout(outcome)
+        outcome = _run_one(ds, Scope.aggregated(), config, clock, context)
         return outcome.decision_set, outcome.status
-    present = sorted({cls for _, cls, _ in ds.examples})
-    def job(target):
-        return _run_one(ds, Scope.per_class(target), config,
-                        {**context, "class": ds.classes[target]})
-    if config.jobs > 1 and len(present) > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            outcomes = list(pool.map(job, present))
-    else:
-        outcomes = [job(target) for target in present]
     rules = []
     objectives = {}
     total = 0
     status = "optimal"
-    for target, outcome in zip(present, outcomes):
-        if outcome.decision_set is None:
-            raise CliTimeout(outcome)
+    for target in sorted({cls for _, cls, _ in ds.examples}):
+        outcome = _run_one(ds, Scope.per_class(target), config, clock,
+                           {**context, "class": ds.classes[target]})
         rules.extend(outcome.decision_set.rules)
         total += outcome.decision_set.total_size
         objectives[ds.classes[target]] = outcome.objective
@@ -164,9 +148,10 @@ def _print_model(dset: DecisionSet, status: str, ds: BinDataset) -> None:
 
 def cmd_learn(args) -> int:
     config = RunConfig.from_args(args)
+    clock = _Clock(config.limits)
     ds = _sanitized(_load_bindata(args.data, config.bins), config)
     try:
-        dset, status = _learn_model(ds, config)
+        dset, status = _learn_model(ds, config, clock)
     except CliTimeout as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -196,30 +181,21 @@ def cmd_eval(args) -> int:
 
 def cmd_cv(args) -> int:
     config = RunConfig.from_args(args)
+    clock = _Clock(config.limits)
     if args.folds < 2:
         raise CliError("--folds must be >= 2")
     ds = _load_bindata(args.data, config.bins)
     plan = kfold_split(ds, args.folds, config.seed)
-
-    def job(fold):
-        train = _sanitized(ds.subset(plan.train_indices(fold)), config)
-        dset, status = _learn_model(train, config, context={"fold": fold})
-        report = evaluate(dset, ds.subset(plan.test_indices(fold)), mode="standard")
-        return dset, status, report
-
-    folds = list(range(args.folds))
-    try:
-        if config.jobs > 1 and args.folds > 1:
-            with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-                results = list(pool.map(job, folds))
-        else:
-            results = [job(fold) for fold in folds]
-    except CliTimeout as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     accuracies = []
     sizes = []
-    for fold, (dset, status, report) in zip(folds, results):
+    for fold in range(args.folds):
+        train = _sanitized(ds.subset(plan.train_indices(fold)), config)
+        try:
+            dset, status = _learn_model(train, config, clock, context={"fold": fold})
+        except CliTimeout as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 2
+        report = evaluate(dset, ds.subset(plan.test_indices(fold)), mode="standard")
         accuracies.append(report.accuracy)
         sizes.append(dset.total_size)
         print("fold %d: accuracy=%.1f total_size=%d status=%s"
@@ -279,8 +255,6 @@ def _add_common(sub, learning: bool) -> None:
     sub.add_argument("--seed", type=int, default=1234)
     sub.add_argument("--verbose", action="store_true",
                      help="line-delimited JSON progress on stderr")
-    sub.add_argument("--jobs", type=int, default=None,
-                     help="worker threads (default: available parallelism)")
     if learning:
         sub.add_argument("--mode", choices=MODES, default="opt")
         sub.add_argument("--scope", choices=SCOPES, default="per-class")
@@ -291,7 +265,7 @@ def _add_common(sub, learning: bool) -> None:
         sub.add_argument("--step", type=int, default=10,
                          help="node budget increment between retries")
         sub.add_argument("--time-limit", type=float, default=600.0,
-                         help="total seconds for the whole search")
+                         help="total seconds for the whole command, across classes and folds")
         sub.add_argument("--solve-limit", type=float, default=60.0,
                          help="seconds per solver call")
 

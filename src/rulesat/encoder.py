@@ -19,7 +19,7 @@ Three model variants share that skeleton:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
@@ -88,8 +88,6 @@ class VarMap:
     has_unused: bool = False
     has_misclass: bool = False
     num_vars: int = 0
-    agree_aux: dict[tuple[int, int], int] = field(default_factory=dict)
-    leaf_aux: dict[tuple[int, int], int] = field(default_factory=dict)
 
     def __post_init__(self):
         base = self.n_nodes * (self.n_features + 1) + self.n_nodes
@@ -292,7 +290,6 @@ class _Builder:
         for i, (bits, _, _) in enumerate(ds.examples, start=1):
             for j in range(1, self.n):
                 agree = self._new_aux()
-                vm.agree_aux[(i, j)] = agree
                 if self.k == 0:
                     add([-agree])
                 for r in range(1, self.k + 1):
@@ -325,7 +322,6 @@ class _Builder:
             hits = []
             for j in range(1, self.n + 1):
                 aux = self._new_aux()
-                vm.leaf_aux[(i, j)] = aux
                 add([-aux, vm.class_sel_var(j)])
                 add([-aux, vm.valid_var(i, j)])
                 add([-vm.class_sel_var(j), -vm.valid_var(i, j), aux])

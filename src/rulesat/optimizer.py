@@ -6,6 +6,9 @@ starts from a guessed node budget and lets soft unused flags switch
 spare nodes off.  minimize_sparse trades misclassifications against a
 per-node penalty and re-runs with a larger budget as long as the
 optimum exhausts it, stopping once a round leaves a node unused.
+The three share one loop over node budgets (_search_budgets), which
+keeps the clock, the round records and the solver totals; each round
+builds a fresh encoding and solves it with a fresh solver.
 
 maxsat_solve performs a linear SAT-to-UNSAT search: solve, read the
 model cost c, then assume "cost <= c - 1" through totalizer outputs
@@ -17,8 +20,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
-from itertools import product
 
 from .cardinality import build_totalizer
 from .dataset import BinDataset
@@ -40,7 +41,7 @@ class OptimizerError(ValueError):
 
 @dataclass
 class SearchLimits:
-    wall_time_budget: float = 600.0  # seconds for the whole search
+    wall_time_budget: float = 600.0  # seconds for one minimize_* or maxsat_solve call
     per_solve_budget: float = 60.0   # seconds for one solver call
     max_nodes: int = 64
 
@@ -196,20 +197,12 @@ def maxsat_solve(problem, limits: SearchLimits | None = None, progress=None) -> 
                 progress({"event": "model", "cost": cost, "elapsed": clock.elapsed()})
             if cost == 0:
                 break
+        status = "infeasible" if best_assignment is None else "optimal"
     except SolveBudgetExceeded:
-        return MaxsatResult(
-            status="timeout",
-            assignment=best_assignment,
-            cost=best_cost,
-            stats={"solve_calls": solver.solve_calls, "conflicts": solver.conflicts,
-                   "elapsed": clock.elapsed(), "models": models},
-        )
-    stats = {"solve_calls": solver.solve_calls, "conflicts": solver.conflicts,
-             "elapsed": clock.elapsed(), "models": models}
-    if best_assignment is None:
-        return MaxsatResult(status="infeasible", stats=stats)
-    return MaxsatResult(status="optimal", assignment=best_assignment, cost=best_cost,
-                        stats=stats)
+        status = "timeout"
+    return MaxsatResult(status=status, assignment=best_assignment, cost=best_cost,
+                        stats={"solve_calls": solver.solve_calls, "conflicts": solver.conflicts,
+                               "elapsed": clock.elapsed(), "models": models})
 
 
 def _check_consistent(ds: BinDataset) -> None:
@@ -222,6 +215,85 @@ def _check_consistent(ds: BinDataset) -> None:
             )
 
 
+def _remaining_limits(clock: _Clock) -> SearchLimits:
+    """The clock's limits, with the wall budget cut down to the time left."""
+    remaining = max(clock.wall_deadline - time.monotonic(), 0.001)
+    return SearchLimits(wall_time_budget=remaining,
+                        per_solve_budget=clock.limits.per_solve_budget,
+                        max_nodes=clock.limits.max_nodes)
+
+
+def _verified(dset: DecisionSet, ds: BinDataset, scope: Scope) -> DecisionSet:
+    ok, violation = verify_perfect(dset, ds, scope)
+    if not ok:
+        raise AssertionError("decoded set fails verification: %r" % (violation,))
+    return dset
+
+
+@dataclass
+class _Round:
+    """The search at one node budget, as reported to _search_budgets."""
+
+    status: str  # status of the round's progress record
+    cost: int | None
+    solve_calls: int
+    conflicts: int
+    found: SolveOutcome | None = None  # an "optimal" one ends the search
+
+
+def _search_budgets(limits: SearchLimits | None, n: int, step: int, progress,
+                    solve_round) -> SolveOutcome:
+    """The loop the three drivers share: solve_round(n, clock) for node
+    budgets n, n + step, ... up to limits.max_nodes.
+
+    The search stops at the first round that finds an optimal outcome
+    or times out.  The best feasible outcome found so far, if any,
+    stands in for a timeout or for reaching the node cap.
+    """
+    limits = limits or SearchLimits()
+    limits.validate()
+    if step < 1:
+        raise OptimizerError("step must be >= 1")
+    if n < 1:
+        raise OptimizerError("node budget must be >= 1")
+    clock = _Clock(limits)
+    rounds = []
+    solve_calls = conflicts = 0
+    best = outcome = None
+    while outcome is None and n <= limits.max_nodes:
+        rnd = solve_round(n, clock)
+        solve_calls += rnd.solve_calls
+        conflicts += rnd.conflicts
+        record = {"n": n, "status": rnd.status, "cost": rnd.cost, "elapsed": clock.elapsed()}
+        rounds.append(record)
+        if progress is not None:
+            progress(record)
+        found = rnd.found
+        if found is not None and (best is None or found.objective < best.objective):
+            best = found
+        if found is not None and found.status == "optimal":
+            outcome = found
+        elif rnd.status == "timeout":
+            outcome = best or SolveOutcome(status="timeout")
+        n += step
+    stats = {"solve_calls": solve_calls, "conflicts": conflicts,
+             "elapsed": clock.elapsed(), "rounds": rounds}
+    if outcome is None:
+        outcome = best or SolveOutcome(status="timeout")
+        stats["note"] = "node cap %d reached" % limits.max_nodes
+    outcome.stats = stats
+    return outcome
+
+
+def _maxsat_round(bundle: CnfBundle, clock: _Clock, progress, read) -> _Round:
+    """One mopt or sparse round: MaxSAT over the bundle in the time left,
+    with read(result) turning a model into an outcome."""
+    res = maxsat_solve(bundle, _remaining_limits(clock), progress=progress)
+    found = None if res.assignment is None else read(res)
+    return _Round(res.status, res.cost, res.stats["solve_calls"], res.stats["conflicts"],
+                  found)
+
+
 def minimize_perfect(ds: BinDataset, scope: Scope, limits: SearchLimits | None = None,
                      progress=None) -> SolveOutcome:
     """Smallest exact-fit decision set by trying node counts 1, 2, 3, ...
@@ -232,52 +304,26 @@ def minimize_perfect(ds: BinDataset, scope: Scope, limits: SearchLimits | None =
     """
     scope.validate(len(ds.classes))
     _check_consistent(ds)
-    limits = limits or SearchLimits()
-    limits.validate()
-    clock = _Clock(limits)
-    rounds = []
-    solve_calls = conflicts = 0
-    for n in range(1, limits.max_nodes + 1):
+
+    def solve_round(n, clock):
         bundle = build_perfect(ds, n, scope)
         solver = Solver()
         solver.add_formula(bundle.formula)
-        timed_out = clock.expired()
-        sat = False
-        if not timed_out:
+        status = "timeout"
+        if not clock.expired():
             try:
-                sat = solver.solve(deadline=clock.solve_deadline())
+                status = "sat" if solver.solve(deadline=clock.solve_deadline()) else "unsat"
             except SolveBudgetExceeded:
-                timed_out = True
-        solve_calls += solver.solve_calls
-        conflicts += solver.conflicts
-        record = {"n": n, "status": "sat" if sat else ("timeout" if timed_out else "unsat"),
-                  "cost": n if sat else None, "elapsed": clock.elapsed()}
-        rounds.append(record)
-        if progress is not None:
-            progress(record)
-        stats = {"solve_calls": solve_calls, "conflicts": conflicts,
-                 "elapsed": clock.elapsed(), "rounds": rounds}
-        if timed_out:
-            return SolveOutcome(status="timeout", stats=stats)
-        if sat:
-            dset = decode(solver.model, bundle.varmap, scope, ds.classes)
-            ok, violation = verify_perfect(dset, ds, scope)
-            if not ok:
-                raise AssertionError("decoded set fails verification: %r" % (violation,))
+                pass
+        rnd = _Round(status, None, solver.solve_calls, solver.conflicts)
+        if status == "sat":
+            dset = _verified(decode(solver.model, bundle.varmap, scope, ds.classes), ds, scope)
             dset.metadata = {"mode": "perfect", "scope": scope.kind, "objective": n}
-            return SolveOutcome(status="optimal", decision_set=dset, objective=n, stats=stats)
-    return SolveOutcome(
-        status="timeout",
-        stats={"solve_calls": solve_calls, "conflicts": conflicts, "elapsed": clock.elapsed(),
-               "rounds": rounds, "note": "node cap %d reached" % limits.max_nodes},
-    )
+            rnd.cost = n
+            rnd.found = SolveOutcome(status="optimal", decision_set=dset, objective=n)
+        return rnd
 
-
-def _remaining_limits(clock: _Clock, limits: SearchLimits) -> SearchLimits:
-    remaining = max(clock.wall_deadline - time.monotonic(), 0.001)
-    return SearchLimits(wall_time_budget=remaining,
-                        per_solve_budget=limits.per_solve_budget,
-                        max_nodes=limits.max_nodes)
+    return _search_budgets(limits, 1, 1, progress, solve_round)
 
 
 def minimize_bounded(ds: BinDataset, scope: Scope, n0: int | None = None,
@@ -291,49 +337,24 @@ def minimize_bounded(ds: BinDataset, scope: Scope, n0: int | None = None,
     """
     scope.validate(len(ds.classes))
     _check_consistent(ds)
-    limits = limits or SearchLimits()
-    limits.validate()
-    if step < 1:
-        raise OptimizerError("step must be >= 1")
-    clock = _Clock(limits)
-    n = n0 if n0 is not None else default_node_budget(ds.num_features)
-    if n < 1:
-        raise OptimizerError("node budget must be >= 1")
-    rounds = []
-    solve_calls = conflicts = 0
-    while n <= limits.max_nodes:
+
+    def solve_round(n, clock):
         bundle = build_bounded(ds, n, scope)
-        res = maxsat_solve(bundle, _remaining_limits(clock, limits))
-        solve_calls += res.stats.get("solve_calls", 0)
-        conflicts += res.stats.get("conflicts", 0)
-        record = {"n": n, "status": res.status, "cost": res.cost, "elapsed": clock.elapsed()}
-        rounds.append(record)
-        if progress is not None:
-            progress(record)
-        stats = {"solve_calls": solve_calls, "conflicts": conflicts,
-                 "elapsed": clock.elapsed(), "rounds": rounds}
-        if res.status == "infeasible":
-            n += step
-            continue
-        if res.assignment is None:
-            return SolveOutcome(status="timeout", stats=stats)
-        # soft clauses are one unit per node, so the model cost is the
-        # used-node count even if decoding merges duplicate body literals
-        dset = decode(res.assignment, bundle.varmap, scope, ds.classes)
-        used = res.cost
-        dset.metadata = {"mode": "bounded", "scope": scope.kind, "objective": used}
-        if res.status == "timeout":
-            return SolveOutcome(status="feasible", decision_set=dset, objective=used,
-                                stats=stats)
-        ok, violation = verify_perfect(dset, ds, scope)
-        if not ok:
-            raise AssertionError("decoded set fails verification: %r" % (violation,))
-        return SolveOutcome(status="optimal", decision_set=dset, objective=used, stats=stats)
-    return SolveOutcome(
-        status="timeout",
-        stats={"solve_calls": solve_calls, "conflicts": conflicts, "elapsed": clock.elapsed(),
-               "rounds": rounds, "note": "node cap %d reached" % limits.max_nodes},
-    )
+
+        def read(res):
+            # soft clauses are one unit per node, so the model cost is the
+            # used-node count even if decoding merges duplicate body literals
+            dset = decode(res.assignment, bundle.varmap, scope, ds.classes)
+            dset.metadata = {"mode": "bounded", "scope": scope.kind, "objective": res.cost}
+            if res.status == "timeout":
+                return SolveOutcome(status="feasible", decision_set=dset, objective=res.cost)
+            return SolveOutcome(status="optimal", decision_set=_verified(dset, ds, scope),
+                                objective=res.cost)
+
+        return _maxsat_round(bundle, clock, progress, read)
+
+    n = n0 if n0 is not None else default_node_budget(ds.num_features)
+    return _search_budgets(limits, n, step, progress, solve_round)
 
 
 def minimize_sparse(ds: BinDataset, scope: Scope, lam, n0: int | None = None,
@@ -348,31 +369,12 @@ def minimize_sparse(ds: BinDataset, scope: Scope, lam, n0: int | None = None,
     round's optimum leaves at least one node unused.
     """
     scope.validate(len(ds.classes))
-    limits = limits or SearchLimits()
-    limits.validate()
-    if step < 1:
-        raise OptimizerError("step must be >= 1")
     lam_cost = lam_to_cost(lam, ds.total_weight)
-    clock = _Clock(limits)
-    n = n0 if n0 is not None else default_node_budget(ds.num_features)
-    if n < 1:
-        raise OptimizerError("node budget must be >= 1")
-    best: SolveOutcome | None = None
-    rounds = []
-    solve_calls = conflicts = 0
-    while n <= limits.max_nodes:
+
+    def solve_round(n, clock):
         bundle = build_sparse(ds, n, lam_cost, scope)
-        res = maxsat_solve(bundle, _remaining_limits(clock, limits))
-        solve_calls += res.stats.get("solve_calls", 0)
-        conflicts += res.stats.get("conflicts", 0)
-        record = {"n": n, "status": res.status, "cost": res.cost, "elapsed": clock.elapsed()}
-        rounds.append(record)
-        if progress is not None:
-            progress(record)
-        stats = {"solve_calls": solve_calls, "conflicts": conflicts,
-                 "elapsed": clock.elapsed(), "rounds": rounds}
-        outcome = None
-        if res.assignment is not None:
+
+        def read(res):
             vm = bundle.varmap
             used_nodes = sum(1 for j in range(1, n + 1)
                              if not res.assignment.value(vm.unused_var(j)))
@@ -385,100 +387,13 @@ def minimize_sparse(ds: BinDataset, scope: Scope, lam, n0: int | None = None,
                 "mode": "sparse", "scope": scope.kind, "lambda_cost": lam_cost,
                 "objective": res.cost, "misclassified_weight": misclassified,
             }
-            outcome = SolveOutcome(status="feasible", decision_set=dset,
-                                   objective=res.cost, stats=stats)
-            if best is None or outcome.objective < best.objective:
-                best = outcome
-        if res.status == "timeout":
-            if best is not None:
-                best.stats = stats
-                return best
-            return SolveOutcome(status="timeout", stats=stats)
-        # growing the budget never raises the optimum, so once a round's
-        # optimum leaves a node unused the enlarging loop is done
-        if res.status == "optimal" and used_nodes < n:
-            outcome.status = "optimal"
-            return outcome
-        n += step
-    if best is not None:
-        return best
-    return SolveOutcome(
-        status="timeout",
-        stats={"solve_calls": solve_calls, "conflicts": conflicts, "elapsed": clock.elapsed(),
-               "rounds": rounds, "note": "node cap %d reached" % limits.max_nodes},
-    )
+            # growing the budget never raises the optimum, so once a round's
+            # optimum leaves a node unused the enlarging loop is done
+            done = res.status == "optimal" and used_nodes < n
+            return SolveOutcome(status="optimal" if done else "feasible", decision_set=dset,
+                                objective=res.cost)
 
+        return _maxsat_round(bundle, clock, progress, read)
 
-def oracle_min_size(ds: BinDataset, scope: Scope, cap: int) -> int | None:
-    """Exhaustive reference search for the minimal exact-fit size.
-
-    Enumerates every rule shape (each feature positive, negated, or
-    absent, plus a head) directly against the validity semantics, then
-    takes a cheapest cover of the scope-relevant examples.  Exponential
-    in the feature count: limited to 8 examples and 4 features.
-    """
-    scope.validate(len(ds.classes))
-    if ds.num_examples < 1:
-        raise OptimizerError("oracle needs at least one example")
-    if ds.num_examples > 8 or ds.num_features > 4:
-        raise OptimizerError("oracle is limited to 8 examples and 4 features")
-    if cap < 1:
-        raise OptimizerError("cap must be >= 1")
-    _check_consistent(ds)
-    m, k = ds.num_examples, ds.num_features
-    if scope.is_aggregated:
-        bits = [cls for _, cls, _ in ds.examples]
-        heads = (0, 1)
-    else:
-        bits = [1 if cls == scope.target else 0 for _, cls, _ in ds.examples]
-        heads = (1,)
-    required = 0
-    for i, b in enumerate(bits):
-        if not scope.is_aggregated and b != 1:
-            continue
-        if scope.is_aggregated or b == 1:
-            required |= 1 << i
-    candidates: dict[int, int] = {}  # cover mask -> min cost
-
-    def offer(cover: int, cost: int) -> None:
-        old = candidates.get(cover)
-        if old is None or cost < old:
-            candidates[cover] = cost
-
-    for shape in product((None, 1, 0), repeat=k):
-        size = sum(1 for s in shape if s is not None) + 1
-        match = 0
-        for i, (vec, _, _) in enumerate(ds.examples):
-            if all(s is None or vec[f] == s for f, s in enumerate(shape)):
-                match |= 1 << i
-        for head in heads:
-            head_bit = head if scope.is_aggregated else 1
-            ok = True
-            for i in range(m):
-                if match >> i & 1 and bits[i] != head_bit:
-                    ok = False
-                    break
-            if ok:
-                offer(match & required, size)
-    if k >= 1:
-        offer(0, 3)  # contradictory body, covers nothing, always admissible
-    if not candidates:
-        return None  # no rule avoids wrong coverage, no sequence is valid
-    if required == 0:
-        answer = min(candidates.values())
-        return answer if answer <= cap else None
-    dist = {0: 0}
-    heap = [(0, 0)]
-    while heap:
-        d, mask = heappop(heap)
-        if mask == required:
-            return d if d <= cap else None
-        if d > dist.get(mask, 1 << 30) or d >= cap:
-            continue
-        for cover, cost in candidates.items():
-            nxt = mask | cover
-            nd = d + cost
-            if nxt != mask and nd < dist.get(nxt, 1 << 30) and nd <= cap:
-                dist[nxt] = nd
-                heappush(heap, (nd, nxt))
-    return None
+    n = n0 if n0 is not None else default_node_budget(ds.num_features)
+    return _search_budgets(limits, n, step, progress, solve_round)

@@ -451,56 +451,3 @@ class Solver:
                 lit = v if self._saved[v] else -v
             self._trail_lim.append(len(self._trail))
             self._enqueue(lit, None)
-
-
-def solve_dpll(num_vars: int, clauses) -> list[bool] | None:
-    """Plain DPLL with unit propagation and no clause learning.
-
-    Reference configuration for differential tests; exponential, intended
-    for formulas of at most ~20 variables.
-    """
-    clauses = [tuple(c) for c in clauses]
-
-    def rec(assign: dict[int, bool]):
-        while True:
-            unit = 0
-            for clause in clauses:
-                unassigned = 0
-                sat = False
-                for lit in clause:
-                    val = assign.get(abs(lit))
-                    if val is None:
-                        if unassigned == 0:
-                            unassigned = lit
-                        else:
-                            unassigned = None
-                            break
-                    elif val == (lit > 0):
-                        sat = True
-                        break
-                if sat:
-                    continue
-                if unassigned == 0:
-                    return None  # falsified clause
-                if unassigned is not None:
-                    unit = unassigned
-                    break
-            if unit == 0:
-                break
-            assign[abs(unit)] = unit > 0
-        branch = 0
-        for v in range(1, num_vars + 1):
-            if v not in assign:
-                branch = v
-                break
-        if branch == 0:
-            return [assign.get(v, False) for v in range(1, num_vars + 1)]
-        for phase in (False, True):
-            child = dict(assign)
-            child[branch] = phase
-            res = rec(child)
-            if res is not None:
-                return res
-        return None
-
-    return rec({})

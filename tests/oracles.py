@@ -10,6 +10,8 @@ from itertools import product
 
 import numpy as np
 
+from rulesat.optimizer import OptimizerError, _check_consistent
+
 
 def all_models(num_vars, clauses):
     """Indices (bit codes) of all satisfying assignments, bit v of a code
@@ -182,3 +184,131 @@ def sparse_min_objective(ds, scope, lam_cost):
         if best is None or objective < best:
             best = objective
     return best
+
+
+def solve_dpll(num_vars, clauses):
+    """Plain DPLL with unit propagation and no clause learning.
+
+    Reference configuration for differential tests; exponential, intended
+    for formulas of at most ~20 variables.
+    """
+    clauses = [tuple(c) for c in clauses]
+
+    def rec(assign):
+        while True:
+            unit = 0
+            for clause in clauses:
+                unassigned = 0
+                sat = False
+                for lit in clause:
+                    val = assign.get(abs(lit))
+                    if val is None:
+                        if unassigned == 0:
+                            unassigned = lit
+                        else:
+                            unassigned = None
+                            break
+                    elif val == (lit > 0):
+                        sat = True
+                        break
+                if sat:
+                    continue
+                if unassigned == 0:
+                    return None  # falsified clause
+                if unassigned is not None:
+                    unit = unassigned
+                    break
+            if unit == 0:
+                break
+            assign[abs(unit)] = unit > 0
+        branch = 0
+        for v in range(1, num_vars + 1):
+            if v not in assign:
+                branch = v
+                break
+        if branch == 0:
+            return [assign.get(v, False) for v in range(1, num_vars + 1)]
+        for phase in (False, True):
+            child = dict(assign)
+            child[branch] = phase
+            res = rec(child)
+            if res is not None:
+                return res
+        return None
+
+    return rec({})
+
+
+def oracle_min_size(ds, scope, cap):
+    """Exhaustive reference search for the minimal exact-fit size.
+
+    Enumerates every rule shape (each feature positive, negated, or
+    absent, plus a head) directly against the validity semantics, then
+    takes a cheapest cover of the scope-relevant examples.  Exponential
+    in the feature count: limited to 8 examples and 4 features.
+    """
+    scope.validate(len(ds.classes))
+    if ds.num_examples < 1:
+        raise OptimizerError("oracle needs at least one example")
+    if ds.num_examples > 8 or ds.num_features > 4:
+        raise OptimizerError("oracle is limited to 8 examples and 4 features")
+    if cap < 1:
+        raise OptimizerError("cap must be >= 1")
+    _check_consistent(ds)
+    m, k = ds.num_examples, ds.num_features
+    if scope.is_aggregated:
+        bits = [cls for _, cls, _ in ds.examples]
+        heads = (0, 1)
+    else:
+        bits = [1 if cls == scope.target else 0 for _, cls, _ in ds.examples]
+        heads = (1,)
+    required = 0
+    for i, b in enumerate(bits):
+        if not scope.is_aggregated and b != 1:
+            continue
+        if scope.is_aggregated or b == 1:
+            required |= 1 << i
+    candidates = {}  # cover mask -> min cost
+
+    def offer(cover, cost):
+        old = candidates.get(cover)
+        if old is None or cost < old:
+            candidates[cover] = cost
+
+    for shape in product((None, 1, 0), repeat=k):
+        size = sum(1 for s in shape if s is not None) + 1
+        match = 0
+        for i, (vec, _, _) in enumerate(ds.examples):
+            if all(s is None or vec[f] == s for f, s in enumerate(shape)):
+                match |= 1 << i
+        for head in heads:
+            head_bit = head if scope.is_aggregated else 1
+            ok = True
+            for i in range(m):
+                if match >> i & 1 and bits[i] != head_bit:
+                    ok = False
+                    break
+            if ok:
+                offer(match & required, size)
+    if k >= 1:
+        offer(0, 3)  # contradictory body, covers nothing, always admissible
+    if not candidates:
+        return None  # no rule avoids wrong coverage, no sequence is valid
+    if required == 0:
+        answer = min(candidates.values())
+        return answer if answer <= cap else None
+    dist = {0: 0}
+    heap = [(0, 0)]
+    while heap:
+        d, mask = heappop(heap)
+        if mask == required:
+            return d if d <= cap else None
+        if d > dist.get(mask, 1 << 30) or d >= cap:
+            continue
+        for cover, cost in candidates.items():
+            nxt = mask | cover
+            nd = d + cost
+            if nxt != mask and nd < dist.get(nxt, 1 << 30) and nd <= cap:
+                dist[nxt] = nd
+                heappush(heap, (nd, nxt))
+    return None

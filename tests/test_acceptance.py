@@ -17,12 +17,11 @@ from rulesat.optimizer import (
     maxsat_solve,
     minimize_perfect,
     minimize_sparse,
-    oracle_min_size,
 )
 from rulesat.solver import Solver
 
 from conftest import make_ex1, random_dataset
-from oracles import all_models, brute_min_cost, php_clauses
+from oracles import all_models, brute_min_cost, oracle_min_size, php_clauses
 
 AGG = Scope.aggregated()
 

@@ -17,11 +17,10 @@ from rulesat.optimizer import (
     minimize_bounded,
     minimize_perfect,
     minimize_sparse,
-    oracle_min_size,
 )
 
 from conftest import make_ex1, random_dataset
-from oracles import brute_min_cost, sequence_min_size, sparse_min_objective
+from oracles import brute_min_cost, oracle_min_size, sequence_min_size, sparse_min_objective
 
 AGG = Scope.aggregated()
 

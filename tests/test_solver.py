@@ -10,9 +10,9 @@ import time
 
 import pytest
 
-from oracles import all_models, code_satisfies, is_satisfiable, php_clauses
+from oracles import all_models, code_satisfies, is_satisfiable, php_clauses, solve_dpll
 from rulesat.formula import Formula, FormulaError, check_model
-from rulesat.solver import SolveBudgetExceeded, Solver, solve_dpll
+from rulesat.solver import SolveBudgetExceeded, Solver
 
 
 def random_cnf(rng, max_vars=10, max_len=4):
