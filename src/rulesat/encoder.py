@@ -15,11 +15,18 @@ Three model variants share that skeleton:
 * sparse    - additionally, per-example misclassification indicators buy
               freedom from fitting; their weights are the example weights
               and each used node costs a fixed integer penalty
+
+Variables are numbered node by node (VarMap), and Encoder emits the
+clauses one node at a time, so an encoding can grow by a node without
+renumbering.  Only the clauses that make the last node the end of the
+sequence (termination and coverage) depend on which node is last; the
+build_* functions add them after the last node, and the perfect search
+driver adds them in a retractable form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
 
@@ -75,11 +82,14 @@ class Scope:
 
 @dataclass
 class VarMap:
-    """Variable ids for one encoding instance.
+    """Variable ids for one encoding instance, laid out node by node.
 
-    Core blocks come first in a fixed order (selectors, truths,
-    validities, then unused and misclassification flags when present);
-    auxiliary variables follow.
+    The misclassification flags, when present, take ids 1..n_examples.
+    Each node j then gets a block of core ids starting at first_id(j):
+    its selectors, its truth variable, its validities (one per example)
+    and its unused flag when present.  Auxiliary variables allocated
+    while a node is encoded follow that node's block, so appending a
+    node never renumbers the earlier ones.
     """
 
     n_nodes: int
@@ -87,50 +97,60 @@ class VarMap:
     n_examples: int
     has_unused: bool = False
     has_misclass: bool = False
-    num_vars: int = 0
+    num_vars: int = field(default=0, init=False)
+    _first: list[int] = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
-        base = self.n_nodes * (self.n_features + 1) + self.n_nodes
-        base += self.n_examples * self.n_nodes
-        if self.has_unused:
-            base += self.n_nodes
-        if self.has_misclass:
-            base += self.n_examples
-        self._core = base
-        if self.num_vars < base:
-            self.num_vars = base
+        nodes, self.n_nodes = self.n_nodes, 0
+        self.num_vars = self.n_examples if self.has_misclass else 0
+        for _ in range(nodes):
+            self.add_node()
+
+    @property
+    def _node_width(self) -> int:
+        return self.n_features + 2 + self.n_examples + (1 if self.has_unused else 0)
 
     @property
     def core_vars(self) -> int:
-        return self._core
+        """Number of non-auxiliary variables."""
+        flags = self.n_examples if self.has_misclass else 0
+        return flags + self.n_nodes * self._node_width
+
+    def add_node(self) -> int:
+        """Lay out the next node's block after every id allocated so far."""
+        self.n_nodes += 1
+        self._first.append(self.num_vars + 1)
+        self.num_vars += self._node_width
+        return self.n_nodes
+
+    def first_id(self, j: int) -> int:
+        assert 1 <= j <= self.n_nodes
+        return self._first[j - 1]
 
     def select_var(self, j: int, r: int) -> int:
         """Node j picks feature r; r = n_features + 1 is the class feature."""
         assert 1 <= j <= self.n_nodes and 1 <= r <= self.n_features + 1
-        return (j - 1) * (self.n_features + 1) + r
+        return self._first[j - 1] + r - 1
 
     def class_sel_var(self, j: int) -> int:
-        return self.select_var(j, self.n_features + 1)
+        assert 1 <= j <= self.n_nodes
+        return self._first[j - 1] + self.n_features
 
     def truth_var(self, j: int) -> int:
         assert 1 <= j <= self.n_nodes
-        return self.n_nodes * (self.n_features + 1) + j
+        return self._first[j - 1] + self.n_features + 1
 
     def valid_var(self, i: int, j: int) -> int:
         assert 1 <= i <= self.n_examples and 1 <= j <= self.n_nodes
-        return self.n_nodes * (self.n_features + 2) + (i - 1) * self.n_nodes + j
+        return self._first[j - 1] + self.n_features + 1 + i
 
     def unused_var(self, j: int) -> int:
         assert self.has_unused and 1 <= j <= self.n_nodes
-        return self.n_nodes * (self.n_features + 2) + self.n_examples * self.n_nodes + j
+        return self._first[j - 1] + self.n_features + 2 + self.n_examples
 
     def misclass_var(self, i: int) -> int:
         assert self.has_misclass and 1 <= i <= self.n_examples
-        return (
-            self.n_nodes * (self.n_features + 3)
-            + self.n_examples * self.n_nodes
-            + i
-        )
+        return i
 
     def new_aux(self) -> int:
         self.num_vars += 1
@@ -218,26 +238,33 @@ def lam_to_cost(lam, m_effective: int) -> int:
     return max(1, ceil(frac * m_effective))
 
 
-class _Builder:
-    def __init__(self, ds: BinDataset, n_nodes: int, scope: Scope, mode: str,
+class Encoder:
+    """A node-sequence encoding that grows one node at a time.
+
+    append_node() emits every clause of the next node into formula: its
+    selector choice, its links to the previous node (validity chain and
+    unused suffix), class agreement, its coverage auxiliaries and, per
+    class, its forced head.  The clauses that end the sequence at the
+    last node, termination() and coverage(), are returned instead of
+    emitted: they stop holding once another node is appended.
+    """
+
+    def __init__(self, ds: BinDataset, scope: Scope, mode: str,
                  lambda_cost: int | None = None):
         scope.validate(len(ds.classes))
-        if n_nodes < 1:
-            raise EncodingError("need at least one node, got %d" % n_nodes)
         if ds.num_examples < 1:
             raise EncodingError("need at least one example")
         if mode == "sparse":
             if lambda_cost is None or lambda_cost < 1:
                 raise EncodingError("sparse mode needs an integer node cost >= 1")
         self.ds = ds
-        self.n = n_nodes
         self.k = ds.num_features
         self.m = ds.num_examples
         self.scope = scope
         self.mode = mode
         self.lambda_cost = lambda_cost if mode == "sparse" else None
         self.vm = VarMap(
-            n_nodes=self.n,
+            n_nodes=0,
             n_features=self.k,
             n_examples=self.m,
             has_unused=mode in ("bounded", "sparse"),
@@ -252,8 +279,10 @@ class _Builder:
             self.covered = list(range(1, self.m + 1))
         else:
             self.covered = [i + 1 for i, b in enumerate(self.bits) if b == 1]
+        # per covered example, the aux saying "node j's rule covers it"
+        self._hits: list[list[int]] = [[] for _ in self.covered]
 
-    def _new_aux(self) -> int:
+    def new_aux(self) -> int:
         v = self.vm.new_aux()
         if v > self.formula.num_vars:
             self.formula.num_vars = v
@@ -263,121 +292,134 @@ class _Builder:
         t = self.vm.truth_var(j)
         return t if bit else -t
 
-    def _node_choice(self) -> None:
-        vm, add = self.vm, self.formula.add_hard
-        for j in range(1, self.n + 1):
-            row = [vm.select_var(j, r) for r in range(1, self.k + 2)]
-            if vm.has_unused:
-                row = [vm.unused_var(j)] + row
-            for clause in exactly_one(row, new_var=self._new_aux):
-                add(clause)
+    def append_node(self) -> None:
+        """Lay out node n + 1 and emit its clauses."""
+        vm = self.vm
+        j = vm.add_node()
+        self.formula.num_vars = max(self.formula.num_vars, vm.num_vars)
+        self._node_choice(j)
+        if j == 1:
+            for i in range(1, self.m + 1):
+                self.formula.add_hard([vm.valid_var(i, 1)])
+        else:
+            self._link(j - 1)
+        self._class_agreement(j)
+        self._coverage_aux(j)
+        if not self.scope.is_aggregated:
+            self.formula.add_hard([-vm.class_sel_var(j), vm.truth_var(j)])
 
-    def _termination(self) -> None:
+    def _node_choice(self, j: int) -> None:
+        vm = self.vm
+        row = [vm.select_var(j, r) for r in range(1, self.k + 2)]
+        if vm.has_unused:
+            row = [vm.unused_var(j)] + row
+        for clause in exactly_one(row, new_var=self.new_aux):
+            self.formula.add_hard(clause)
+
+    def _link(self, j: int) -> None:
+        """Clauses tying node j + 1 to node j."""
         vm, add = self.vm, self.formula.add_hard
-        if self.mode == "perfect":
-            add([vm.class_sel_var(self.n)])
-            return
-        # unused nodes form a suffix, entered only right after a leaf
-        for j in range(1, self.n):
+        if vm.has_unused:
+            # unused nodes form a suffix, entered only right after a leaf
             add([-vm.unused_var(j), vm.unused_var(j + 1)])
             add([-vm.unused_var(j + 1), vm.unused_var(j), vm.class_sel_var(j)])
-        add([vm.unused_var(self.n), vm.class_sel_var(self.n)])
+        for i, (bits, _, _) in enumerate(self.ds.examples, start=1):
+            agree = self.new_aux()
+            if self.k == 0:
+                add([-agree])
+            for r in range(1, self.k + 1):
+                sel = vm.select_var(j, r)
+                tau = self._truth_lit(j, bits[r - 1])
+                add([-sel, -tau, agree])  # matching literal marks agreement
+                add([-agree, -sel, tau])  # agreement at this node implies the match
+            add([-agree, -vm.class_sel_var(j)])
+            leaf = vm.class_sel_var(j)
+            v_next = vm.valid_var(i, j + 1)
+            v_cur = vm.valid_var(i, j)
+            add([-leaf, v_next])  # a leaf resets validity for the next rule
+            add([-v_cur, -agree, v_next])
+            add([-v_next, leaf, v_cur])
+            add([-v_next, leaf, agree])
 
-    def _validity_chain(self) -> None:
-        vm, add, ds = self.vm, self.formula.add_hard, self.ds
-        for i in range(1, self.m + 1):
-            add([vm.valid_var(i, 1)])
-        for i, (bits, _, _) in enumerate(ds.examples, start=1):
-            for j in range(1, self.n):
-                agree = self._new_aux()
-                if self.k == 0:
-                    add([-agree])
-                for r in range(1, self.k + 1):
-                    sel = vm.select_var(j, r)
-                    tau = self._truth_lit(j, bits[r - 1])
-                    add([-sel, -tau, agree])  # matching literal marks agreement
-                    add([-agree, -sel, tau])  # agreement at this node implies the match
-                add([-agree, -vm.class_sel_var(j)])
-                leaf = vm.class_sel_var(j)
-                v_next = vm.valid_var(i, j + 1)
-                v_cur = vm.valid_var(i, j)
-                add([-leaf, v_next])  # a leaf resets validity for the next rule
-                add([-v_cur, -agree, v_next])
-                add([-v_next, leaf, v_cur])
-                add([-v_next, leaf, agree])
-
-    def _class_agreement(self) -> None:
+    def _class_agreement(self, j: int) -> None:
         vm, add = self.vm, self.formula.add_hard
         for i in range(1, self.m + 1):
-            bit = self.bits[i - 1]
-            for j in range(1, self.n + 1):
-                clause = [-vm.class_sel_var(j), -vm.valid_var(i, j), self._truth_lit(j, bit)]
-                if self.mode == "sparse":
-                    clause.append(vm.misclass_var(i))
-                add(clause)
-
-    def _coverage(self) -> None:
-        vm, add = self.vm, self.formula.add_hard
-        for i in self.covered:
-            hits = []
-            for j in range(1, self.n + 1):
-                aux = self._new_aux()
-                add([-aux, vm.class_sel_var(j)])
-                add([-aux, vm.valid_var(i, j)])
-                add([-vm.class_sel_var(j), -vm.valid_var(i, j), aux])
-                hits.append(aux)
-            clause = list(hits)
+            clause = [-vm.class_sel_var(j), -vm.valid_var(i, j),
+                      self._truth_lit(j, self.bits[i - 1])]
             if self.mode == "sparse":
                 clause.append(vm.misclass_var(i))
             add(clause)
 
-    def _per_class_heads(self) -> None:
-        if self.scope.is_aggregated:
-            return
+    def _coverage_aux(self, j: int) -> None:
         vm, add = self.vm, self.formula.add_hard
-        for j in range(1, self.n + 1):
-            add([-vm.class_sel_var(j), vm.truth_var(j)])
+        for i, hits in zip(self.covered, self._hits):
+            aux = self.new_aux()
+            add([-aux, vm.class_sel_var(j)])
+            add([-aux, vm.valid_var(i, j)])
+            add([-vm.class_sel_var(j), -vm.valid_var(i, j), aux])
+            hits.append(aux)
+
+    def termination(self) -> list[int]:
+        """Clause ending the sequence at the last node: it closes a rule
+        (or, with unused flags, is unused)."""
+        vm = self.vm
+        leaf = vm.class_sel_var(vm.n_nodes)
+        return [vm.unused_var(vm.n_nodes), leaf] if vm.has_unused else [leaf]
+
+    def coverage(self) -> list[list[int]]:
+        """One clause per covered example: some rule up to the last node
+        covers it (or, in sparse mode, it is flagged misclassified)."""
+        clauses = []
+        for i, hits in zip(self.covered, self._hits):
+            clause = list(hits)
+            if self.mode == "sparse":
+                clause.append(self.vm.misclass_var(i))
+            clauses.append(clause)
+        return clauses
 
     def _softs(self) -> None:
         vm = self.vm
         if self.mode == "bounded":
-            for j in range(1, self.n + 1):
+            for j in range(1, vm.n_nodes + 1):
                 self.formula.add_soft([vm.unused_var(j)], 1)
         elif self.mode == "sparse":
             for i, (_, _, weight) in enumerate(self.ds.examples, start=1):
                 self.formula.add_soft([-vm.misclass_var(i)], weight)
-            for j in range(1, self.n + 1):
+            for j in range(1, vm.n_nodes + 1):
                 self.formula.add_soft([vm.unused_var(j)], self.lambda_cost)
 
-    def build(self) -> CnfBundle:
-        self._node_choice()
-        self._termination()
-        self._validity_chain()
-        self._class_agreement()
-        self._coverage()
-        self._per_class_heads()
-        self._softs()
-        return CnfBundle(
-            formula=self.formula,
-            varmap=self.vm,
-            scope=self.scope,
-            mode=self.mode,
-            classes=list(self.ds.classes),
-            lambda_cost=self.lambda_cost,
-        )
+
+def _build(ds: BinDataset, n_nodes: int, scope: Scope, mode: str,
+           lambda_cost: int | None = None) -> CnfBundle:
+    if n_nodes < 1:
+        raise EncodingError("need at least one node, got %d" % n_nodes)
+    enc = Encoder(ds, scope, mode, lambda_cost)
+    for _ in range(n_nodes):
+        enc.append_node()
+    for clause in [enc.termination()] + enc.coverage():
+        enc.formula.add_hard(clause)
+    enc._softs()
+    return CnfBundle(
+        formula=enc.formula,
+        varmap=enc.vm,
+        scope=scope,
+        mode=mode,
+        classes=list(ds.classes),
+        lambda_cost=enc.lambda_cost,
+    )
 
 
 def build_perfect(ds: BinDataset, n_nodes: int, scope: Scope) -> CnfBundle:
     """Exact-fit training model over exactly n_nodes nodes."""
-    return _Builder(ds, n_nodes, scope, "perfect").build()
+    return _build(ds, n_nodes, scope, "perfect")
 
 
 def build_bounded(ds: BinDataset, n_nodes: int, scope: Scope) -> CnfBundle:
     """Exact-fit model over at most n_nodes nodes; unused nodes are soft."""
-    return _Builder(ds, n_nodes, scope, "bounded").build()
+    return _build(ds, n_nodes, scope, "bounded")
 
 
 def build_sparse(ds: BinDataset, n_nodes: int, lambda_cost: int, scope: Scope) -> CnfBundle:
     """Accuracy/size trade-off model: misclassification flags cost their
     example weight, every used node costs lambda_cost."""
-    return _Builder(ds, n_nodes, scope, "sparse", lambda_cost=lambda_cost).build()
+    return _build(ds, n_nodes, scope, "sparse", lambda_cost=lambda_cost)

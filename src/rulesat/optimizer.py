@@ -1,14 +1,17 @@
 """Search drivers: node-count iteration and model-improving MaxSAT.
 
 minimize_perfect grows the node count one at a time and stops at the
-first satisfiable size, which is therefore minimal.  minimize_bounded
-starts from a guessed node budget and lets soft unused flags switch
-spare nodes off.  minimize_sparse trades misclassifications against a
-per-node penalty and re-runs with a larger budget as long as the
-optimum exhausts it, stopping once a round leaves a node unused.
+first satisfiable size, which is therefore minimal.  It keeps one
+encoding and one solver for the whole search: each round appends one
+node and solves under assumptions that make that node the last one, so
+the clauses learnt while proving the smaller sizes UNSAT carry over.
+minimize_bounded starts from a guessed node budget and lets soft unused
+flags switch spare nodes off.  minimize_sparse trades misclassifications
+against a per-node penalty and re-runs with a larger budget as long as
+the optimum exhausts it, stopping once a round leaves a node unused.
 The three share one loop over node budgets (_search_budgets), which
-keeps the clock, the round records and the solver totals; each round
-builds a fresh encoding and solves it with a fresh solver.
+keeps the clock, the round records and the solver totals; a bounded or
+sparse round builds a fresh encoding and solves it with a fresh solver.
 
 maxsat_solve performs a linear SAT-to-UNSAT search: solve, read the
 model cost c, then assume "cost <= c - 1" through totalizer outputs
@@ -23,7 +26,11 @@ from dataclasses import dataclass, field
 
 from .cardinality import build_totalizer
 from .dataset import BinDataset
-from .encoder import CnfBundle, Scope, build_bounded, build_perfect, build_sparse, lam_to_cost
+# build_perfect is not called here any more; it stays importable as
+# optimizer.build_perfect, next to the other builders, for code that wraps
+# the builders by their names in this module (the benchmark's tracer)
+from .encoder import (CnfBundle, Encoder, Scope, build_bounded, build_perfect,  # noqa: F401
+                      build_sparse, lam_to_cost)
 from .formula import Assignment, Formula
 from .model import DecisionSet, decode, verify_perfect
 from .solver import SolveBudgetExceeded, Solver
@@ -216,8 +223,12 @@ def _check_consistent(ds: BinDataset) -> None:
 
 
 def _remaining_limits(clock: _Clock) -> SearchLimits:
-    """The clock's limits, with the wall budget cut down to the time left."""
-    remaining = max(clock.wall_deadline - time.monotonic(), 0.001)
+    """The clock's limits, with the wall budget cut down to the time left.
+
+    Past the deadline the budget is a nanosecond, spent before the
+    receiving search checks its clock, so that search starts no round.
+    """
+    remaining = max(clock.wall_deadline - time.monotonic(), 1e-9)
     return SearchLimits(wall_time_budget=remaining,
                         per_solve_budget=clock.limits.per_solve_budget,
                         max_nodes=clock.limits.max_nodes)
@@ -244,7 +255,8 @@ class _Round:
 def _search_budgets(limits: SearchLimits | None, n: int, step: int, progress,
                     solve_round) -> SolveOutcome:
     """The loop the three drivers share: solve_round(n, clock) for node
-    budgets n, n + step, ... up to limits.max_nodes.
+    budgets n, n + step, ... up to limits.max_nodes, each started only
+    while time is left.
 
     The search stops at the first round that finds an optimal outcome
     or times out.  The best feasible outcome found so far, if any,
@@ -261,7 +273,8 @@ def _search_budgets(limits: SearchLimits | None, n: int, step: int, progress,
     solve_calls = conflicts = 0
     best = outcome = None
     while outcome is None and n <= limits.max_nodes:
-        rnd = solve_round(n, clock)
+        # past the deadline a round would only build its encoding and time out
+        rnd = _Round("timeout", None, 0, 0) if clock.expired() else solve_round(n, clock)
         solve_calls += rnd.solve_calls
         conflicts += rnd.conflicts
         record = {"n": n, "status": rnd.status, "cost": rnd.cost, "elapsed": clock.elapsed()}
@@ -287,8 +300,15 @@ def _search_budgets(limits: SearchLimits | None, n: int, step: int, progress,
 
 def _maxsat_round(bundle: CnfBundle, clock: _Clock, progress, read) -> _Round:
     """One mopt or sparse round: MaxSAT over the bundle in the time left,
-    with read(result) turning a model into an outcome."""
-    res = maxsat_solve(bundle, _remaining_limits(clock), progress=progress)
+    with read(result) turning a model into an outcome.  Model events are
+    passed on with the round's n and their elapsed time on the driver's
+    clock, the time base of the round records."""
+    relay = None
+    if progress is not None:
+        def relay(event):
+            progress(dict(event, n=bundle.varmap.n_nodes, elapsed=clock.elapsed()))
+
+    res = maxsat_solve(bundle, _remaining_limits(clock), progress=relay)
     found = None if res.assignment is None else read(res)
     return _Round(res.status, res.cost, res.stats["solve_calls"], res.stats["conflicts"],
                   found)
@@ -301,23 +321,41 @@ def minimize_perfect(ds: BinDataset, scope: Scope, limits: SearchLimits | None =
     Sizes below the answer are proven UNSAT along the way, so the first
     satisfiable size is the minimum; no binary search is attempted since
     the UNSAT proofs at n-1 are the expensive part and would be repeated.
+
+    One encoding grows by a node per round on one solver.  The clauses
+    that end the sequence at node n are retractable: "node n is a leaf"
+    is an assumption, and the coverage clauses carry a guard literal g_n
+    that is also assumed.  After an UNSAT round the unit -g_n retires
+    them, so every learnt clause stays valid for the larger sizes.
     """
     scope.validate(len(ds.classes))
     _check_consistent(ds)
+    enc = Encoder(ds, scope, "perfect")
+    solver = Solver()
+    guard = None
 
     def solve_round(n, clock):
-        bundle = build_perfect(ds, n, scope)
-        solver = Solver()
-        solver.add_formula(bundle.formula)
-        status = "timeout"
-        if not clock.expired():
-            try:
-                status = "sat" if solver.solve(deadline=clock.solve_deadline()) else "unsat"
-            except SolveBudgetExceeded:
-                pass
-        rnd = _Round(status, None, solver.solve_calls, solver.conflicts)
+        nonlocal guard
+        if guard is not None:
+            solver.add_clause([-guard])
+        enc.append_node()  # rounds run n = 1, 2, 3, ..., one new node each
+        solver.ensure_vars(enc.formula.num_vars)
+        for clause in enc.formula.hard:
+            solver.add_clause(clause)
+        enc.formula.hard.clear()  # the solver holds them now
+        guard = enc.new_aux()
+        for clause in enc.coverage():
+            solver.add_clause([-guard] + clause)
+        calls, conflicts = solver.solve_calls, solver.conflicts
+        try:
+            sat = solver.solve(assumptions=[enc.vm.class_sel_var(n), guard],
+                               deadline=clock.solve_deadline())
+            status = "sat" if sat else "unsat"
+        except SolveBudgetExceeded:
+            status = "timeout"
+        rnd = _Round(status, None, solver.solve_calls - calls, solver.conflicts - conflicts)
         if status == "sat":
-            dset = _verified(decode(solver.model, bundle.varmap, scope, ds.classes), ds, scope)
+            dset = _verified(decode(solver.model, enc.vm, scope, ds.classes), ds, scope)
             dset.metadata = {"mode": "perfect", "scope": scope.kind, "objective": n}
             rnd.cost = n
             rnd.found = SolveOutcome(status="optimal", decision_set=dset, objective=n)

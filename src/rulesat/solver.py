@@ -21,6 +21,7 @@ _RESTART_UNIT = 128
 _ACTIVITY_CAP = 1e100
 _DECAY = 1 / 0.95
 _DEADLINE_CHECK = 128
+_HEAP_SLACK = 4  # stale heap entries allowed per variable before a rebuild
 
 
 class SolveBudgetExceeded(Exception):
@@ -164,6 +165,21 @@ class Solver:
         del self._trail[bound:]
         del self._trail_lim[level:]
         self._qhead = len(self._trail)
+        if len(heap) > _HEAP_SLACK * self.num_vars:
+            self._rebuild_heap()
+
+    def _rebuild_heap(self) -> None:
+        """One entry per unassigned variable, at its current activity.
+
+        Entries are pushed, never updated, so stale ones pile up: tens of
+        thousands over one hard UNSAT proof, and more in a solver kept
+        across solve() calls.  Every unassigned variable always has an
+        entry at its current activity, so a rebuild never changes the
+        branching order.
+        """
+        self._heap = [(-self._activity[u], u) for u in range(1, self.num_vars + 1)
+                      if self._assigns[u] == 0]
+        heapify(self._heap)
 
     # ------------------------------------------------------------------
     # propagation
@@ -233,9 +249,7 @@ class Solver:
             for u in range(1, self.num_vars + 1):
                 self._activity[u] *= inv
             self._var_inc *= inv
-            self._heap = [(-self._activity[u], u) for u in range(1, self.num_vars + 1)
-                          if self._assigns[u] == 0]
-            heapify(self._heap)
+            self._rebuild_heap()
         elif self._assigns[v] == 0:
             heappush(self._heap, (-act, v))
 

@@ -59,16 +59,19 @@ def test_scope_validate_rejects(scope, num_classes, fragment):
 
 def test_varmap_core_layout():
     vm = VarMap(n_nodes=7, n_features=4, n_examples=8)
-    # selectors fill 1..35 row by row, truths 36..42, validities 43..98
+    # node-major: node j holds 5 selectors, its truth and 8 validities
+    # in the 14 ids from 14 * (j - 1) + 1
     assert vm.core_vars == 98
     assert vm.num_vars == 98
-    assert vm.select_var(1, 1) == 1
-    assert vm.select_var(1, 5) == 5
-    assert vm.class_sel_var(1) == 5
-    assert vm.select_var(7, 5) == 35
-    assert vm.truth_var(1) == 36
-    assert vm.truth_var(7) == 42
-    assert vm.valid_var(1, 1) == 43
+    for j in range(1, 8):
+        first = 14 * (j - 1) + 1
+        assert vm.first_id(j) == first
+        assert [vm.select_var(j, r) for r in range(1, 6)] == list(range(first, first + 5))
+        assert vm.class_sel_var(j) == first + 4
+        assert vm.truth_var(j) == first + 5
+        assert [vm.valid_var(i, j) for i in range(1, 9)] == list(range(first + 6, first + 14))
+    assert vm.select_var(7, 5) == 89
+    assert vm.truth_var(7) == 90
     assert vm.valid_var(8, 7) == 98
     ids = (
         [vm.select_var(j, r) for j in range(1, 8) for r in range(1, 6)]
@@ -81,14 +84,37 @@ def test_varmap_core_layout():
 def test_varmap_flag_blocks_and_aux():
     vm = VarMap(n_nodes=7, n_features=4, n_examples=8,
                 has_unused=True, has_misclass=True)
-    assert vm.unused_var(1) == 99
-    assert vm.unused_var(7) == 105
-    assert vm.misclass_var(1) == 106
-    assert vm.misclass_var(8) == 113
+    # misclassification flags first, then 15-id node blocks ending in
+    # the unused flag
+    assert [vm.misclass_var(i) for i in range(1, 9)] == list(range(1, 9))
+    for j in range(1, 8):
+        first = 8 + 15 * (j - 1) + 1
+        assert vm.first_id(j) == first
+        assert vm.select_var(j, 1) == first
+        assert vm.truth_var(j) == first + 5
+        assert vm.valid_var(1, j) == first + 6
+        assert vm.unused_var(j) == first + 14
+    assert vm.unused_var(1) == 23
+    assert vm.unused_var(7) == 113
     assert vm.core_vars == 113
+    ids = (
+        [vm.misclass_var(i) for i in range(1, 9)]
+        + [vm.select_var(j, r) for j in range(1, 8) for r in range(1, 6)]
+        + [vm.truth_var(j) for j in range(1, 8)]
+        + [vm.valid_var(i, j) for i in range(1, 9) for j in range(1, 8)]
+        + [vm.unused_var(j) for j in range(1, 8)]
+    )
+    assert sorted(ids) == list(range(1, 114))
     first = vm.new_aux()
     assert first == 114
     assert vm.num_vars == 114
+    # an appended node starts after the auxiliaries, renumbering nothing
+    assert vm.add_node() == 8
+    assert vm.first_id(8) == 115
+    assert vm.unused_var(8) == 129
+    assert vm.unused_var(7) == 113
+    assert vm.core_vars == 128
+    assert vm.num_vars == 129
 
 
 def test_varmap_json_blocks():
@@ -240,6 +266,25 @@ def test_builders_reject_bad_requests(ex1):
             2,
             Scope.aggregated(),
         )
+
+
+@pytest.mark.parametrize(
+    "scope,sizes",
+    [
+        (Scope.aggregated(), [(202, 942, 0, 2576), (209, 989, 7, 2691), (217, 989, 15, 2763)]),
+        (Scope.per_class(0), [(181, 883, 0, 2422), (188, 930, 7, 2537), (196, 930, 15, 2606)]),
+        (Scope.per_class(1), [(167, 839, 0, 2310), (174, 886, 7, 2425), (182, 886, 15, 2492)]),
+    ],
+)
+def test_build_sizes_are_pinned(ex1, scope, sizes):
+    # (vars, hard clauses, soft clauses, literals) of the perfect, bounded
+    # and sparse encodings of ex1 at 7 nodes; the node-major layout
+    # renumbers variables but emits the same clauses
+    bundles = [build_perfect(ex1, 7, scope), build_bounded(ex1, 7, scope),
+               build_sparse(ex1, 7, 3, scope)]
+    got = [(b.formula.num_vars, len(b.formula.hard), len(b.formula.soft),
+            b.formula.literal_count()) for b in bundles]
+    assert got == sizes
 
 
 def test_build_is_deterministic(ex1):

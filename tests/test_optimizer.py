@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from rulesat import optimizer
 from rulesat.dataset import BinDataset
-from rulesat.encoder import Scope, lam_to_cost
+from rulesat.encoder import Encoder, Scope, build_perfect, lam_to_cost
 from rulesat.formula import Formula, check_model
 from rulesat.model import Rule, evaluate
 from rulesat.optimizer import (
@@ -18,6 +19,7 @@ from rulesat.optimizer import (
     minimize_perfect,
     minimize_sparse,
 )
+from rulesat.solver import Solver
 
 from conftest import make_ex1, random_dataset
 from oracles import brute_min_cost, oracle_min_size, sequence_min_size, sparse_min_objective
@@ -153,6 +155,34 @@ def test_minimize_perfect_matches_oracles_on_micro_data():
                 assert sequence_min_size(ds, scope, cap=expected) == expected
 
 
+def test_minimize_perfect_rounds_match_fresh_solves(monkeypatch):
+    # one growing encoding on one solver answers every round as a fresh
+    # solver does on that round's full perfect encoding
+    created = []
+
+    class CountedSolver(Solver):
+        def __init__(self):
+            super().__init__()
+            created.append(self)
+
+    monkeypatch.setattr(optimizer, "Solver", CountedSolver)
+    rng = random.Random(123)
+    for trial in range(25):
+        ds = random_dataset(rng, max_m=5, max_k=3)
+        for scope in (AGG, Scope.per_class(0), Scope.per_class(1)):
+            del created[:]
+            out = minimize_perfect(ds, scope)
+            rounds = out.stats["rounds"]
+            assert len(created) == 1
+            assert out.stats["solve_calls"] == len(rounds)
+            assert [r["n"] for r in rounds] == list(range(1, len(rounds) + 1))
+            for r in rounds:
+                fresh = Solver()
+                fresh.add_formula(build_perfect(ds, r["n"], scope).formula)
+                expected = "sat" if fresh.solve() else "unsat"
+                assert r["status"] == expected, (trial, scope, r["n"])
+
+
 def test_minimize_perfect_rejects_contradictions():
     ds = BinDataset(1, ["0", "1"], ["a"], [((1,), 0, 1), ((1,), 1, 1)])
     with pytest.raises(ContradictionError, match="sanitize"):
@@ -182,6 +212,42 @@ def test_minimize_perfect_covers_impossible_target_class():
 
 
 # ---------------------------------------------------------------- bounded
+
+
+def test_model_events_share_the_rounds_time_base(ex1):
+    events = []
+    out = minimize_bounded(ex1, AGG, n0=5, step=10, progress=events.append)
+    assert [r["n"] for r in out.stats["rounds"]] == [5, 15]
+    models = [e for e in events if e.get("event") == "model"]
+    assert models and all(e["n"] == 15 for e in models)
+    assert all("n" in e for e in events)
+    times = [e["elapsed"] for e in events]
+    assert times == sorted(times)
+
+
+def test_no_round_starts_after_the_deadline(ex1, monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("build_bounded", "build_sparse", "_CostCounter"):
+        monkeypatch.setattr(optimizer, name, counted(name, getattr(optimizer, name)))
+    monkeypatch.setattr(Encoder, "append_node", counted("append_node", Encoder.append_node))
+    tiny = SearchLimits(wall_time_budget=1e-9)
+    # what a run started after a command's deadline is handed
+    left = optimizer._remaining_limits(optimizer._Clock(tiny))
+    for expired in (tiny, left):
+        for out in (minimize_bounded(ex1, AGG, limits=expired),
+                    minimize_sparse(ex1, AGG, lam=0.5, limits=expired),
+                    minimize_perfect(ex1, AGG, limits=expired)):
+            assert out.status == "timeout"
+            (record,) = out.stats["rounds"]
+            assert (record["status"], record["cost"]) == ("timeout", None)
+    assert calls == []
 
 
 def test_minimize_bounded_with_roomy_budget(ex1):

@@ -121,6 +121,69 @@ def test_incremental_growth_and_model_reuse():
     assert s.solve() is False
 
 
+def test_incremental_assumptions_with_retired_guards(seed=505, trials=150):
+    # the pattern the growing perfect search relies on: solve under
+    # assumptions, add clauses between calls (among them a unit retiring
+    # an earlier assumption's guard variable), solve again
+    rng = random.Random(seed)
+    for trial in range(trials):
+        base = rng.randint(2, 8)
+        s = Solver()
+        s.ensure_vars(base)
+        clauses = []
+        guard = None
+        for step in range(rng.randint(2, 5)):
+            added = []
+            for _ in range(rng.randint(0, 2 * base)):
+                width = rng.randint(1, 3)
+                added.append([rng.choice([-1, 1]) * rng.randint(1, base) for _ in range(width)])
+            if guard is not None and rng.random() < 0.8:
+                added.append([-guard])
+            guard = s.new_var()
+            for _ in range(rng.randint(1, 2)):
+                width = rng.randint(1, 3)
+                added.append([-guard] + [rng.choice([-1, 1]) * rng.randint(1, base)
+                                         for _ in range(width)])
+            for c in added:
+                s.add_clause(c)
+            clauses += added
+            assumptions = [guard] + [rng.choice([-1, 1]) * v
+                                     for v in rng.sample(range(1, base + 1), rng.randint(0, 2))]
+            nv = s.num_vars
+            expected = is_satisfiable(nv, clauses + [[a] for a in assumptions])
+            got = s.solve(assumptions=assumptions)
+            assert got == expected, (trial, step)
+            if got:
+                ok, bad = check_model(as_formula(nv, clauses), s.model)
+                assert ok, (trial, step, bad)
+                assert all(s.model.lit_true(a) for a in assumptions)
+            else:
+                assert set(s.core) <= set(assumptions)
+                assert not is_satisfiable(nv, clauses + [[a] for a in s.core]), (trial, step)
+
+
+def test_heap_rebuild_bounds_the_heap_and_keeps_decisions(monkeypatch):
+    # the same solve with and without heap rebuilds: identical search,
+    # and only the rebuilding one keeps the heap near one entry per variable
+    from rulesat import solver as solver_module
+
+    def run():
+        nv, clauses = php_clauses(6, 5)
+        s = build_solver(nv, clauses)
+        peak = 0
+        for extra in range(3):  # several calls on one solver
+            assert s.solve(assumptions=[extra + 1]) is False
+            peak = max(peak, len(s._heap))
+        return s.conflicts, s.core, peak, s.num_vars
+
+    conflicts, core, peak, nv = run()
+    assert peak <= solver_module._HEAP_SLACK * nv + nv
+    monkeypatch.setattr(solver_module, "_HEAP_SLACK", 10 ** 9)
+    unbounded = run()
+    assert unbounded[:2] == (conflicts, core)
+    assert unbounded[2] > peak
+
+
 def test_pigeonhole_unsat():
     for pigeons, holes in [(3, 2), (4, 3)]:
         nv, clauses = php_clauses(pigeons, holes)
