@@ -7,8 +7,10 @@ Per-class scope (the default) runs one optimizer per class and reports
 the union of the learned rule sets; classes absent from the training
 data contribute no rules.  Per-class runs and cross-validation folds run
 one after another, in input order.  --time-limit is one clock for the
-whole command, started when the command starts: each run gets only the
-time left on it.
+whole command, started when the command starts: each run gets an equal
+share of the time left on it among the runs still to come, so time an
+early run leaves unused goes to the later ones, and the last run gets
+all that is left.
 """
 
 from __future__ import annotations
@@ -83,13 +85,14 @@ def _sanitized(ds: BinDataset, config: RunConfig) -> BinDataset:
 
 
 def _run_one(ds: BinDataset, scope: Scope, config: RunConfig, clock: _Clock,
-             context: dict) -> SolveOutcome:
-    """One optimizer run, given only the time left on the command's clock."""
+             context: dict, runs_left: int) -> SolveOutcome:
+    """One optimizer run, given its share of the time left on the command's
+    clock among runs_left runs, this one included."""
     def progress(record):
         if config.verbose:
             print(json.dumps({**context, **record}, sort_keys=True), file=sys.stderr)
 
-    limits = _remaining_limits(clock)
+    limits = _remaining_limits(clock, runs_left)
     if config.mode == "opt":
         outcome = minimize_perfect(ds, scope, limits=limits, progress=progress)
     elif config.mode == "mopt":
@@ -104,20 +107,26 @@ def _run_one(ds: BinDataset, scope: Scope, config: RunConfig, clock: _Clock,
 
 
 def _learn_model(ds: BinDataset, config: RunConfig, clock: _Clock,
-                 context: dict | None = None):
+                 context: dict | None = None, later_models: int = 0):
     """Train per the configured scope; returns (DecisionSet, status) or
-    raises CliTimeout when nothing usable was found in time."""
+    raises CliTimeout when nothing usable was found in time.
+
+    The time left is shared among this model's runs and those of
+    later_models more models, counted at as many runs as this one.
+    """
     context = context or {}
     if config.scope == "aggregated":
-        outcome = _run_one(ds, Scope.aggregated(), config, clock, context)
+        outcome = _run_one(ds, Scope.aggregated(), config, clock, context, 1 + later_models)
         return outcome.decision_set, outcome.status
     rules = []
     objectives = {}
     total = 0
     status = "optimal"
-    for target in sorted({cls for _, cls, _ in ds.examples}):
+    targets = sorted({cls for _, cls, _ in ds.examples})
+    for done, target in enumerate(targets):
         outcome = _run_one(ds, Scope.per_class(target), config, clock,
-                           {**context, "class": ds.classes[target]})
+                           {**context, "class": ds.classes[target]},
+                           len(targets) * (1 + later_models) - done)
         rules.extend(outcome.decision_set.rules)
         total += outcome.decision_set.total_size
         objectives[ds.classes[target]] = outcome.objective
@@ -191,7 +200,8 @@ def cmd_cv(args) -> int:
     for fold in range(args.folds):
         train = _sanitized(ds.subset(plan.train_indices(fold)), config)
         try:
-            dset, status = _learn_model(train, config, clock, context={"fold": fold})
+            dset, status = _learn_model(train, config, clock, context={"fold": fold},
+                                        later_models=args.folds - fold - 1)
         except CliTimeout as exc:
             print("error: %s" % exc, file=sys.stderr)
             return 2

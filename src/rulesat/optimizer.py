@@ -1,17 +1,21 @@
-"""Search drivers: node-count iteration and model-improving MaxSAT.
+"""Search drivers: node-count iteration and model-improving search.
 
 minimize_perfect grows the node count one at a time and stops at the
 first satisfiable size, which is therefore minimal.  It keeps one
 encoding and one solver for the whole search: each round appends one
 node and solves under assumptions that make that node the last one, so
 the clauses learnt while proving the smaller sizes UNSAT carry over.
-minimize_bounded starts from a guessed node budget and lets soft unused
-flags switch spare nodes off.  minimize_sparse trades misclassifications
-against a per-node penalty and re-runs with a larger budget as long as
-the optimum exhausts it, stopping once a round leaves a node unused.
-The three share one loop over node budgets (_search_budgets), which
-keeps the clock, the round records and the solver totals; a bounded or
-sparse round builds a fresh encoding and solves it with a fresh solver.
+minimize_bounded starts from a guessed node budget and lets unused flags
+switch spare nodes off.  The flags form a suffix, so "at most c used
+nodes" is the single assumption unused_{c+1}: a round takes the used
+count of its first model as an upper bound and then climbs from below,
+c = 0, 1, ..., on one solver, with no cost counter.  minimize_sparse
+trades misclassifications against a per-node penalty by MaxSAT and
+re-runs with a larger budget as long as the optimum exhausts it,
+stopping once a round leaves a node unused.  The three share one loop
+over node budgets (_search_budgets), which keeps the clock, the round
+records and the solver totals; a bounded or sparse round builds a fresh
+encoding and solves it with a fresh solver.
 
 maxsat_solve performs a linear SAT-to-UNSAT search: solve, read the
 model cost c, then assume "cost <= c - 1" through totalizer outputs
@@ -181,11 +185,13 @@ def maxsat_solve(problem, limits: SearchLimits | None = None, progress=None) -> 
     clock = _Clock(limits)
     solver = Solver()
     solver.add_formula(formula)
-    counter = _CostCounter(solver, formula.soft)
     best_assignment = None
     best_cost = None
     models = 0
     try:
+        if clock.expired():  # no search can start: build no counter
+            raise SolveBudgetExceeded
+        counter = _CostCounter(solver, formula.soft)
         while True:
             if best_cost is None:
                 assumptions = []
@@ -222,13 +228,16 @@ def _check_consistent(ds: BinDataset) -> None:
             )
 
 
-def _remaining_limits(clock: _Clock) -> SearchLimits:
-    """The clock's limits, with the wall budget cut down to the time left.
+def _remaining_limits(clock: _Clock, runs_left: int = 1) -> SearchLimits:
+    """The clock's limits, with the wall budget cut down to an equal share
+    of the time left among runs_left runs, this one included.
 
+    A run thus cannot use up the time of the runs after it, time it
+    leaves unused goes to them, and the last run gets all that is left.
     Past the deadline the budget is a nanosecond, spent before the
     receiving search checks its clock, so that search starts no round.
     """
-    remaining = max(clock.wall_deadline - time.monotonic(), 1e-9)
+    remaining = max((clock.wall_deadline - time.monotonic()) / runs_left, 1e-9)
     return SearchLimits(wall_time_budget=remaining,
                         per_solve_budget=clock.limits.per_solve_budget,
                         max_nodes=clock.limits.max_nodes)
@@ -298,22 +307,6 @@ def _search_budgets(limits: SearchLimits | None, n: int, step: int, progress,
     return outcome
 
 
-def _maxsat_round(bundle: CnfBundle, clock: _Clock, progress, read) -> _Round:
-    """One mopt or sparse round: MaxSAT over the bundle in the time left,
-    with read(result) turning a model into an outcome.  Model events are
-    passed on with the round's n and their elapsed time on the driver's
-    clock, the time base of the round records."""
-    relay = None
-    if progress is not None:
-        def relay(event):
-            progress(dict(event, n=bundle.varmap.n_nodes, elapsed=clock.elapsed()))
-
-    res = maxsat_solve(bundle, _remaining_limits(clock), progress=relay)
-    found = None if res.assignment is None else read(res)
-    return _Round(res.status, res.cost, res.stats["solve_calls"], res.stats["conflicts"],
-                  found)
-
-
 def minimize_perfect(ds: BinDataset, scope: Scope, limits: SearchLimits | None = None,
                      progress=None) -> SolveOutcome:
     """Smallest exact-fit decision set by trying node counts 1, 2, 3, ...
@@ -372,24 +365,58 @@ def minimize_bounded(ds: BinDataset, scope: Scope, n0: int | None = None,
     When the budget is too small the hard clauses are UNSAT and the
     search retries with n0 + step.  On success the objective equals the
     perfect optimum whenever the budget reached it.
+
+    A round loads the bounded encoding of its budget n into one solver.
+    The first solve, without assumptions, decides whether the budget
+    fits; its model's u used nodes bound the optimum from above.  Since
+    unused_j implies unused_{j+1}, the assumption unused_{c+1} allows at
+    most c used nodes, and the round solves under it for c = 0, 1, ...,
+    u - 1: the first satisfiable c is the optimum, and u is when none is.
+    A timeout returns the best model so far as "feasible".
     """
     scope.validate(len(ds.classes))
     _check_consistent(ds)
 
     def solve_round(n, clock):
         bundle = build_bounded(ds, n, scope)
+        vm = bundle.varmap
+        solver = Solver()
+        solver.add_formula(bundle.formula)
+        best = cost = None
 
-        def read(res):
-            # soft clauses are one unit per node, so the model cost is the
-            # used-node count even if decoding merges duplicate body literals
-            dset = decode(res.assignment, bundle.varmap, scope, ds.classes)
-            dset.metadata = {"mode": "bounded", "scope": scope.kind, "objective": res.cost}
-            if res.status == "timeout":
-                return SolveOutcome(status="feasible", decision_set=dset, objective=res.cost)
-            return SolveOutcome(status="optimal", decision_set=_verified(dset, ds, scope),
-                                objective=res.cost)
+        def solve(assumptions):
+            if clock.expired():
+                raise SolveBudgetExceeded
+            return solver.solve(assumptions=assumptions, deadline=clock.solve_deadline())
 
-        return _maxsat_round(bundle, clock, progress, read)
+        def improved(model):
+            nonlocal best, cost
+            best = model
+            cost = sum(1 for j in range(1, n + 1) if not model.value(vm.unused_var(j)))
+            if progress is not None:
+                progress({"event": "model", "cost": cost, "n": n, "elapsed": clock.elapsed()})
+
+        try:
+            status = "infeasible"
+            if solve([]):
+                status = "optimal"
+                improved(solver.model)
+                for c in range(cost):  # all smaller c are UNSAT: the first SAT c is optimal
+                    if solve([vm.unused_var(c + 1)]):
+                        improved(solver.model)
+                        break
+        except SolveBudgetExceeded:
+            status = "timeout"
+        rnd = _Round(status, cost, solver.solve_calls, solver.conflicts)
+        if best is not None:
+            dset = decode(best, vm, scope, ds.classes)
+            dset.metadata = {"mode": "bounded", "scope": scope.kind, "objective": cost}
+            if status == "timeout":
+                rnd.found = SolveOutcome(status="feasible", decision_set=dset, objective=cost)
+            else:
+                rnd.found = SolveOutcome(status="optimal", decision_set=_verified(dset, ds, scope),
+                                         objective=cost)
+        return rnd
 
     n = n0 if n0 is not None else default_node_budget(ds.num_features)
     return _search_budgets(limits, n, step, progress, solve_round)
@@ -411,27 +438,33 @@ def minimize_sparse(ds: BinDataset, scope: Scope, lam, n0: int | None = None,
 
     def solve_round(n, clock):
         bundle = build_sparse(ds, n, lam_cost, scope)
+        relay = None
+        if progress is not None:
+            def relay(event):  # model events on the time base of the round records
+                progress(dict(event, n=n, elapsed=clock.elapsed()))
 
-        def read(res):
-            vm = bundle.varmap
-            used_nodes = sum(1 for j in range(1, n + 1)
-                             if not res.assignment.value(vm.unused_var(j)))
-            misclassified = sum(
-                w for i, (_, _, w) in enumerate(ds.examples, start=1)
-                if res.assignment.value(vm.misclass_var(i))
-            )
-            dset = decode(res.assignment, vm, scope, ds.classes)
-            dset.metadata = {
-                "mode": "sparse", "scope": scope.kind, "lambda_cost": lam_cost,
-                "objective": res.cost, "misclassified_weight": misclassified,
-            }
-            # growing the budget never raises the optimum, so once a round's
-            # optimum leaves a node unused the enlarging loop is done
-            done = res.status == "optimal" and used_nodes < n
-            return SolveOutcome(status="optimal" if done else "feasible", decision_set=dset,
-                                objective=res.cost)
-
-        return _maxsat_round(bundle, clock, progress, read)
+        res = maxsat_solve(bundle, _remaining_limits(clock), progress=relay)
+        rnd = _Round(res.status, res.cost, res.stats["solve_calls"], res.stats["conflicts"])
+        if res.assignment is None:
+            return rnd
+        vm = bundle.varmap
+        used_nodes = sum(1 for j in range(1, n + 1)
+                         if not res.assignment.value(vm.unused_var(j)))
+        misclassified = sum(
+            w for i, (_, _, w) in enumerate(ds.examples, start=1)
+            if res.assignment.value(vm.misclass_var(i))
+        )
+        dset = decode(res.assignment, vm, scope, ds.classes)
+        dset.metadata = {
+            "mode": "sparse", "scope": scope.kind, "lambda_cost": lam_cost,
+            "objective": res.cost, "misclassified_weight": misclassified,
+        }
+        # growing the budget never raises the optimum, so once a round's
+        # optimum leaves a node unused the enlarging loop is done
+        done = res.status == "optimal" and used_nodes < n
+        rnd.found = SolveOutcome(status="optimal" if done else "feasible", decision_set=dset,
+                                 objective=res.cost)
+        return rnd
 
     n = n0 if n0 is not None else default_node_budget(ds.num_features)
     return _search_budgets(limits, n, step, progress, solve_round)

@@ -227,6 +227,28 @@ def test_cv_time_limit_bounds_the_whole_command(tmp_path, capsys):
         assert "time budget exhausted" in err
 
 
+def test_cv_time_limit_is_shared_among_the_runs(tmp_path, capsys):
+    # the 60-row planted-rule CSV above in 3 folds x 2 classes: no run may
+    # spend the time of the runs after it, so every run finds a model.
+    # With --n0 1 a first model takes a one-node encoding, far less than
+    # the sixth of a second each run is handed
+    rng = random.Random(11)
+    rows = []
+    for code in rng.sample(range(1 << 8), 60):
+        f = [(code >> i) & 1 for i in range(8)]
+        cls = int((f[0] and not f[1]) or (f[2] and f[3]) or (f[4] and f[5] and not f[6]))
+        rows.append(",".join(map(str, f + [cls])))
+    path = tmp_path / "planted.csv"
+    path.write_text("\n".join([",".join("f%d" % i for i in range(8)) + ",y"] + rows) + "\n",
+                    encoding="utf-8")
+    code = main(["cv", "--data", str(path), "--folds", "3", "--mode", "sparse",
+                 "--lambda", "0.01", "--n0", "1", "--time-limit", "1"])
+    out = capsys.readouterr().out
+    assert code == 0
+    fold_lines = [l for l in out.splitlines() if l.startswith("fold ")]
+    assert len(fold_lines) == 3
+
+
 def test_cv_bad_fold_counts_exit_1(ex1_csv, capsys):
     assert main(["cv", "--data", ex1_csv, "--folds", "1"]) == 1
     assert "--folds must be >= 2" in capsys.readouterr().err

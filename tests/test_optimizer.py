@@ -6,7 +6,7 @@ import pytest
 
 from rulesat import optimizer
 from rulesat.dataset import BinDataset
-from rulesat.encoder import Encoder, Scope, build_perfect, lam_to_cost
+from rulesat.encoder import Encoder, Scope, build_perfect, build_sparse, lam_to_cost
 from rulesat.formula import Formula, check_model
 from rulesat.model import Rule, evaluate
 from rulesat.optimizer import (
@@ -19,7 +19,7 @@ from rulesat.optimizer import (
     minimize_perfect,
     minimize_sparse,
 )
-from rulesat.solver import Solver
+from rulesat.solver import SolveBudgetExceeded, Solver
 
 from conftest import make_ex1, random_dataset
 from oracles import brute_min_cost, oracle_min_size, sequence_min_size, sparse_min_objective
@@ -108,6 +108,24 @@ def test_maxsat_timeout_with_exhausted_budget():
     res = maxsat_solve(f, SearchLimits(wall_time_budget=1e-9))
     assert res.status == "timeout"
     assert res.assignment is None
+
+
+def counting(calls, name, fn):
+    """fn, appending name to calls on every call."""
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_maxsat_builds_no_counter_past_the_deadline(ex1, monkeypatch):
+    calls = []
+    monkeypatch.setattr(optimizer, "_CostCounter",
+                        counting(calls, "_CostCounter", optimizer._CostCounter))
+    res = maxsat_solve(build_sparse(ex1, 3, 4, AGG), SearchLimits(wall_time_budget=1e-9))
+    assert res.status == "timeout"
+    assert res.assignment is None
+    assert calls == []
 
 
 # ---------------------------------------------------------------- perfect
@@ -280,6 +298,58 @@ def test_minimize_bounded_matches_perfect_on_micro_data():
         assert out.objective == expected, (trial, ds)
 
 
+def test_minimize_bounded_matches_oracle_in_every_scope():
+    rng = random.Random(404)
+    for trial in range(40):
+        ds = random_dataset(rng, max_m=5, max_k=3)
+        present = sorted({cls for _, cls, _ in ds.examples})
+        for scope in [AGG] + [Scope.per_class(c) for c in present]:
+            expected = oracle_min_size(ds, scope, cap=24)
+            # budgets below the optimum make the search grow them
+            out = minimize_bounded(ds, scope, n0=rng.randint(1, expected + 2),
+                                   step=rng.randint(1, 3))
+            assert out.status == "optimal", (trial, scope)
+            assert out.objective == expected, (trial, scope, ds)
+            assert out.decision_set.total_size == expected
+
+
+def test_minimize_bounded_climbs_without_a_cost_counter(monkeypatch):
+    calls = []
+    for name in ("build_totalizer", "_CostCounter"):
+        monkeypatch.setattr(optimizer, name, counting(calls, name, getattr(optimizer, name)))
+    rng = random.Random(405)
+    datasets = [make_ex1()] + [random_dataset(rng, max_m=5, max_k=3) for _ in range(20)]
+    for ds in datasets:
+        expected = oracle_min_size(ds, AGG, cap=24)
+        out = minimize_bounded(ds, AGG, n0=expected + rng.randint(0, 3))
+        (record,) = out.stats["rounds"]
+        assert (record["status"], record["cost"]) == ("optimal", expected)
+        # one solve for the upper bound, then at most objective + 1 climbing
+        assert out.stats["solve_calls"] <= out.objective + 2, ds
+    assert calls == []
+
+
+def test_minimize_bounded_timeout_keeps_the_first_model(ex1, monkeypatch):
+    solve = Solver.solve
+    seen = []
+
+    def second_call_times_out(solver, *args, **kwargs):
+        seen.append(solver)
+        if len(seen) == 2:
+            raise SolveBudgetExceeded
+        return solve(solver, *args, **kwargs)
+
+    monkeypatch.setattr(Solver, "solve", second_call_times_out)
+    events = []
+    out = minimize_bounded(ex1, AGG, n0=12, progress=events.append)
+    (first,) = [e for e in events if e.get("event") == "model"]
+    assert out.status == "feasible"
+    assert out.objective == first["cost"] >= 7
+    assert out.decision_set.metadata["objective"] == first["cost"]
+    (record,) = out.stats["rounds"]
+    assert (record["status"], record["cost"]) == ("timeout", first["cost"])
+
+
 def test_minimize_bounded_budget_above_node_cap(ex1):
     out = minimize_bounded(ex1, AGG, n0=70,
                            limits=SearchLimits(max_nodes=64))
@@ -410,6 +480,14 @@ def test_union_equality_on_micro_data():
 
 
 # ---------------------------------------------------------------- limits
+
+
+def test_remaining_limits_share_the_time_left():
+    clock = optimizer._Clock(SearchLimits(wall_time_budget=10.0, per_solve_budget=7.0))
+    share = optimizer._remaining_limits(clock, 4)
+    assert 2.4 < share.wall_time_budget <= 2.5
+    assert (share.per_solve_budget, share.max_nodes) == (7.0, clock.limits.max_nodes)
+    assert 9.9 < optimizer._remaining_limits(clock).wall_time_budget <= 10.0
 
 
 def test_default_node_budget_caps_out():
