@@ -20,7 +20,10 @@ encoding and solves it with a fresh solver.
 maxsat_solve performs a linear SAT-to-UNSAT search: solve, read the
 model cost c, then assume "cost <= c - 1" through totalizer outputs
 (one totalizer per distinct soft weight, merged by weighted sums) and
-repeat until UNSAT; the last model is optimal.
+repeat until UNSAT; the last model is optimal.  The first solve starts
+from the phase that falsifies every soft clause (in the sparse encoding:
+every example misclassified, every node used), which makes a first
+model cheap.
 """
 
 from __future__ import annotations
@@ -104,10 +107,12 @@ class _CostCounter:
 
     One totalizer per distinct weight; their outputs, scaled by the
     weight, are merged into sum-valued literals.  Assuming the negation
-    of every literal above a bound excludes all costlier models.
+    of every literal above a bound excludes all costlier models.  Once
+    the clock has expired the build stops with SolveBudgetExceeded; it
+    checks before each totalizer and each merge.
     """
 
-    def __init__(self, solver: Solver, soft):
+    def __init__(self, solver: Solver, soft, clock: _Clock):
         by_weight: dict[int, list[int]] = {}
         for clause, weight in soft:
             if len(clause) == 1:
@@ -119,12 +124,16 @@ class _CostCounter:
             by_weight.setdefault(weight, []).append(indicator)
         nodes = []
         for weight in sorted(by_weight):
+            if clock.expired():
+                raise SolveBudgetExceeded
             handle = build_totalizer(solver, by_weight[weight])
             nodes.append([(weight * t, handle.outputs[t - 1])
                           for t in range(1, len(handle.outputs) + 1)])
         while len(nodes) > 1:
             merged = []
             for a in range(0, len(nodes) - 1, 2):
+                if clock.expired():
+                    raise SolveBudgetExceeded
                 merged.append(self._merge(solver, nodes[a], nodes[a + 1]))
             if len(nodes) % 2:
                 merged.append(nodes[-1])
@@ -185,13 +194,16 @@ def maxsat_solve(problem, limits: SearchLimits | None = None, progress=None) -> 
     clock = _Clock(limits)
     solver = Solver()
     solver.add_formula(formula)
+    for clause, _ in formula.soft:  # a cheap first model: every soft clause falsified
+        for lit in clause:
+            solver.set_phase(-lit)
     best_assignment = None
     best_cost = None
     models = 0
     try:
         if clock.expired():  # no search can start: build no counter
             raise SolveBudgetExceeded
-        counter = _CostCounter(solver, formula.soft)
+        counter = _CostCounter(solver, formula.soft, clock)
         while True:
             if best_cost is None:
                 assumptions = []

@@ -8,6 +8,17 @@ the formula is unconditionally UNSAT).
 Internals: two-watched-literal propagation, first-UIP clause learning,
 activity-driven branching with phase saving, Luby restarts, and a simple
 size-based reduction of the learnt clause store.
+
+Propagation makes one pass over a watch list and writes nothing back for
+the clauses that keep their watch.  Only when some clause moved its
+watch elsewhere is the list compacted, once, to the clauses still
+watching the literal, in their old order.
+
+The branching heap is lazy: a bump leaves the old entry in place, and
+stale entries are skipped when popped.  _queued[v] is the activity of
+v's live entry, or -1.0 when v has none, so every unassigned variable has
+exactly one live entry, at its current activity.  The pick is the
+unassigned variable with the highest activity, ties to the lowest id.
 """
 
 from __future__ import annotations
@@ -55,6 +66,7 @@ class Solver:
         self._reason = [None]
         self._saved = [False]
         self._activity = [0.0]
+        self._queued = [-1.0]  # activity of the variable's live heap entry, -1.0 if none
         self._seen = bytearray(1)
         self._watches: dict[int, list] = {}
         self._trail: list[int] = []
@@ -76,6 +88,7 @@ class Solver:
         self._reason.append(None)
         self._saved.append(False)
         self._activity.append(0.0)
+        self._queued.append(0.0)
         self._seen.append(0)
         self._watches[self.num_vars] = []
         self._watches[-self.num_vars] = []
@@ -85,6 +98,16 @@ class Solver:
     def ensure_vars(self, n: int) -> None:
         while self.num_vars < n:
             self.new_var()
+
+    def set_phase(self, lit: int) -> None:
+        """Make the first decision on lit's variable try lit.
+
+        Later decisions on it reuse the value it last had (phase saving).
+        """
+        if lit == 0 or not isinstance(lit, int):
+            raise FormulaError("bad literal %r" % (lit,))
+        self.ensure_vars(abs(lit))
+        self._saved[abs(lit)] = lit > 0
 
     def _value(self, lit: int) -> int:
         v = self._assigns[lit] if lit > 0 else -self._assigns[-lit]
@@ -155,30 +178,35 @@ class Solver:
             return
         bound = self._trail_lim[level]
         assigns, saved, heap, activity = self._assigns, self._saved, self._heap, self._activity
-        for i in range(len(self._trail) - 1, bound - 1, -1):
-            lit = self._trail[i]
+        queued, reason, trail = self._queued, self._reason, self._trail
+        for i in range(len(trail) - 1, bound - 1, -1):
+            lit = trail[i]
             v = abs(lit)
             saved[v] = lit > 0
             assigns[v] = 0
-            self._reason[v] = None
-            heappush(heap, (-activity[v], v))
-        del self._trail[bound:]
+            reason[v] = None
+            act = activity[v]
+            if queued[v] != act:
+                queued[v] = act
+                heappush(heap, (-act, v))
+        del trail[bound:]
         del self._trail_lim[level:]
-        self._qhead = len(self._trail)
+        self._qhead = len(trail)
         if len(heap) > _HEAP_SLACK * self.num_vars:
             self._rebuild_heap()
 
     def _rebuild_heap(self) -> None:
         """One entry per unassigned variable, at its current activity.
 
-        Entries are pushed, never updated, so stale ones pile up: tens of
-        thousands over one hard UNSAT proof, and more in a solver kept
-        across solve() calls.  Every unassigned variable always has an
-        entry at its current activity, so a rebuild never changes the
-        branching order.
+        Entries are pushed, never updated, so stale ones pile up over a
+        hard UNSAT proof, and more in a solver kept across solve() calls.
+        Every unassigned variable always has a live entry at its current
+        activity, so a rebuild never changes the branching order.
         """
-        self._heap = [(-self._activity[u], u) for u in range(1, self.num_vars + 1)
-                      if self._assigns[u] == 0]
+        queued = self._queued
+        for u in range(1, self.num_vars + 1):
+            queued[u] = self._activity[u] if self._assigns[u] == 0 else -1.0
+        self._heap = [(-act, u) for u, act in enumerate(queued) if act >= 0]
         heapify(self._heap)
 
     # ------------------------------------------------------------------
@@ -188,70 +216,66 @@ class Solver:
         assigns = self._assigns
         watches = self._watches
         trail = self._trail
-        while self._qhead < len(trail):
-            p = trail[self._qhead]
-            self._qhead += 1
-            neg_p = -p
+        level = self._level
+        reason = self._reason
+        depth = len(self._trail_lim)
+        qhead = self._qhead
+        while qhead < len(trail):
+            neg_p = -trail[qhead]
+            qhead += 1
             ws = watches[neg_p]
-            i = j = 0
-            n = len(ws)
-            while i < n:
-                c = ws[i]
-                i += 1
+            moved = False
+            for c in ws:
                 if c[0] == neg_p:
                     c[0] = c[1]
                     c[1] = neg_p
                 first = c[0]
                 v0 = assigns[first] if first > 0 else -assigns[-first]
                 if v0 == 1:
-                    ws[j] = c
-                    j += 1
                     continue
-                found = False
-                for k in range(2, len(c)):
-                    lk = c[k]
-                    vk = assigns[lk] if lk > 0 else -assigns[-lk]
-                    if vk != -1:
+                n = len(c)
+                if n > 2:  # look for a new watch, c[2] first: most clauses are ternary
+                    k = 2
+                    lk = c[2]
+                    if (assigns[lk] if lk > 0 else -assigns[-lk]) == -1:
+                        for k in range(3, n):
+                            lk = c[k]
+                            if (assigns[lk] if lk > 0 else -assigns[-lk]) != -1:
+                                break
+                        else:
+                            k = 0
+                    if k:
                         c[1] = lk
                         c[k] = neg_p
                         watches[lk].append(c)
-                        found = True
-                        break
-                if found:
-                    continue
-                ws[j] = c
-                j += 1
+                        moved = True
+                        continue
                 if v0 == -1:
-                    # conflict: keep the untouched tail of the watch list
-                    while i < n:
-                        ws[j] = ws[i]
-                        j += 1
-                        i += 1
-                    del ws[j:]
+                    self._qhead = qhead
+                    if moved:  # the untouched tail still watches neg_p too
+                        watches[neg_p] = [d for d in ws if d[0] == neg_p or d[1] == neg_p]
                     return c
                 # unit clause
                 v = abs(first)
                 assigns[v] = 1 if first > 0 else -1
-                self._level[v] = len(self._trail_lim)
-                self._reason[v] = c
+                level[v] = depth
+                reason[v] = c
                 trail.append(first)
-            del ws[j:]
+            if moved:
+                watches[neg_p] = [d for d in ws if d[1] == neg_p]
+        self._qhead = qhead
         return None
 
     # ------------------------------------------------------------------
     # conflict analysis
 
-    def _bump(self, v: int) -> None:
-        act = self._activity[v] + self._var_inc
-        self._activity[v] = act
-        if act > _ACTIVITY_CAP:
-            inv = 1.0 / _ACTIVITY_CAP
-            for u in range(1, self.num_vars + 1):
-                self._activity[u] *= inv
-            self._var_inc *= inv
-            self._rebuild_heap()
-        elif self._assigns[v] == 0:
-            heappush(self._heap, (-act, v))
+    def _rescale_activity(self) -> None:
+        """Scale every activity down by _ACTIVITY_CAP; the order is kept."""
+        inv = 1.0 / _ACTIVITY_CAP
+        for u in range(1, self.num_vars + 1):
+            self._activity[u] *= inv
+        self._var_inc *= inv
+        self._rebuild_heap()
 
     def _analyze(self, confl) -> tuple[list[int], int]:
         """First-UIP learning: returns (learnt clause, backtrack level).
@@ -262,6 +286,9 @@ class Solver:
         seen = self._seen
         level = self._level
         trail = self._trail
+        reason = self._reason
+        activity = self._activity
+        var_inc = self._var_inc
         cur = len(self._trail_lim)
         learnt: list[int] = []
         cleanup: list[int] = []
@@ -275,7 +302,12 @@ class Solver:
                 if not seen[v] and level[v] > 0:
                     seen[v] = 1
                     cleanup.append(v)
-                    self._bump(v)
+                    # v is assigned, so its heap entry is refreshed on backtrack
+                    act = activity[v] + var_inc
+                    activity[v] = act
+                    if act > _ACTIVITY_CAP:
+                        self._rescale_activity()
+                        var_inc = self._var_inc
                     if level[v] >= cur:
                         path += 1
                     else:
@@ -285,7 +317,7 @@ class Solver:
                 if seen[abs(trail[index])]:
                     break
             p = trail[index]
-            c = self._reason[abs(p)]
+            c = reason[abs(p)]
             seen[abs(p)] = 0
             path -= 1
             if path == 0:
@@ -361,16 +393,16 @@ class Solver:
     # search
 
     def _pick_branch(self) -> int:
+        """The unassigned variable of highest activity, 0 when all are assigned."""
         heap = self._heap
         assigns = self._assigns
-        activity = self._activity
+        queued = self._queued
         while heap:
             act, v = heappop(heap)
-            if assigns[v] == 0 and -act == activity[v]:
-                return v
-        for v in range(1, self.num_vars + 1):  # heap starved, rebuild lazily
-            if assigns[v] == 0:
-                return v
+            if -act == queued[v]:  # v's live entry
+                queued[v] = -1.0
+                if assigns[v] == 0:
+                    return v
         return 0
 
     def solve(self, assumptions=(), deadline: float | None = None) -> bool:

@@ -128,6 +128,58 @@ def test_maxsat_builds_no_counter_past_the_deadline(ex1, monkeypatch):
     assert calls == []
 
 
+def test_maxsat_counter_stops_between_totalizers_past_the_deadline(ex1, monkeypatch):
+    # example weights 1 and a node cost of 4: two totalizers; the clock
+    # runs out once the first is built
+    calls = []
+    monkeypatch.setattr(optimizer, "build_totalizer",
+                        counting(calls, "build_totalizer", optimizer.build_totalizer))
+    monkeypatch.setattr(optimizer._Clock, "expired", lambda self: bool(calls))
+    res = maxsat_solve(build_sparse(ex1, 3, 4, AGG))
+    assert res.status == "timeout"
+    assert res.assignment is None
+    assert calls == ["build_totalizer"]
+
+
+def planted_8(seed=11):
+    """60 distinct rows over 8 features, the class a 3-clause rule
+    (the CSV of the CLI time-limit tests)."""
+    rng = random.Random(seed)
+    examples = []
+    for code in rng.sample(range(1 << 8), 60):
+        f = tuple((code >> i) & 1 for i in range(8))
+        cls = int((f[0] and not f[1]) or (f[2] and f[3]) or (f[4] and f[5] and not f[6]))
+        examples.append((f, cls, 1))
+    return BinDataset(num_features=8, classes=["0", "1"],
+                      feature_names=["f%d" % i for i in range(8)], examples=examples)
+
+
+def test_maxsat_first_model_needs_no_conflict(monkeypatch):
+    # the first solve starts from the phase that falsifies every soft
+    # clause (each example misclassified, each node used), a model
+    # propagation alone completes; the second solve is cut off
+    per_call = []
+
+    class FirstOnly(Solver):
+        def solve(self, *args, **kwargs):
+            if per_call:
+                raise SolveBudgetExceeded
+            before = self.conflicts
+            sat = super().solve(*args, **kwargs)
+            per_call.append(self.conflicts - before)
+            return sat
+
+    monkeypatch.setattr(optimizer, "Solver", FirstOnly)
+    ds = planted_8()
+    n = optimizer.default_node_budget(ds.num_features)
+    for scope in (AGG, Scope.per_class(0), Scope.per_class(1)):
+        per_call.clear()
+        bundle = build_sparse(ds, n, lam_to_cost(0.01, ds.total_weight), scope)
+        res = maxsat_solve(bundle)
+        assert res.status == "timeout" and res.assignment is not None, scope
+        assert per_call == [0], scope
+
+
 # ---------------------------------------------------------------- perfect
 
 

@@ -1,8 +1,9 @@
 """Differential and behavioral tests for the CDCL solver.
 
-The ground truth throughout is exhaustive model enumeration from
-oracles.py, so these tests do not assume anything about the solver's
-internals beyond its public contract.
+The ground truth is exhaustive model enumeration from oracles.py, so
+most tests assume nothing about the solver's internals beyond its public
+contract.  The exceptions check the invariants of the watch lists and
+the branching heap, and pin the search itself: its conflict counts.
 """
 
 import random
@@ -10,7 +11,10 @@ import time
 
 import pytest
 
+from conftest import make_ex1
 from oracles import all_models, code_satisfies, is_satisfiable, php_clauses, solve_dpll
+from rulesat import optimizer
+from rulesat.encoder import Scope
 from rulesat.formula import Formula, FormulaError, check_model
 from rulesat.solver import SolveBudgetExceeded, Solver
 
@@ -182,6 +186,151 @@ def test_heap_rebuild_bounds_the_heap_and_keeps_decisions(monkeypatch):
     unbounded = run()
     assert unbounded[:2] == (conflicts, core)
     assert unbounded[2] > peak
+
+
+def random_session(rng, s, on_call, steps=8):
+    """Alternate add_clause batches with solves under random assumptions
+    on s, calling on_call(s) after each call.  The clauses, mostly
+    ternary, reach about 4.4 per variable, around the SAT/UNSAT threshold.
+    Some solves get a deadline that has passed, so they stop mid-search."""
+    base = s.num_vars
+    for _ in range(steps):
+        for _ in range(base * 11 // 20):
+            width = rng.choice([1, 2, 3, 3, 3, 3, 3, 3, 3, 4] if rng.random() < 0.1 else [3])
+            s.add_clause([rng.choice([-1, 1]) * rng.randint(1, base) for _ in range(width)])
+            on_call(s)
+        assumptions = [rng.choice([-1, 1]) * v
+                       for v in rng.sample(range(1, base + 1), rng.randint(0, 3))]
+        deadline = time.monotonic() - 1 if rng.random() < 0.2 else None
+        try:
+            s.solve(assumptions=assumptions, deadline=deadline)
+        except SolveBudgetExceeded:
+            pass
+        on_call(s)
+
+
+def assert_watches_intact(s):
+    # every attached clause sits in the lists of its first two literals,
+    # once each, and in no other list
+    where = {}
+    for lit, ws in s._watches.items():
+        for c in ws:
+            where.setdefault(id(c), (c, []))[1].append(lit)
+    assert len(where) == s._n_problem_clauses + len(s._learnts)
+    for c, lits in where.values():
+        assert len(c) >= 2
+        assert sorted(lits) == sorted(c[:2]), (c, lits)
+    for c in s._learnts:
+        assert id(c) in where
+
+
+def test_watch_lists_stay_intact_across_incremental_calls(seed=606, trials=20):
+    rng = random.Random(seed)
+    outcomes = set()
+    conflicts = 0
+    for _ in range(trials):
+        s = Solver()
+        s.ensure_vars(rng.randint(30, 90))
+        random_session(rng, s, assert_watches_intact)
+        outcomes.add(s.ok)
+        conflicts += s.conflicts
+    assert outcomes == {True, False}  # some sessions end unconditionally UNSAT
+    assert conflicts > 10 * trials
+
+
+def assert_heap_intact(s):
+    # each unassigned variable has one heap entry at its current activity,
+    # and _queued names the newest entry of each variable, if any
+    entries = {}
+    for neg_act, v in s._heap:
+        entries.setdefault(v, []).append(-neg_act)
+    for v in range(1, s.num_vars + 1):
+        acts = entries.get(v, [])
+        assert len(set(acts)) == len(acts), v
+        if s._assigns[v] == 0:
+            assert s._queued[v] == s._activity[v], v
+        if s._queued[v] >= 0:
+            assert max(acts) == s._queued[v] <= s._activity[v], v
+        else:
+            assert all(a < s._activity[v] for a in acts), v
+
+
+@pytest.mark.parametrize("cap", [None, 20.0])
+def test_heap_keeps_one_live_entry_per_variable(monkeypatch, cap, seed=707, trials=40):
+    # cap: a low activity cap, so the rescale and its heap rebuild run too
+    from rulesat import solver as solver_module
+
+    if cap is not None:
+        monkeypatch.setattr(solver_module, "_ACTIVITY_CAP", cap)
+    rescales = []
+    rescale = Solver._rescale_activity
+    monkeypatch.setattr(Solver, "_rescale_activity",
+                        lambda self: rescales.append(1) or rescale(self))
+
+    def after_call(s):
+        if s.solve_calls:
+            assert_heap_intact(s)
+
+    rng = random.Random(seed)
+    for _ in range(trials):
+        s = Solver()
+        s.ensure_vars(rng.randint(30, 90))
+        random_session(rng, s, after_call)
+    assert bool(rescales) == (cap is not None)
+
+
+def test_search_counts_are_pinned(monkeypatch):
+    # the solver has no randomness, so conflict counts are an exact
+    # fingerprint of its decisions, propagation order and learnt clauses;
+    # a change meant only to make each conflict cheaper must keep them
+    nv, clauses = php_clauses(6, 5)
+    s = build_solver(nv, clauses)
+    got = []
+    for assumptions in ([1], [-1, 7, -13], [2, 8, 14, 20]):
+        assert s.solve(assumptions=assumptions) is False
+        got.append((s.conflicts, s.solve_calls, s.core))
+    assert got == [(28, 1, [1]), (45, 2, [-13, 7]), (47, 3, [14, 8, 2])]
+
+    # random 3-CNFs grown in three batches, solved after each one
+    rng = random.Random(2024)
+    answers, conflicts = [], []
+    for _ in range(50):
+        nv = rng.randint(60, 90)
+        s = Solver()
+        s.ensure_vars(nv)
+        answer = ""
+        for ratio in (3.0, 0.8, 0.5):
+            for _ in range(int(ratio * nv)):
+                s.add_clause([rng.choice([-1, 1]) * v for v in rng.sample(range(1, nv + 1), 3)])
+            answer += "S" if s.solve(assumptions=[rng.choice([-1, 1]) * rng.randint(1, nv)]) else "U"
+        answers.append(answer)
+        conflicts.append(s.conflicts)
+    assert " ".join(answers) == (
+        "SSS SSS SSS SSU SSS SSU SSU SSS SSU SSS SSS SSS SSU SSS SSU SUU SSS SSU SSS SSU "
+        "SSS SSU SSU SSS SSU SSU SSS SSS SSU SSS SSU SSU SSU SSS SSU SSU SSU SSU SSS SSS "
+        "SSU SSU SSS SSU SSU SSS SSS SSU SSU SSU")
+    assert conflicts == [
+        69, 126, 104, 74, 79, 144, 61, 31, 131, 18, 40, 119, 121, 47, 129, 155, 43, 209, 40,
+        86, 25, 108, 41, 30, 106, 133, 30, 26, 279, 29, 96, 79, 59, 5, 106, 118, 272, 172, 26,
+        40, 122, 303, 31, 73, 193, 19, 62, 219, 122, 65]
+
+    # the conflicts of every solve call of the opt and mopt searches on ex1
+    per_call = []
+
+    class Recording(Solver):
+        def solve(self, *args, **kwargs):
+            before = self.conflicts
+            try:
+                return super().solve(*args, **kwargs)
+            finally:
+                per_call.append(self.conflicts - before)
+
+    monkeypatch.setattr(optimizer, "Solver", Recording)
+    out = optimizer.minimize_perfect(make_ex1(), Scope.aggregated())
+    assert (out.objective, per_call) == (7, [1, 1, 2, 7, 15, 23, 12])
+    per_call.clear()
+    out = optimizer.minimize_bounded(make_ex1(), Scope.aggregated())
+    assert (out.objective, per_call) == (7, [22, 1, 0, 1, 2, 5, 12, 33, 5])
 
 
 def test_pigeonhole_unsat():
