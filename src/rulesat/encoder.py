@@ -18,10 +18,11 @@ Three model variants share that skeleton:
 
 Variables are numbered node by node (VarMap), and Encoder emits the
 clauses one node at a time, so an encoding can grow by a node without
-renumbering.  Only the clauses that make the last node the end of the
-sequence (termination and coverage) depend on which node is last; the
-build_* functions add them after the last node, and the perfect search
-driver adds them in a retractable form.
+renumbering.  It writes into a clause sink: a search driver's Solver, or
+the Formula of a build_* function.  Only the clauses that make the last
+node the end of the sequence (termination and coverage) depend on which
+node is last; build() emits them after the last node, and the perfect
+search driver adds them in a retractable form.
 """
 
 from __future__ import annotations
@@ -241,15 +242,17 @@ def lam_to_cost(lam, m_effective: int) -> int:
 class Encoder:
     """A node-sequence encoding that grows one node at a time.
 
-    append_node() emits every clause of the next node into formula: its
-    selector choice, its links to the previous node (validity chain and
-    unused suffix), class agreement, its coverage auxiliaries and, per
-    class, its forced head.  The clauses that end the sequence at the
-    last node, termination() and coverage(), are returned instead of
-    emitted: they stop holding once another node is appended.
+    append_node() emits every clause of the next node into sink, a Solver
+    or a Formula: its selector choice, its links to the previous node
+    (validity chain and unused suffix), class agreement, its coverage
+    auxiliaries and, per class, its forced head.  Each clause is sorted by
+    variable id, as normalize_clause sorts it, since a Solver watches its
+    first two literals.  coverage() returns the clauses that end the
+    sequence at the last node, as another node would void them; build()
+    emits them once the encoding is done growing.
     """
 
-    def __init__(self, ds: BinDataset, scope: Scope, mode: str,
+    def __init__(self, ds: BinDataset, scope: Scope, mode: str, sink,
                  lambda_cost: int | None = None):
         scope.validate(len(ds.classes))
         if ds.num_examples < 1:
@@ -270,7 +273,7 @@ class Encoder:
             has_unused=mode in ("bounded", "sparse"),
             has_misclass=mode == "sparse",
         )
-        self.formula = Formula(num_vars=self.vm.num_vars)
+        self.sink = sink
         if scope.is_aggregated:
             self.bits = [cls for _, cls, _ in ds.examples]
         else:
@@ -282,11 +285,8 @@ class Encoder:
         # per covered example, the aux saying "node j's rule covers it"
         self._hits: list[list[int]] = [[] for _ in self.covered]
 
-    def new_aux(self) -> int:
-        v = self.vm.new_aux()
-        if v > self.formula.num_vars:
-            self.formula.num_vars = v
-        return v
+    def _add(self, clause) -> None:
+        self.sink.add_clause(sorted(clause, key=abs))
 
     def _truth_lit(self, j: int, bit: int) -> int:
         t = self.vm.truth_var(j)
@@ -296,35 +296,35 @@ class Encoder:
         """Lay out node n + 1 and emit its clauses."""
         vm = self.vm
         j = vm.add_node()
-        self.formula.num_vars = max(self.formula.num_vars, vm.num_vars)
+        self.sink.ensure_vars(vm.num_vars)
         self._node_choice(j)
         if j == 1:
             for i in range(1, self.m + 1):
-                self.formula.add_hard([vm.valid_var(i, 1)])
+                self._add([vm.valid_var(i, 1)])
         else:
             self._link(j - 1)
         self._class_agreement(j)
         self._coverage_aux(j)
         if not self.scope.is_aggregated:
-            self.formula.add_hard([-vm.class_sel_var(j), vm.truth_var(j)])
+            self._add([-vm.class_sel_var(j), vm.truth_var(j)])
 
     def _node_choice(self, j: int) -> None:
         vm = self.vm
         row = [vm.select_var(j, r) for r in range(1, self.k + 2)]
         if vm.has_unused:
             row = [vm.unused_var(j)] + row
-        for clause in exactly_one(row, new_var=self.new_aux):
-            self.formula.add_hard(clause)
+        for clause in exactly_one(row, new_var=vm.new_aux):
+            self._add(clause)
 
     def _link(self, j: int) -> None:
         """Clauses tying node j + 1 to node j."""
-        vm, add = self.vm, self.formula.add_hard
+        vm, add = self.vm, self._add
         if vm.has_unused:
             # unused nodes form a suffix, entered only right after a leaf
             add([-vm.unused_var(j), vm.unused_var(j + 1)])
             add([-vm.unused_var(j + 1), vm.unused_var(j), vm.class_sel_var(j)])
         for i, (bits, _, _) in enumerate(self.ds.examples, start=1):
-            agree = self.new_aux()
+            agree = vm.new_aux()
             if self.k == 0:
                 add([-agree])
             for r in range(1, self.k + 1):
@@ -342,7 +342,7 @@ class Encoder:
             add([-v_next, leaf, agree])
 
     def _class_agreement(self, j: int) -> None:
-        vm, add = self.vm, self.formula.add_hard
+        vm, add = self.vm, self._add
         for i in range(1, self.m + 1):
             clause = [-vm.class_sel_var(j), -vm.valid_var(i, j),
                       self._truth_lit(j, self.bits[i - 1])]
@@ -351,20 +351,13 @@ class Encoder:
             add(clause)
 
     def _coverage_aux(self, j: int) -> None:
-        vm, add = self.vm, self.formula.add_hard
+        vm, add = self.vm, self._add
         for i, hits in zip(self.covered, self._hits):
-            aux = self.new_aux()
+            aux = vm.new_aux()
             add([-aux, vm.class_sel_var(j)])
             add([-aux, vm.valid_var(i, j)])
             add([-vm.class_sel_var(j), -vm.valid_var(i, j), aux])
             hits.append(aux)
-
-    def termination(self) -> list[int]:
-        """Clause ending the sequence at the last node: it closes a rule
-        (or, with unused flags, is unused)."""
-        vm = self.vm
-        leaf = vm.class_sel_var(vm.n_nodes)
-        return [vm.unused_var(vm.n_nodes), leaf] if vm.has_unused else [leaf]
 
     def coverage(self) -> list[list[int]]:
         """One clause per covered example: some rule up to the last node
@@ -377,30 +370,41 @@ class Encoder:
             clauses.append(clause)
         return clauses
 
-    def _softs(self) -> None:
+    def build(self, n_nodes: int, stop=lambda: False) -> bool:
+        """Append n_nodes nodes and end the sequence at the last: it closes a
+        rule (or is unused) and coverage() holds.  Returns False, leaving
+        the encoding unfinished, once stop() is true before a node."""
+        for _ in range(n_nodes):
+            if stop():
+                return False
+            self.append_node()
+        vm, n = self.vm, self.vm.n_nodes
+        ends = [vm.unused_var(n), vm.class_sel_var(n)] if vm.has_unused else [vm.class_sel_var(n)]
+        for clause in [ends] + self.coverage():
+            self._add(clause)
+        return True
+
+    def soft(self) -> list[tuple[tuple[int, ...], int]]:
+        """Weighted soft clauses: each example classified correctly, in
+        sparse mode, then each node unused (weight 1 or the node cost)."""
         vm = self.vm
-        if self.mode == "bounded":
-            for j in range(1, vm.n_nodes + 1):
-                self.formula.add_soft([vm.unused_var(j)], 1)
-        elif self.mode == "sparse":
-            for i, (_, _, weight) in enumerate(self.ds.examples, start=1):
-                self.formula.add_soft([-vm.misclass_var(i)], weight)
-            for j in range(1, vm.n_nodes + 1):
-                self.formula.add_soft([vm.unused_var(j)], self.lambda_cost)
+        flags = [((-vm.misclass_var(i),), w)
+                 for i, (_, _, w) in enumerate(self.ds.examples, start=1) if vm.has_misclass]
+        return flags + [((vm.unused_var(j),), self.lambda_cost or 1)
+                        for j in range(1, vm.n_nodes + 1) if vm.has_unused]
 
 
 def _build(ds: BinDataset, n_nodes: int, scope: Scope, mode: str,
            lambda_cost: int | None = None) -> CnfBundle:
     if n_nodes < 1:
         raise EncodingError("need at least one node, got %d" % n_nodes)
-    enc = Encoder(ds, scope, mode, lambda_cost)
-    for _ in range(n_nodes):
-        enc.append_node()
-    for clause in [enc.termination()] + enc.coverage():
-        enc.formula.add_hard(clause)
-    enc._softs()
+    formula = Formula()
+    enc = Encoder(ds, scope, mode, formula, lambda_cost)
+    enc.build(n_nodes)
+    for clause, weight in enc.soft():
+        formula.add_soft(clause, weight)
     return CnfBundle(
-        formula=enc.formula,
+        formula=formula,
         varmap=enc.vm,
         scope=scope,
         mode=mode,

@@ -33,23 +33,23 @@ def normalize_clause(lits) -> tuple[int, ...] | None:
 
 @dataclass
 class Formula:
-    """A CNF formula with hard clauses and weighted soft clauses."""
+    """A CNF formula with hard and weighted soft clauses; a clause sink like a Solver."""
 
     num_vars: int = 0
     hard: list[tuple[int, ...]] = field(default_factory=list)
     soft: list[tuple[tuple[int, ...], int]] = field(default_factory=list)
 
-    def _register(self, clause: tuple[int, ...]) -> None:
-        width = max(abs(l) for l in clause)
-        if width > self.num_vars:
-            self.num_vars = width
-
     def add_hard(self, lits) -> None:
         clause = normalize_clause(lits)
         if clause is None:  # tautology, always satisfied
             return
-        self._register(clause)
+        self.ensure_vars(max(abs(l) for l in clause))
         self.hard.append(clause)
+
+    add_clause = add_hard
+
+    def ensure_vars(self, n: int) -> None:
+        self.num_vars = max(self.num_vars, n)
 
     def add_soft(self, lits, weight: int) -> None:
         if not isinstance(weight, int) or weight < 1:
@@ -57,7 +57,7 @@ class Formula:
         clause = normalize_clause(lits)
         if clause is None:
             return
-        self._register(clause)
+        self.ensure_vars(max(abs(l) for l in clause))
         self.soft.append((clause, weight))
 
     def literal_count(self) -> int:

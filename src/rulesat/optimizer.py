@@ -14,16 +14,17 @@ trades misclassifications against a per-node penalty by MaxSAT and
 re-runs with a larger budget as long as the optimum exhausts it,
 stopping once a round leaves a node unused.  The three share one loop
 over node budgets (_search_budgets), which keeps the clock, the round
-records and the solver totals; a bounded or sparse round builds a fresh
-encoding and solves it with a fresh solver.
+records and the solver totals.  Each driver's Encoder writes straight
+into its Solver; a bounded or sparse round encodes into a fresh one and
+checks the clock before each node, and a sparse round runs _descend.
 
-maxsat_solve performs a linear SAT-to-UNSAT search: solve, read the
-model cost c, then assume "cost <= c - 1" through totalizer outputs
-(one totalizer per distinct soft weight, merged by weighted sums) and
-repeat until UNSAT; the last model is optimal.  The first solve starts
-from the phase that falsifies every soft clause (in the sparse encoding:
-every example misclassified, every node used), which makes a first
-model cheap.
+maxsat_solve loads a formula into a solver and runs _descend, a linear
+SAT-to-UNSAT search: solve, read the model cost c, then assume "cost <=
+c - 1" through totalizer outputs (one totalizer per distinct soft
+weight, merged by weighted sums) and repeat until UNSAT; the last model
+is optimal.  The first solve starts from the phase that falsifies every
+soft clause (in the sparse encoding: every example misclassified, every
+node used), which makes a first model cheap.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ from dataclasses import dataclass, field
 
 from .cardinality import build_totalizer
 from .dataset import BinDataset
-# build_perfect is not called here any more; it stays importable as
-# optimizer.build_perfect, next to the other builders, for code that wraps
-# the builders by their names in this module (the benchmark's tracer)
+# build_perfect, build_bounded and build_sparse are not called here; they
+# stay importable as optimizer.build_* because the benchmark's tracer and
+# the deadline tests patch the builders by their names in this module
 from .encoder import (CnfBundle, Encoder, Scope, build_bounded, build_perfect,  # noqa: F401
                       build_sparse, lam_to_cost)
 from .formula import Assignment, Formula
@@ -92,14 +93,18 @@ class _Clock:
         self.start = time.monotonic()
         self.wall_deadline = self.start + limits.wall_time_budget
 
-    def solve_deadline(self) -> float:
-        return min(time.monotonic() + self.limits.per_solve_budget, self.wall_deadline)
-
     def expired(self) -> bool:
         return time.monotonic() >= self.wall_deadline
 
     def elapsed(self) -> float:
         return time.monotonic() - self.start
+
+    def solve(self, solver: Solver, assumptions) -> bool:
+        """solver.solve within the per-solve budget and the time left."""
+        if self.expired():
+            raise SolveBudgetExceeded
+        return solver.solve(assumptions=assumptions, deadline=min(
+            time.monotonic() + self.limits.per_solve_budget, self.wall_deadline))
 
 
 class _CostCounter:
@@ -191,10 +196,15 @@ def maxsat_solve(problem, limits: SearchLimits | None = None, progress=None) -> 
         raise OptimizerError("maxsat_solve needs at least one soft clause")
     limits = limits or SearchLimits()
     limits.validate()
-    clock = _Clock(limits)
     solver = Solver()
     solver.add_formula(formula)
-    for clause, _ in formula.soft:  # a cheap first model: every soft clause falsified
+    return _descend(solver, formula.soft, _Clock(limits), progress)
+
+
+def _descend(solver: Solver, soft, clock: _Clock, progress, **tags) -> MaxsatResult:
+    """The linear search of maxsat_solve over the hard clauses already in
+    solver; each model event carries tags as extra fields."""
+    for clause, _ in soft:  # a cheap first model: every soft clause falsified
         for lit in clause:
             solver.set_phase(-lit)
     best_assignment = None
@@ -203,23 +213,20 @@ def maxsat_solve(problem, limits: SearchLimits | None = None, progress=None) -> 
     try:
         if clock.expired():  # no search can start: build no counter
             raise SolveBudgetExceeded
-        counter = _CostCounter(solver, formula.soft, clock)
+        counter = _CostCounter(solver, soft, clock)
         while True:
             if best_cost is None:
                 assumptions = []
             else:
                 assumptions = counter.bound_assumptions(best_cost - 1)
-            if clock.expired():
-                raise SolveBudgetExceeded
-            sat = solver.solve(assumptions=assumptions, deadline=clock.solve_deadline())
-            if not sat:
+            if not clock.solve(solver, assumptions):
                 break
             models += 1
-            cost = _model_cost(formula.soft, solver.model)
+            cost = _model_cost(soft, solver.model)
             assert best_cost is None or cost < best_cost
             best_assignment, best_cost = solver.model, cost
             if progress is not None:
-                progress({"event": "model", "cost": cost, "elapsed": clock.elapsed()})
+                progress({"event": "model", "cost": cost, "elapsed": clock.elapsed(), **tags})
             if cost == 0:
                 break
         status = "infeasible" if best_assignment is None else "optimal"
@@ -335,8 +342,8 @@ def minimize_perfect(ds: BinDataset, scope: Scope, limits: SearchLimits | None =
     """
     scope.validate(len(ds.classes))
     _check_consistent(ds)
-    enc = Encoder(ds, scope, "perfect")
     solver = Solver()
+    enc = Encoder(ds, scope, "perfect", solver)
     guard = None
 
     def solve_round(n, clock):
@@ -344,18 +351,12 @@ def minimize_perfect(ds: BinDataset, scope: Scope, limits: SearchLimits | None =
         if guard is not None:
             solver.add_clause([-guard])
         enc.append_node()  # rounds run n = 1, 2, 3, ..., one new node each
-        solver.ensure_vars(enc.formula.num_vars)
-        for clause in enc.formula.hard:
-            solver.add_clause(clause)
-        enc.formula.hard.clear()  # the solver holds them now
-        guard = enc.new_aux()
+        guard = enc.vm.new_aux()
         for clause in enc.coverage():
             solver.add_clause([-guard] + clause)
         calls, conflicts = solver.solve_calls, solver.conflicts
         try:
-            sat = solver.solve(assumptions=[enc.vm.class_sel_var(n), guard],
-                               deadline=clock.solve_deadline())
-            status = "sat" if sat else "unsat"
+            status = "sat" if clock.solve(solver, [enc.vm.class_sel_var(n), guard]) else "unsat"
         except SolveBudgetExceeded:
             status = "timeout"
         rnd = _Round(status, None, solver.solve_calls - calls, solver.conflicts - conflicts)
@@ -390,16 +391,10 @@ def minimize_bounded(ds: BinDataset, scope: Scope, n0: int | None = None,
     _check_consistent(ds)
 
     def solve_round(n, clock):
-        bundle = build_bounded(ds, n, scope)
-        vm = bundle.varmap
         solver = Solver()
-        solver.add_formula(bundle.formula)
+        enc = Encoder(ds, scope, "bounded", solver)
+        vm = enc.vm
         best = cost = None
-
-        def solve(assumptions):
-            if clock.expired():
-                raise SolveBudgetExceeded
-            return solver.solve(assumptions=assumptions, deadline=clock.solve_deadline())
 
         def improved(model):
             nonlocal best, cost
@@ -409,12 +404,14 @@ def minimize_bounded(ds: BinDataset, scope: Scope, n0: int | None = None,
                 progress({"event": "model", "cost": cost, "n": n, "elapsed": clock.elapsed()})
 
         try:
+            if not enc.build(n, clock.expired):
+                raise SolveBudgetExceeded
             status = "infeasible"
-            if solve([]):
+            if clock.solve(solver, []):
                 status = "optimal"
                 improved(solver.model)
                 for c in range(cost):  # all smaller c are UNSAT: the first SAT c is optimal
-                    if solve([vm.unused_var(c + 1)]):
+                    if clock.solve(solver, [vm.unused_var(c + 1)]):
                         improved(solver.model)
                         break
         except SolveBudgetExceeded:
@@ -449,17 +446,15 @@ def minimize_sparse(ds: BinDataset, scope: Scope, lam, n0: int | None = None,
     lam_cost = lam_to_cost(lam, ds.total_weight)
 
     def solve_round(n, clock):
-        bundle = build_sparse(ds, n, lam_cost, scope)
-        relay = None
-        if progress is not None:
-            def relay(event):  # model events on the time base of the round records
-                progress(dict(event, n=n, elapsed=clock.elapsed()))
-
-        res = maxsat_solve(bundle, _remaining_limits(clock), progress=relay)
+        solver = Solver()
+        enc = Encoder(ds, scope, "sparse", solver, lam_cost)
+        if not enc.build(n, clock.expired):
+            return _Round("timeout", None, 0, 0)
+        res = _descend(solver, enc.soft(), clock, progress, n=n)
         rnd = _Round(res.status, res.cost, res.stats["solve_calls"], res.stats["conflicts"])
         if res.assignment is None:
             return rnd
-        vm = bundle.varmap
+        vm = enc.vm
         used_nodes = sum(1 for j in range(1, n + 1)
                          if not res.assignment.value(vm.unused_var(j)))
         misclassified = sum(

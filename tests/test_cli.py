@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: flags, outputs, and exit codes."""
 
+import hashlib
 import json
 import random
 import time
@@ -299,3 +300,56 @@ def test_encode_default_budget_from_feature_count(ex1_csv, tmp_path):
     assert code == 0
     sidecar = json.load(open(target + ".map.json", encoding="utf-8"))
     assert sidecar["varmap"]["n_nodes"] == 12  # 2 * (4 features + 2)
+
+
+# sha256 of every file `encode --n0 4` writes for ex1, mode x scope
+ENCODE_SHA256 = {
+    "mopt-aggregated.cnf":
+        "1f674ef22337e107b0f4087444275fcad5c57d913c55aeec4e0516ff56b763e9",
+    "mopt-aggregated.cnf.map.json":
+        "280f10979dc891666e04cf5e70db1eafd78a7884903d259cd11c166620debffa",
+    "mopt-per-class.class0.cnf":
+        "13a92cadb3e49b09e73186276df3bb9a57b333f960b0378d6826a96c06c779e7",
+    "mopt-per-class.class0.cnf.map.json":
+        "1dd87e43cb8e1f04bfdd94d166ee8110fec13b55c13b9b4f3565629c4f5fe5ef",
+    "mopt-per-class.class1.cnf":
+        "be6704dd112161283d75fb03a459a6178068456d7345f847483ab2e4f816d09f",
+    "mopt-per-class.class1.cnf.map.json":
+        "9dd0c882b2ce7f558c401c7e7536a6c72fe16556619d2064562bbbdfe4a3484e",
+    "opt-aggregated.cnf":
+        "bb45aed5521c48754a2c466785cb7ddeddad0193b532e6cd6f063461c7aee1c8",
+    "opt-aggregated.cnf.map.json":
+        "8cc80b795da3a2f1098ad32967bcc159f25215bb28768d9ba45afc2fa1d2a63a",
+    "opt-per-class.class0.cnf":
+        "b77822e6960b03ead9d08421e1205b3f8e8b67f03635e7b17187c2e324e9359c",
+    "opt-per-class.class0.cnf.map.json":
+        "a802d062deaa51d651f9b3aa2228de67911d99ec358125f3dec1bee181e55d0f",
+    "opt-per-class.class1.cnf":
+        "3653b4a5c9ab87cea47d3a8d2f69add40cec4c3d491b19d915b5f023a9efabd9",
+    "opt-per-class.class1.cnf.map.json":
+        "394e63c33522e53a879420283421385973d14d01086d115b971b3a8058e9d5ee",
+    "sparse-aggregated.cnf":
+        "1575793b2512707c6895f4cdeb2765217012195c6d35157bd29fc1afdf642986",
+    "sparse-aggregated.cnf.map.json":
+        "3aacff5dd22626fbd9aca9bb8079cb2d500e4cab4dc08b8e81c4995b015837f3",
+    "sparse-per-class.class0.cnf":
+        "fb3fb1f73e4713457d4d2c41791633e770c904cd3115f7da61f304a3156139c2",
+    "sparse-per-class.class0.cnf.map.json":
+        "f640df809a936700027d191112971411bf207d7fdc711e7fbfa514f9029acaa7",
+    "sparse-per-class.class1.cnf":
+        "6cb34a6d19d36ca5924f090454c55890cc44335d49d682eda16e2fede8cd5680",
+    "sparse-per-class.class1.cnf.map.json":
+        "8e4abc819797eff8e9505924f01ecf064f0e7ada09d783c7abb70e15dcbaaca7",
+}
+
+
+def test_encode_output_is_pinned(ex1_csv, tmp_path, capsys):
+    for mode in ("opt", "mopt", "sparse"):
+        for scope in ("aggregated", "per-class"):
+            extra = ["--lambda", "0.5"] if mode == "sparse" else []
+            target = str(tmp_path / ("%s-%s.cnf" % (mode, scope)))
+            assert main(["encode", "--data", ex1_csv, "--mode", mode, "--scope", scope,
+                         "--n0", "4", "--dimacs", target] + extra) == 0
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+           for path in tmp_path.iterdir() if path.name != "ex1.csv"}
+    assert got == ENCODE_SHA256

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from rulesat.encoder import (
+    Encoder,
     EncodingError,
     Scope,
     VarMap,
@@ -16,10 +17,11 @@ from rulesat.encoder import (
     lam_to_cost,
 )
 from rulesat.dataset import BinDataset
+from rulesat.formula import normalize_clause
 from rulesat.model import Rule, decode, verify_perfect
 from rulesat.solver import Solver
 
-from conftest import make_ex1
+from conftest import make_ex1, random_dataset
 from oracles import all_models
 
 
@@ -293,6 +295,44 @@ def test_build_is_deterministic(ex1):
     assert b1.formula.hard == b2.formula.hard
     assert b1.formula.soft == b2.formula.soft
     assert b1.formula.num_vars == b2.formula.num_vars
+
+
+class RecordingSink:
+    """A clause sink that keeps every clause exactly as it arrives and,
+    like a Solver, counts the variables its clauses name."""
+
+    def __init__(self):
+        self.clauses = []
+        self.num_vars = 0
+
+    def add_clause(self, lits):
+        self.clauses.append(tuple(lits))
+        self.ensure_vars(max(abs(l) for l in lits))
+
+    def ensure_vars(self, n):
+        self.num_vars = max(self.num_vars, n)
+
+
+def test_encoder_emits_canonical_clauses_in_build_order():
+    # a search's clauses go from the Encoder straight into its Solver, whose
+    # add_clause is then their only check; so every clause must already be
+    # what normalize_clause makes of it, and the sequence must be the one a
+    # built Formula holds
+    rng = random.Random(606)
+    for trial in range(15):
+        ds = random_dataset(rng, max_m=5, max_k=3, weighted=True)
+        n = rng.randint(1, 4)
+        for scope in (Scope.aggregated(), Scope.per_class(0), Scope.per_class(1)):
+            for mode, bundle in (("perfect", build_perfect(ds, n, scope)),
+                                 ("bounded", build_bounded(ds, n, scope)),
+                                 ("sparse", build_sparse(ds, n, 2, scope))):
+                sink = RecordingSink()
+                enc = Encoder(ds, scope, mode, sink, 2 if mode == "sparse" else None)
+                assert enc.build(n)
+                assert all(normalize_clause(c) == c for c in sink.clauses), (trial, mode)
+                assert sink.clauses == bundle.formula.hard, (trial, scope, mode)
+                assert sink.num_vars == bundle.formula.num_vars
+                assert enc.soft() == bundle.formula.soft
 
 
 # ------------------------------------------------------- encoding semantics

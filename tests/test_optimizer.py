@@ -320,6 +320,24 @@ def test_no_round_starts_after_the_deadline(ex1, monkeypatch):
     assert calls == []
 
 
+def test_a_round_builds_no_node_after_the_deadline(ex1, monkeypatch):
+    # the clock runs out while the first of nine nodes is encoded: the
+    # round builds no further node and times out without a solve
+    calls = []
+    monkeypatch.setattr(Encoder, "append_node",
+                        counting(calls, "append_node", Encoder.append_node))
+    monkeypatch.setattr(optimizer._Clock, "expired", lambda self: bool(calls))
+    for search in (lambda: minimize_bounded(ex1, AGG, n0=9),
+                   lambda: minimize_sparse(ex1, AGG, lam=0.5, n0=9)):
+        calls.clear()
+        out = search()
+        assert calls == ["append_node"]
+        assert out.status == "timeout"
+        (record,) = out.stats["rounds"]
+        assert (record["status"], record["cost"]) == ("timeout", None)
+        assert out.stats["solve_calls"] == 0
+
+
 def test_minimize_bounded_with_roomy_budget(ex1):
     out = minimize_bounded(ex1, AGG, n0=9)
     assert out.status == "optimal"

@@ -314,7 +314,7 @@ def test_search_counts_are_pinned(monkeypatch):
         86, 25, 108, 41, 30, 106, 133, 30, 26, 279, 29, 96, 79, 59, 5, 106, 118, 272, 172, 26,
         40, 122, 303, 31, 73, 193, 19, 62, 219, 122, 65]
 
-    # the conflicts of every solve call of the opt and mopt searches on ex1
+    # the conflicts of every solve call of the opt, mopt and sparse searches on ex1
     per_call = []
 
     class Recording(Solver):
@@ -331,6 +331,13 @@ def test_search_counts_are_pinned(monkeypatch):
     per_call.clear()
     out = optimizer.minimize_bounded(make_ex1(), Scope.aggregated())
     assert (out.objective, per_call) == (7, [22, 1, 0, 1, 2, 5, 12, 33, 5])
+    per_call.clear()
+    out = optimizer.minimize_sparse(make_ex1(), Scope.aggregated(), lam=0.1, n0=2, step=3)
+    assert (out.objective, per_call) == (4, [0, 5, 25, 7, 0, 2])
+    per_call.clear()
+    out = optimizer.minimize_sparse(make_ex1(), Scope.per_class(0), lam=0.1, n0=2, step=3)
+    assert (out.objective, [r["n"] for r in out.stats["rounds"]], per_call) == (
+        3, [2, 5], [0, 0, 3, 0, 0, 5, 2, 0, 0, 27, 9, 3, 3, 1])
 
 
 def test_pigeonhole_unsat():
