@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import repeat
 from math import ceil
 
 
@@ -38,12 +39,16 @@ class BinDataset:
     def __post_init__(self):
         if len(self.feature_names) != self.num_features:
             raise DatasetError("feature name count does not match width")
+        width = self.num_features
+        num_classes = len(self.classes)
         for bits, cls, weight in self.examples:
-            if len(bits) != self.num_features:
-                raise DatasetError("example width %d, expected %d" % (len(bits), self.num_features))
-            if any(b not in (0, 1) for b in bits):
+            if not isinstance(bits, tuple):
+                raise DatasetError("example bits must be a tuple, got %s" % type(bits).__name__)
+            if len(bits) != width:
+                raise DatasetError("example width %d, expected %d" % (len(bits), width))
+            if bits.count(0) + bits.count(1) != width:
                 raise DatasetError("non-binary feature value")
-            if not 0 <= cls < len(self.classes):
+            if not 0 <= cls < num_classes:
                 raise DatasetError("class index %d out of range" % cls)
             if weight < 1:
                 raise DatasetError("example weight must be >= 1")
@@ -61,7 +66,7 @@ class BinDataset:
             num_features=self.num_features,
             classes=list(self.classes),
             feature_names=list(self.feature_names),
-            examples=[self.examples[i] for i in indices],
+            examples=list(map(self.examples.__getitem__, indices)),
         )
 
 
@@ -103,20 +108,22 @@ def load_csv(path: str) -> RawDataset:
     rows: list[list[str]] = []
     labels: list[str] = []
     for lineno, line in enumerate(lines[1:], start=2):
-        cells = [c.strip() for c in line.split(",")]
+        cells = list(map(str.strip, line.split(",")))
         if len(cells) != width:
             raise DatasetError(
                 "row %d: expected %d fields, got %d" % (lineno, width, len(cells))
             )
-        for col, cell in enumerate(cells):
-            if not cell:
-                raise DatasetError(
-                    "row %d, column %r: empty value" % (lineno, header[col])
-                )
-            if cell.startswith('"') or cell.endswith('"'):
-                raise DatasetError(
-                    "row %d, column %r: quoted fields are not supported" % (lineno, header[col])
-                )
+        if "" in cells or '"' in line:  # some cell may be bad: find the first
+            for col, cell in enumerate(cells):
+                if not cell:
+                    raise DatasetError(
+                        "row %d, column %r: empty value" % (lineno, header[col])
+                    )
+                if cell.startswith('"') or cell.endswith('"'):
+                    raise DatasetError(
+                        "row %d, column %r: quoted fields are not supported"
+                        % (lineno, header[col])
+                    )
         rows.append(cells[:-1])
         labels.append(cells[-1])
     return RawDataset(
@@ -197,10 +204,8 @@ def binarize(raw: RawDataset, q: int = 2, max_categories: int = 32) -> BinDatase
                 columns.append([1 if c == level else 0 for c in codes])
     classes = sorted(set(raw.labels))
     class_index = {c: i for i, c in enumerate(classes)}
-    examples = []
-    for r in range(raw.num_examples):
-        bits = tuple(col[r] for col in columns)
-        examples.append((bits, class_index[raw.labels[r]], 1))
+    vectors = zip(*columns) if columns else repeat((), raw.num_examples)
+    examples = [(bits, class_index[label], 1) for bits, label in zip(vectors, raw.labels)]
     return BinDataset(
         num_features=len(feature_names),
         classes=classes,

@@ -10,20 +10,25 @@ from __future__ import annotations
 from .formula import Formula, FormulaError
 
 
+def _clause_line(prefix, clause) -> str:
+    """One clause line: the weight if any, the literals, then 0 (alone for the empty clause)."""
+    return " ".join(map(str, (*prefix, *clause, 0)))
+
+
 def emit_dimacs(formula: Formula, path: str) -> None:
     lines = []
     if not formula.soft:
         lines.append("p cnf %d %d" % (formula.num_vars, len(formula.hard)))
         for clause in formula.hard:
-            lines.append(" ".join(str(l) for l in clause) + " 0")
+            lines.append(_clause_line((), clause))
     else:
         top = formula.top_weight()
         total = len(formula.hard) + len(formula.soft)
         lines.append("p wcnf %d %d %d" % (formula.num_vars, total, top))
         for clause in formula.hard:
-            lines.append(str(top) + " " + " ".join(str(l) for l in clause) + " 0")
+            lines.append(_clause_line((top,), clause))
         for clause, weight in formula.soft:
-            lines.append(str(weight) + " " + " ".join(str(l) for l in clause) + " 0")
+            lines.append(_clause_line((weight,), clause))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -43,7 +43,7 @@ class Formula:
         clause = normalize_clause(lits)
         if clause is None:  # tautology, always satisfied
             return
-        self.ensure_vars(max(abs(l) for l in clause))
+        self.ensure_vars(max(map(abs, clause), default=0))  # () is kept: it makes the formula UNSAT
         self.hard.append(clause)
 
     add_clause = add_hard
@@ -57,7 +57,7 @@ class Formula:
         clause = normalize_clause(lits)
         if clause is None:
             return
-        self.ensure_vars(max(abs(l) for l in clause))
+        self.ensure_vars(max(map(abs, clause), default=0))
         self.soft.append((clause, weight))
 
     def literal_count(self) -> int:

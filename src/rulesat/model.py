@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .dataset import BinDataset
 from .encoder import Scope, VarMap
@@ -24,13 +25,29 @@ class ModelError(ValueError):
 class Rule:
     body: tuple[tuple[int, bool], ...]  # (feature index, required polarity)
     head: int  # class index
+    # the coverage test, built once: a getter over the body's features
+    # and the value it must return on a covered tuple of bits
+    _pick: itemgetter = field(init=False, repr=False, compare=False)
+    _want: int | tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        features = [f for f, _ in self.body]
+        want = tuple(1 if positive else 0 for _, positive in self.body)
+        if len(features) == 1:  # a one-item getter returns the bit, not a tuple
+            pick, want = itemgetter(features[0]), want[0]
+        elif features:
+            pick = itemgetter(*features)
+        else:
+            pick = itemgetter(slice(0, 0))  # () for every tuple
+        object.__setattr__(self, "_pick", pick)
+        object.__setattr__(self, "_want", want)
 
     @property
     def size(self) -> int:
         return len(self.body) + 1
 
-    def covers(self, bits) -> bool:
-        return all(bits[f] == (1 if positive else 0) for f, positive in self.body)
+    def covers(self, bits: tuple) -> bool:
+        return self._pick(bits) == self._want
 
     def render(self, feature_names, classes) -> str:
         if self.body:
@@ -175,9 +192,10 @@ def evaluate(dset: DecisionSet, ds: BinDataset, mode: str = "standard") -> EvalR
     errors = 0
     separated = 0
     outcomes: list[str] = []
+    tests = [(rule.covers, head_map[rule.head]) for rule in dset.rules]
     for bits, cls, weight in ds.examples:
         total += weight
-        covering = {head_map[rule.head] for rule in dset.rules if rule.covers(bits)}
+        covering = {head for covers, head in tests if covers(bits)}
         wrong = covering - {cls}
         own = cls in covering
         if wrong:

@@ -312,3 +312,55 @@ def oracle_min_size(ds, scope, cap):
                 dist[nxt] = nd
                 heappush(heap, (nd, nxt))
     return None
+
+
+def _row_literals(bits):
+    """The literals a row makes true: (feature, polarity) per feature."""
+    return {(f, b == 1) for f, b in enumerate(bits)}
+
+
+def evaluate_rows(rules, model_classes, ds, separated):
+    """Score a decision set row by row, as a dict of EvalReport fields.
+
+    A rule covers a row when its body is a subset of the row's true
+    literals, so contradictory bodies cover nothing and empty bodies
+    cover everything.  Heads are mapped to dataset classes by label.
+    """
+    total = errors = sep = 0
+    outcomes = []
+    for bits, cls, weight in ds.examples:
+        row = _row_literals(bits)
+        heads = set()
+        for rule in rules:
+            if set(rule.body) <= row:
+                heads.add(ds.classes.index(model_classes[rule.head]))
+        wrong = len(heads - {cls})
+        own = cls in heads
+        outcome = ("wrong-class-covered" if wrong
+                   else "correct" if own else "non-classified")
+        outcomes.append(outcome)
+        total += weight
+        if outcome != "correct":
+            errors += weight
+        sep += weight * (wrong + (0 if own else 1))
+    return {
+        "num_examples": total,
+        "errors": errors,
+        "accuracy": 100.0 * (total - errors) / total if total else 100.0,
+        "per_example": outcomes,
+        "separated_errors": sep if separated else None,
+    }
+
+
+def first_violation(rules, ds, scope):
+    """The first exact-fit violation in row order, then rule order, or None."""
+    for i, (bits, cls, _) in enumerate(ds.examples):
+        row = _row_literals(bits)
+        covering = [ri for ri, rule in enumerate(rules) if set(rule.body) <= row]
+        for ri in covering:
+            if rules[ri].head != cls:
+                return ("wrong-cover", i, ri)
+        needs_cover = scope.is_aggregated or cls == scope.target
+        if needs_cover and not covering:
+            return ("uncovered", i, None)
+    return None

@@ -257,6 +257,34 @@ def test_cv_bad_fold_counts_exit_1(ex1_csv, capsys):
     assert "cannot split 8 examples into 9 folds" in capsys.readouterr().err
 
 
+def test_cv_output_is_pinned(tmp_path, capsys):
+    # 3,000 rows, most of them repeats of 14 feature vectors: a numeric
+    # distractor, a colour whose three common levels and the flag set the
+    # class, and six rare "black" rows labelled by an XOR the folds cannot
+    # all learn, so fold 1 misclassifies one of its test rows
+    rng = random.Random(2024)
+    lines = ["x,color,flag,label"]
+    for i in range(3000):
+        x = "%.1f" % rng.uniform(0, 10)
+        flag = rng.randrange(2)
+        if i % 500 == 499:
+            color, label = "black", "C" if (float(x) >= 5) != flag else "B"
+        else:
+            color = rng.choice(["red", "green", "blue"])
+            label = "A" if color == "red" else "B" if color == "green" else ("C" if flag else "A")
+        lines.append("%s,%s,%d,%s" % (x, color, flag, label))
+    path = tmp_path / "repeats.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(["cv", "--data", str(path), "--folds", "3", "--mode", "mopt", "--seed", "7"])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "fold 0: accuracy=100.0 total_size=20 status=optimal\n"
+        "fold 1: accuracy=99.9 total_size=14 status=optimal\n"
+        "fold 2: accuracy=100.0 total_size=20 status=optimal\n"
+        "mean accuracy=100.0 mean total_size=18.0\n"
+    )
+
+
 # ---------------------------------------------------------------- encode
 
 

@@ -7,6 +7,8 @@ import pytest
 from rulesat.dataset import (
     BinDataset,
     DatasetError,
+    _as_numbers,
+    _quantize,
     binarize,
     kfold_split,
     load_csv,
@@ -65,6 +67,32 @@ def test_load_csv_header_only_then_binarize_rejects(tmp_path):
 def test_load_csv_errors(tmp_path, text, fragment):
     with pytest.raises(DatasetError, match=fragment):
         load_csv(write_csv(tmp_path, text))
+
+
+def test_load_csv_accepts_a_quote_inside_a_cell(tmp_path):
+    raw = load_csv(write_csv(tmp_path, 'a,b,y\n1,a"b,0\n2,c,1\n'))
+    assert raw.rows == [["1", 'a"b'], ["2", "c"]]
+    assert raw.labels == ["0", "1"]
+
+
+@pytest.mark.parametrize(
+    "last,message",
+    [
+        ("1,,0", "row 5002, column 'b': empty value"),
+        ("1, ,0", "row 5002, column 'b': empty value"),
+        ("1,0,", "row 5002, column 'y': empty value"),
+        ('1,"x",0', "row 5002, column 'b': quoted fields are not supported"),
+        ('1,0,0"', "row 5002, column 'y': quoted fields are not supported"),
+        ('"1,,0', "row 5002, column 'a': quoted fields are not supported"),
+        ('1,,"0"', "row 5002, column 'b': empty value"),
+    ],
+)
+def test_load_csv_names_a_bad_cell_on_the_last_of_many_rows(tmp_path, last, message):
+    rows = ["%d,%d,%d" % (i % 2, i % 3, i % 5) for i in range(5000)]
+    text = "\n".join(["a,b,y"] + rows + [last]) + "\n"
+    with pytest.raises(DatasetError) as err:
+        load_csv(write_csv(tmp_path, text))
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------- binarize
@@ -167,6 +195,62 @@ def test_binarize_rejects_bad_quantization(tmp_path, q):
         binarize(load_csv(path), q=q)
 
 
+def rowwise_examples(raw, q):
+    """binarize's examples built one row at a time from per-column codes."""
+    columns = []
+    for ci in range(len(raw.feature_names)):
+        values = [row[ci] for row in raw.rows]
+        numbers = _as_numbers(values)
+        if numbers is not None:
+            codes, labels = _quantize(numbers, q)
+        else:
+            labels = sorted(set(values))
+            codes = [labels.index(v) for v in values]
+        columns.append((codes, len(labels)))
+    classes = sorted(set(raw.labels))
+    examples = []
+    for r in range(raw.num_examples):
+        bits = []
+        for codes, d in columns:
+            if d == 1:
+                bits.append(0)
+            elif d == 2:
+                bits.append(codes[r])
+            else:
+                bits.extend(1 if codes[r] == level else 0 for level in range(d))
+        examples.append((tuple(bits), classes.index(raw.labels[r]), 1))
+    return examples
+
+
+def test_binarize_examples_equal_the_row_by_row_construction(tmp_path):
+    rng = random.Random(4401)
+    for case in range(40):
+        width = rng.randint(0, 4)
+        kinds = [rng.choice(["wide", "narrow", "category", "constant"]) for _ in range(width)]
+        lines = [",".join(["c%d" % c for c in range(width)] + ["y"])]
+        for _ in range(rng.randint(1, 80)):
+            cells = []
+            for kind in kinds:
+                if kind == "wide":
+                    cells.append("%.2f" % rng.uniform(-5, 5))
+                elif kind == "narrow":
+                    cells.append(str(rng.randrange(3)))
+                elif kind == "category":
+                    cells.append(rng.choice(["red", "green", "blue", "grey"][:rng.randint(2, 4)]))
+                else:
+                    cells.append("k")
+            lines.append(",".join(cells + [rng.choice("PQR")]))
+        raw = load_csv(write_csv(tmp_path, "\n".join(lines) + "\n", "r%d.csv" % case))
+        q = rng.choice([2, 3, 4])
+        assert binarize(raw, q=q).examples == rowwise_examples(raw, q)
+
+
+def test_binarize_label_only_csv_gives_empty_vectors(tmp_path):
+    ds = binarize(load_csv(write_csv(tmp_path, "y\nb\na\nb\n")))
+    assert ds.num_features == 0
+    assert ds.examples == [((), 1, 1), ((), 0, 1), ((), 1, 1)]
+
+
 # ---------------------------------------------------------------- BinDataset
 
 
@@ -181,6 +265,43 @@ def test_bindataset_validation():
         BinDataset(1, ["0"], ["a"], [((1,), 1, 1)])
     with pytest.raises(DatasetError, match="weight"):
         BinDataset(1, ["0"], ["a"], [((1,), 0, 0)])
+
+
+def test_bindataset_rejects_bits_that_are_not_a_tuple():
+    with pytest.raises(DatasetError) as err:
+        BinDataset(2, ["0", "1"], ["a", "b"], [([0, 1], 0, 1)])
+    assert str(err.value) == "example bits must be a tuple, got list"
+
+
+MANY_VALID = [((i % 2, i // 2 % 2), i % 2, 1 + i % 3) for i in range(5000)]
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        (((0, 2), 0, 1), "non-binary feature value"),
+        (((0, -1), 0, 1), "non-binary feature value"),
+        (((0, 0.5), 0, 1), "non-binary feature value"),
+        (((1,), 0, 1), "example width 1, expected 2"),
+        (((1, 0, 1), 0, 1), "example width 3, expected 2"),
+        (((2,), 0, 1), "example width 1, expected 2"),  # width is checked first
+        (((0, 1), 2, 1), "class index 2 out of range"),
+        (((0, 1), -1, 1), "class index -1 out of range"),
+        (((0, 2), 2, 0), "non-binary feature value"),  # then the values
+        (((0, 1), 0, 0), "example weight must be >= 1"),
+        ([[0, 1], 0, 1], "example bits must be a tuple, got list"),
+    ],
+)
+def test_bindataset_rejects_a_bad_example_after_many_valid_ones(bad, message):
+    with pytest.raises(DatasetError) as err:
+        BinDataset(2, ["0", "1"], ["a", "b"], MANY_VALID + [bad])
+    assert str(err.value) == message
+
+
+def test_bindataset_reports_the_first_bad_example():
+    second_bad = MANY_VALID + [((0, 1), 5, 1), ((0, 7), 0, 1)]
+    with pytest.raises(DatasetError, match="class index 5 out of range"):
+        BinDataset(2, ["0", "1"], ["a", "b"], second_bad)
 
 
 def test_bindataset_counts_and_subset(ex1):

@@ -2,6 +2,7 @@ import pytest
 
 from rulesat.dimacs import emit_dimacs, parse_dimacs
 from rulesat.formula import Formula, FormulaError
+from rulesat.solver import Solver
 
 
 def roundtrip(tmp_path, formula, name="f.cnf"):
@@ -96,3 +97,29 @@ def test_emit_empty_formula(tmp_path):
     path, back = roundtrip(tmp_path, f)
     assert open(path).read() == "p cnf 3 0\n"
     assert back.num_vars == 3 and back.hard == []
+
+
+def test_empty_clause_is_kept_and_makes_the_formula_unsat(tmp_path):
+    path = tmp_path / "empty.cnf"
+    path.write_text("p cnf 2 2\n1 2 0\n0\n")
+    f = parse_dimacs(str(path))
+    assert f.num_vars == 2
+    assert f.hard == [(1, 2), ()]
+    out, back = roundtrip(tmp_path, f, "out.cnf")
+    assert open(out).read() == "p cnf 2 2\n1 2 0\n0\n"
+    assert back.num_vars == f.num_vars and back.hard == f.hard and back.soft == []
+    solver = Solver()
+    solver.add_formula(back)
+    assert solver.solve() is False
+    assert solver.core == []
+
+
+def test_empty_clause_round_trips_through_wcnf(tmp_path):
+    f = Formula()
+    f.add_hard([])
+    f.add_soft([], 2)
+    f.add_soft([1], 3)
+    assert f.num_vars == 1
+    out, back = roundtrip(tmp_path, f, "empty.wcnf")
+    assert open(out).read() == "p wcnf 1 3 6\n6 0\n2 0\n3 1 0\n"
+    assert back.hard == [()] and back.soft == [((), 2), ((1,), 3)]

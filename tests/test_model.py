@@ -1,5 +1,8 @@
 """Rule coverage, decoding, scoring, and model (de)serialization."""
 
+import random
+from dataclasses import asdict
+
 import pytest
 
 from rulesat.dataset import BinDataset
@@ -19,6 +22,7 @@ from rulesat.model import (
 )
 
 from conftest import make_ex1
+from oracles import evaluate_rows, first_violation
 
 PERFECT_EX1 = [
     Rule(body=((0, True),), head=0),
@@ -214,6 +218,70 @@ def test_evaluate_rejects_mismatches():
         evaluate(dset([Rule((), 0)], classes=("cat", "dog")), ds)
     with pytest.raises(ModelError, match="standard.*separated"):
         evaluate(dset([]), ds, mode="weird")
+
+
+def random_scoring_case(rng):
+    """Rows drawn with heavy repetition from at most five vectors, three
+    classes, weights up to 4, and rules of any class whose bodies draw
+    literals with replacement: empty, repeated and contradictory bodies
+    all occur."""
+    k = rng.randint(1, 5)
+    pool = [tuple(rng.randrange(2) for _ in range(k)) for _ in range(rng.randint(1, 5))]
+    examples = [(rng.choice(pool), rng.randrange(3), rng.randint(1, 4))
+                for _ in range(rng.randint(1, 40))]
+    ds = BinDataset(k, ["a", "b", "c"], ["f%d" % f for f in range(k)], examples)
+    rules = [Rule(tuple((rng.randrange(k), rng.random() < 0.5)
+                        for _ in range(rng.randint(0, 4))), rng.randrange(3))
+             for _ in range(rng.randint(0, 5))]
+    return ds, rules
+
+
+def body_kinds(rules):
+    kinds = set()
+    for rule in rules:
+        features = [f for f, _ in rule.body]
+        if not rule.body:
+            kinds.add("empty")
+        elif len(set(rule.body)) > len(set(features)):
+            kinds.add("contradictory")
+        elif len(set(rule.body)) < len(rule.body):
+            kinds.add("repeated")
+    return kinds
+
+
+def test_evaluate_matches_the_row_by_row_reference():
+    rng = random.Random(2207)
+    kinds = set()
+    outcomes = set()
+    for _ in range(300):
+        ds, rules = random_scoring_case(rng)
+        kinds |= body_kinds(rules)
+        model_classes = rng.sample(ds.classes, 3)  # heads map by label, not index
+        model = DecisionSet(rules=rules, classes=model_classes, total_size=0)
+        for mode in ("standard", "separated"):
+            report = evaluate(model, ds, mode=mode)
+            assert asdict(report) == evaluate_rows(
+                rules, model_classes, ds, separated=mode == "separated")
+        outcomes |= set(report.per_example)
+    assert kinds == {"empty", "contradictory", "repeated"}
+    assert outcomes == {"correct", "non-classified", "wrong-class-covered"}
+
+
+def test_verify_perfect_reports_the_reference_first_violation():
+    rng = random.Random(2208)
+    seen = set()
+    for _ in range(300):
+        ds, rules = random_scoring_case(rng)
+        cases = [(ds, rules, Scope.per_class(t)) for t in range(3)]
+        two = BinDataset(ds.num_features, ["a", "b"], ds.feature_names,
+                         [(bits, cls % 2, w) for bits, cls, w in ds.examples])
+        cases.append((two, [Rule(r.body, r.head % 2) for r in rules], Scope.aggregated()))
+        for data, body_rules, scope in cases:
+            expected = first_violation(body_rules, data, scope)
+            got = verify_perfect(dset(body_rules), data, scope)
+            assert got == (expected is None, expected)
+            seen.add(None if expected is None else expected[0])
+    assert seen == {None, "wrong-cover", "uncovered"}
 
 
 # ---------------------------------------------------------------- storage
