@@ -6,7 +6,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import repeat
-from math import ceil
+from math import ceil, isnan
 
 
 class DatasetError(ValueError):
@@ -104,6 +104,9 @@ def load_csv(path: str) -> RawDataset:
     header = [h.strip() for h in lines[0].split(",")]
     if len(header) < 1 or any(not h for h in header):
         raise DatasetError("header row has an empty column name")
+    for col, name in enumerate(header):
+        if name in header[:col]:
+            raise DatasetError("header row repeats the column name %r" % name)
     width = len(header)
     rows: list[list[str]] = []
     labels: list[str] = []
@@ -169,7 +172,9 @@ def binarize(raw: RawDataset, q: int = 2, max_categories: int = 32) -> BinDatase
 
     Columns with exactly two values become a single bit, columns with d > 2
     values become d indicator bits, and constant columns become a single
-    all-zero bit.  q must be 2, 3, or 4.
+    all-zero bit.  q must be 2, 3, or 4.  A NaN cell in a numeric column
+    has no place in the bin order and is rejected with its row, numbered
+    as in the CSV (the header is row 1).
     """
     if q not in (2, 3, 4):
         raise DatasetError("quantization level must be 2, 3, or 4, got %r" % (q,))
@@ -181,6 +186,11 @@ def binarize(raw: RawDataset, q: int = 2, max_categories: int = 32) -> BinDatase
         values = [row[ci] for row in raw.rows]
         numbers = _as_numbers(values)
         if numbers is not None:
+            if isnan(sum(numbers)):  # some cell is NaN, or the column holds both infinities
+                for row, x in enumerate(numbers, start=2):
+                    if isnan(x):
+                        raise DatasetError("row %d, column %r: NaN cannot be binned"
+                                           % (row, name))
             codes, labels = _quantize(numbers, q)
         else:
             distinct = sorted(set(values))

@@ -21,8 +21,9 @@ clauses one node at a time, so an encoding can grow by a node without
 renumbering.  It writes into a clause sink: a search driver's Solver, or
 the Formula of a build_* function.  Only the clauses that make the last
 node the end of the sequence (termination and coverage) depend on which
-node is last; build() emits them after the last node, and the perfect
-search driver adds them in a retractable form.
+node is last.  build() writes them after the last node: plainly for a
+build_* function, or under a guard literal for a search driver, which
+retires them with a unit before it grows the encoding further.
 """
 
 from __future__ import annotations
@@ -247,9 +248,9 @@ class Encoder:
     (validity chain and unused suffix), class agreement, its coverage
     auxiliaries and, per class, its forced head.  Each clause is sorted by
     variable id, as normalize_clause sorts it, since a Solver watches its
-    first two literals.  coverage() returns the clauses that end the
-    sequence at the last node, as another node would void them; build()
-    emits them once the encoding is done growing.
+    first two literals; only a guard goes first.  build() grows the
+    encoding and then writes the clauses that end the sequence at the
+    last node, as another node would void them.
     """
 
     def __init__(self, ds: BinDataset, scope: Scope, mode: str, sink,
@@ -359,30 +360,30 @@ class Encoder:
             add([-vm.class_sel_var(j), -vm.valid_var(i, j), aux])
             hits.append(aux)
 
-    def coverage(self) -> list[list[int]]:
-        """One clause per covered example: some rule up to the last node
-        covers it (or, in sparse mode, it is flagged misclassified)."""
-        clauses = []
-        for i, hits in zip(self.covered, self._hits):
-            clause = list(hits)
-            if self.mode == "sparse":
-                clause.append(self.vm.misclass_var(i))
-            clauses.append(clause)
-        return clauses
+    def build(self, n_nodes: int, stop=lambda: False, guarded: bool = False):
+        """Grow the encoding to n_nodes nodes and end the sequence at the
+        last: it closes a rule (or is unused), and some rule up to it covers
+        each covered example (or, in sparse mode, flags it misclassified).
 
-    def build(self, n_nodes: int, stop=lambda: False) -> bool:
-        """Append n_nodes nodes and end the sequence at the last: it closes a
-        rule (or is unused) and coverage() holds.  Returns False, leaving
-        the encoding unfinished, once stop() is true before a node."""
-        for _ in range(n_nodes):
+        Guarded, each of these clauses starts with the negation of a fresh
+        literal g, so they bind only while g is assumed and the unit -g
+        retires them; build() then returns g, else True.  It returns False,
+        leaving the encoding unfinished, once stop() is true before a node.
+        """
+        vm = self.vm
+        while vm.n_nodes < n_nodes:
             if stop():
                 return False
             self.append_node()
-        vm, n = self.vm, self.vm.n_nodes
-        ends = [vm.unused_var(n), vm.class_sel_var(n)] if vm.has_unused else [vm.class_sel_var(n)]
-        for clause in [ends] + self.coverage():
-            self._add(clause)
-        return True
+        n = vm.n_nodes
+        clauses = [[vm.unused_var(n), vm.class_sel_var(n)] if vm.has_unused
+                   else [vm.class_sel_var(n)]]
+        for i, hits in zip(self.covered, self._hits):
+            clauses.append(hits + [vm.misclass_var(i)] if self.mode == "sparse" else hits)
+        guard = [-vm.new_aux()] if guarded else []
+        for clause in clauses:
+            self.sink.add_clause(guard + sorted(clause, key=abs))
+        return -guard[0] if guarded else True
 
     def soft(self) -> list[tuple[tuple[int, ...], int]]:
         """Weighted soft clauses: each example classified correctly, in

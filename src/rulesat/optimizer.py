@@ -1,22 +1,22 @@
 """Search drivers: node-count iteration and model-improving search.
 
 minimize_perfect grows the node count one at a time and stops at the
-first satisfiable size, which is therefore minimal.  It keeps one
-encoding and one solver for the whole search: each round appends one
-node and solves under assumptions that make that node the last one, so
-the clauses learnt while proving the smaller sizes UNSAT carry over.
-minimize_bounded starts from a guessed node budget and lets unused flags
-switch spare nodes off.  The flags form a suffix, so "at most c used
-nodes" is the single assumption unused_{c+1}: a round takes the used
-count of its first model as an upper bound and then climbs from below,
-c = 0, 1, ..., on one solver, with no cost counter.  minimize_sparse
-trades misclassifications against a per-node penalty by MaxSAT and
-re-runs with a larger budget as long as the optimum exhausts it,
-stopping once a round leaves a node unused.  The three share one loop
-over node budgets (_search_budgets), which keeps the clock, the round
-records and the solver totals.  Each driver's Encoder writes straight
-into its Solver; a bounded or sparse round encodes into a fresh one and
-checks the clock before each node, and a sparse round runs _descend.
+first satisfiable size, which is therefore minimal.  minimize_bounded
+starts from a guessed node budget and lets unused flags switch spare
+nodes off.  The flags form a suffix, so "at most c used nodes" is the
+single assumption unused_{c+1}: a round takes the used count of its
+first model as an upper bound and then climbs from below, c = 0, 1, ...,
+with no cost counter.  Both grow one encoding on one solver: a round
+solves under the guard of the ending Encoder.build writes at its budget,
+and the next round retires it, so the clauses learnt on the smaller
+budgets carry over.  minimize_sparse trades misclassifications against
+a per-node penalty by MaxSAT and re-runs, each round on a fresh solver,
+with a larger budget as long as the optimum exhausts it, stopping once
+a round leaves a node unused.  The three share one loop over node
+budgets (_search_budgets), which keeps the clock, the round records and
+the solver totals.  Each driver's Encoder writes straight into its
+Solver; a bounded or sparse round checks the clock before each node,
+and a sparse round runs _descend.
 
 maxsat_solve loads a formula into a solver and runs _descend, a linear
 SAT-to-UNSAT search: solve, read the model cost c, then assume "cost <=
@@ -335,10 +335,10 @@ def minimize_perfect(ds: BinDataset, scope: Scope, limits: SearchLimits | None =
     the UNSAT proofs at n-1 are the expensive part and would be repeated.
 
     One encoding grows by a node per round on one solver.  The clauses
-    that end the sequence at node n are retractable: "node n is a leaf"
-    is an assumption, and the coverage clauses carry a guard literal g_n
-    that is also assumed.  After an UNSAT round the unit -g_n retires
-    them, so every learnt clause stays valid for the larger sizes.
+    that end the sequence at node n carry a guard literal g_n, and the
+    round assumes g_n along with "node n is a leaf".  After an UNSAT
+    round the unit -g_n retires them, so every learnt clause stays valid
+    for the larger sizes.
     """
     scope.validate(len(ds.classes))
     _check_consistent(ds)
@@ -350,10 +350,7 @@ def minimize_perfect(ds: BinDataset, scope: Scope, limits: SearchLimits | None =
         nonlocal guard
         if guard is not None:
             solver.add_clause([-guard])
-        enc.append_node()  # rounds run n = 1, 2, 3, ..., one new node each
-        guard = enc.vm.new_aux()
-        for clause in enc.coverage():
-            solver.add_clause([-guard] + clause)
+        guard = enc.build(n, guarded=True)  # rounds run n = 1, 2, 3, ..., one new node each
         calls, conflicts = solver.solve_calls, solver.conflicts
         try:
             status = "sat" if clock.solve(solver, [enc.vm.class_sel_var(n), guard]) else "unsat"
@@ -379,9 +376,9 @@ def minimize_bounded(ds: BinDataset, scope: Scope, n0: int | None = None,
     search retries with n0 + step.  On success the objective equals the
     perfect optimum whenever the budget reached it.
 
-    A round loads the bounded encoding of its budget n into one solver.
-    The first solve, without assumptions, decides whether the budget
-    fits; its model's u used nodes bound the optimum from above.  Since
+    The rounds grow one encoding on one solver, as minimize_perfect's do.
+    A round's first solve, under its guard alone, decides whether budget
+    n fits; its model's u used nodes bound the optimum from above.  Since
     unused_j implies unused_{j+1}, the assumption unused_{c+1} allows at
     most c used nodes, and the round solves under it for c = 0, 1, ...,
     u - 1: the first satisfiable c is the optimum, and u is when none is.
@@ -389,11 +386,14 @@ def minimize_bounded(ds: BinDataset, scope: Scope, n0: int | None = None,
     """
     scope.validate(len(ds.classes))
     _check_consistent(ds)
+    solver = Solver()
+    enc = Encoder(ds, scope, "bounded", solver)
+    vm = enc.vm
+    guard = None
 
     def solve_round(n, clock):
-        solver = Solver()
-        enc = Encoder(ds, scope, "bounded", solver)
-        vm = enc.vm
+        nonlocal guard
+        calls, conflicts = solver.solve_calls, solver.conflicts
         best = cost = None
 
         def improved(model):
@@ -404,19 +404,22 @@ def minimize_bounded(ds: BinDataset, scope: Scope, n0: int | None = None,
                 progress({"event": "model", "cost": cost, "n": n, "elapsed": clock.elapsed()})
 
         try:
-            if not enc.build(n, clock.expired):
+            if guard:
+                solver.add_clause([-guard])
+            guard = enc.build(n, clock.expired, guarded=True)
+            if not guard:
                 raise SolveBudgetExceeded
             status = "infeasible"
-            if clock.solve(solver, []):
+            if clock.solve(solver, [guard]):
                 status = "optimal"
                 improved(solver.model)
                 for c in range(cost):  # all smaller c are UNSAT: the first SAT c is optimal
-                    if clock.solve(solver, [vm.unused_var(c + 1)]):
+                    if clock.solve(solver, [guard, vm.unused_var(c + 1)]):
                         improved(solver.model)
                         break
         except SolveBudgetExceeded:
             status = "timeout"
-        rnd = _Round(status, cost, solver.solve_calls, solver.conflicts)
+        rnd = _Round(status, cost, solver.solve_calls - calls, solver.conflicts - conflicts)
         if best is not None:
             dset = decode(best, vm, scope, ds.classes)
             dset.metadata = {"mode": "bounded", "scope": scope.kind, "objective": cost}
@@ -455,8 +458,6 @@ def minimize_sparse(ds: BinDataset, scope: Scope, lam, n0: int | None = None,
         if res.assignment is None:
             return rnd
         vm = enc.vm
-        used_nodes = sum(1 for j in range(1, n + 1)
-                         if not res.assignment.value(vm.unused_var(j)))
         misclassified = sum(
             w for i, (_, _, w) in enumerate(ds.examples, start=1)
             if res.assignment.value(vm.misclass_var(i))
@@ -468,7 +469,7 @@ def minimize_sparse(ds: BinDataset, scope: Scope, lam, n0: int | None = None,
         }
         # growing the budget never raises the optimum, so once a round's
         # optimum leaves a node unused the enlarging loop is done
-        done = res.status == "optimal" and used_nodes < n
+        done = res.status == "optimal" and dset.total_size < n
         rnd.found = SolveOutcome(status="optimal" if done else "feasible", decision_set=dset,
                                  objective=res.cost)
         return rnd

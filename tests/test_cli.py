@@ -143,6 +143,13 @@ def test_learn_bad_flag_values_exit_1(ex1_csv, capsys):
     capsys.readouterr()
 
 
+def test_learn_nan_cell_exits_1(tmp_path, capsys):
+    path = tmp_path / "nan.csv"
+    path.write_text("x,y\n1,a\n2,a\nnan,a\n3,b\n4,b\n", encoding="utf-8")
+    assert main(["learn", "--data", str(path)]) == 1
+    assert "row 4, column 'x': NaN cannot be binned" in capsys.readouterr().err
+
+
 def test_learn_missing_file_exit_1(tmp_path, capsys):
     assert main(["learn", "--data", str(tmp_path / "nope.csv")]) == 1
     assert "error:" in capsys.readouterr().err

@@ -69,6 +69,14 @@ def test_load_csv_errors(tmp_path, text, fragment):
         load_csv(write_csv(tmp_path, text))
 
 
+def test_load_csv_rejects_a_repeated_column_name(tmp_path):
+    # a rule on "a" could not say which of the two columns it tests
+    for text in ("a,a,y\n1,0,p\n0,1,q\n", " a , b ,a \n1,0,p\n"):
+        with pytest.raises(DatasetError) as err:
+            load_csv(write_csv(tmp_path, text))
+        assert str(err.value) == "header row repeats the column name 'a'"
+
+
 def test_load_csv_accepts_a_quote_inside_a_cell(tmp_path):
     raw = load_csv(write_csv(tmp_path, 'a,b,y\n1,a"b,0\n2,c,1\n'))
     assert raw.rows == [["1", 'a"b'], ["2", "c"]]
@@ -186,6 +194,25 @@ def test_binarize_category_limit(tmp_path):
     rows = "\n".join("v%02d,0" % i for i in range(33))
     with pytest.raises(DatasetError, match="33 categories, over the limit of 32"):
         binarize(load_csv(write_csv(tmp_path, "c,y\n" + rows + "\n")))
+
+
+@pytest.mark.parametrize("x,row", [
+    (["nan", "1", "2", "3", "4", "5", "6"], 2),
+    (["1", "2", "3", "nan", "4", "5", "6"], 5),
+])
+def test_binarize_rejects_a_nan_cell_in_either_row_order(tmp_path, x, row):
+    # NaN has no place in the sorted order the bins are cut from, so the
+    # bins would depend on where the NaN row stands
+    text = "w,x,y\n" + "".join("%d,%s,%d\n" % (i % 2, v, i > 3) for i, v in enumerate(x))
+    with pytest.raises(DatasetError) as err:
+        binarize(load_csv(write_csv(tmp_path, text)))
+    assert str(err.value) == "row %d, column 'x': NaN cannot be binned" % row
+
+
+def test_binarize_keeps_nan_as_a_category_of_a_text_column(tmp_path):
+    ds = binarize(load_csv(write_csv(tmp_path, "c,y\nnan,0\nred,1\nnan,1\n")))
+    assert ds.feature_names == ["c"]
+    assert [bits for bits, _, _ in ds.examples] == [(0,), (1,), (0,)]
 
 
 @pytest.mark.parametrize("q", [1, 5, 0])

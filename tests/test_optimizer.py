@@ -6,7 +6,7 @@ import pytest
 
 from rulesat import optimizer
 from rulesat.dataset import BinDataset
-from rulesat.encoder import Encoder, Scope, build_perfect, build_sparse, lam_to_cost
+from rulesat.encoder import Encoder, Scope, build_bounded, build_perfect, build_sparse, lam_to_cost
 from rulesat.formula import Formula, check_model
 from rulesat.model import Rule, evaluate
 from rulesat.optimizer import (
@@ -282,6 +282,43 @@ def test_minimize_perfect_covers_impossible_target_class():
 
 
 # ---------------------------------------------------------------- bounded
+
+
+def test_minimize_bounded_rounds_match_fresh_solves(monkeypatch):
+    # one growing encoding on one solver answers every round as a fresh
+    # solver does on that round's full bounded encoding
+    created = []
+
+    class CountedSolver(Solver):
+        def __init__(self):
+            super().__init__()
+            created.append(self)
+
+    monkeypatch.setattr(optimizer, "Solver", CountedSolver)
+    rng = random.Random(321)
+    below = above = 0
+    for trial in range(25):
+        ds = random_dataset(rng, max_m=5, max_k=3)
+        present = sorted({cls for _, cls, _ in ds.examples})
+        for scope in [AGG] + [Scope.per_class(cls) for cls in present]:
+            optimum = oracle_min_size(ds, scope, cap=24)
+            n0, step = rng.randint(1, optimum + 2), rng.randint(1, 3)
+            below += n0 < optimum
+            above += n0 > optimum
+            del created[:]
+            out = minimize_bounded(ds, scope, n0=n0, step=step)
+            assert len(created) == 1
+            assert (out.status, out.objective) == ("optimal", optimum), (trial, scope)
+            rounds = out.stats["rounds"]
+            assert [r["n"] for r in rounds] == [n0 + step * i for i in range(len(rounds))]
+            for r in rounds:
+                fresh = Solver()
+                fresh.add_formula(build_bounded(ds, r["n"], scope).formula)
+                expected = "optimal" if fresh.solve() else "infeasible"
+                assert r["status"] == expected, (trial, scope, n0, step, r["n"])
+                if expected == "optimal":
+                    assert r["cost"] == optimum, (trial, scope, r["n"])
+    assert below > 10 and above > 10  # budgets on both sides of the optimum
 
 
 def test_model_events_share_the_rounds_time_base(ex1):
