@@ -63,6 +63,7 @@ class RunConfig:
             raise CliError("--lambda must be >= 0")
         limits = SearchLimits(wall_time_budget=args.time_limit,
                               per_solve_budget=args.solve_limit)
+        limits.validate()
         return RunConfig(mode=mode, scope=getattr(args, "scope", "per-class"), lam=lam,
                          bins=args.bins, n0=getattr(args, "n0", None), step=args.step,
                          seed=args.seed, limits=limits, verbose=args.verbose)

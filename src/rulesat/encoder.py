@@ -231,10 +231,10 @@ def lam_to_cost(lam, m_effective: int) -> int:
     """
     if m_effective < 1:
         raise EncodingError("m_effective must be >= 1")
-    if isinstance(lam, float):
-        frac = Fraction(str(lam))
-    else:
-        frac = Fraction(lam)
+    try:
+        frac = Fraction(str(lam)) if isinstance(lam, float) else Fraction(lam)
+    except (ValueError, OverflowError):  # nan, inf
+        raise EncodingError("lambda must be a finite number, got %r" % (lam,)) from None
     if frac < 0:
         raise EncodingError("lambda must be >= 0")
     return max(1, ceil(frac * m_effective))

@@ -1,22 +1,27 @@
-"""Search drivers: node-count iteration and model-improving search.
+"""Search drivers: one exact search over node budgets, and MaxSAT.
 
-minimize_perfect grows the node count one at a time and stops at the
-first satisfiable size, which is therefore minimal.  minimize_bounded
-starts from a guessed node budget and lets unused flags switch spare
-nodes off.  The flags form a suffix, so "at most c used nodes" is the
-single assumption unused_{c+1}: a round takes the used count of its
-first model as an upper bound and then climbs from below, c = 0, 1, ...,
-with no cost counter.  Both grow one encoding on one solver: a round
-solves under the guard of the ending Encoder.build writes at its budget,
-and the next round retires it, so the clauses learnt on the smaller
-budgets carry over.  minimize_sparse trades misclassifications against
+minimize_perfect and minimize_bounded run one exact search
+(_exact_search) that grows one encoding on one solver through the node
+budgets n, n + step, ...  A round solves under the guard of the ending
+Encoder.build writes at its budget, and the next round retires it, so
+the clauses learnt on the smaller budgets carry over.  The used count u
+of a round's first model bounds the optimum from above.  The unused
+flags form a suffix, so "at most c used nodes" is the single assumption
+unused_{c+1}, and the round climbs c from floor + 1 to u - 1, where
+floor is the largest budget an earlier round proved infeasible: the
+first satisfiable c is the optimum, with no cost counter.
+minimize_perfect runs it on the perfect encoding from budget 1 in steps
+of 1, also assuming that the last node is a leaf, so its first
+satisfiable budget is minimal and no round climbs.  minimize_bounded
+starts from a guessed budget, and a round's first model is an anytime
+answer within it.  minimize_sparse trades misclassifications against
 a per-node penalty by MaxSAT and re-runs, each round on a fresh solver,
 with a larger budget as long as the optimum exhausts it, stopping once
-a round leaves a node unused.  The three share one loop over node
+a round leaves a node unused.  The drivers share one loop over node
 budgets (_search_budgets), which keeps the clock, the round records and
 the solver totals.  Each driver's Encoder writes straight into its
-Solver; a bounded or sparse round checks the clock before each node,
-and a sparse round runs _descend.
+Solver; a round checks the clock before each node, and a sparse round
+runs _descend.
 
 maxsat_solve loads a formula into a solver and runs _descend, a linear
 SAT-to-UNSAT search: solve, read the model cost c, then assume "cost <=
@@ -31,12 +36,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from math import inf
 
 from .cardinality import build_totalizer
 from .dataset import BinDataset
 # build_perfect, build_bounded and build_sparse are not called here; they
-# stay importable as optimizer.build_* because the benchmark's tracer and
-# the deadline tests patch the builders by their names in this module
+# stay importable as optimizer.build_* because the benchmark's tracer
+# patches the builders by their names in this module
 from .encoder import (CnfBundle, Encoder, Scope, build_bounded, build_perfect,  # noqa: F401
                       build_sparse, lam_to_cost)
 from .formula import Assignment, Formula
@@ -61,8 +67,9 @@ class SearchLimits:
     max_nodes: int = 64
 
     def validate(self) -> None:
-        if self.wall_time_budget <= 0 or self.per_solve_budget <= 0:
-            raise OptimizerError("time budgets must be positive")
+        # NaN compares false with everything, and an infinite budget has no deadline
+        if not 0 < self.wall_time_budget < inf or not 0 < self.per_solve_budget < inf:
+            raise OptimizerError("time budgets must be positive and finite")
         if self.max_nodes < 1:
             raise OptimizerError("max_nodes must be >= 1")
 
@@ -326,6 +333,69 @@ def _search_budgets(limits: SearchLimits | None, n: int, step: int, progress,
     return outcome
 
 
+def _exact_search(ds: BinDataset, scope: Scope, mode: str, n: int, step: int,
+                  limits: SearchLimits | None, progress) -> SolveOutcome:
+    """The one round body of minimize_perfect (mode "perfect") and
+    minimize_bounded (mode "bounded"); see the module docstring.
+
+    floor starts at 0 in perfect mode, since a perfect encoding of n
+    nodes uses all n, and at -1 in bounded mode, where a set may use no
+    node.  A timeout returns the best model so far as "feasible".
+    """
+    scope.validate(len(ds.classes))
+    _check_consistent(ds)
+    solver = Solver()
+    enc = Encoder(ds, scope, mode, solver)
+    vm = enc.vm
+    perfect = mode == "perfect"
+    sat, unsat = ("sat", "unsat") if perfect else ("optimal", "infeasible")
+    guard = None
+    floor = 0 if perfect else -1
+
+    def solve_round(n, clock):
+        nonlocal guard, floor
+        calls, conflicts = solver.solve_calls, solver.conflicts
+        best = None
+
+        def improved(model):
+            nonlocal best
+            best = decode(model, vm, scope, ds.classes)
+            if progress is not None and not perfect:
+                progress({"event": "model", "cost": best.total_size, "n": n,
+                          "elapsed": clock.elapsed()})
+
+        try:
+            if guard:
+                solver.add_clause([-guard])
+            guard = enc.build(n, clock.expired, guarded=True)
+            if not guard:
+                raise SolveBudgetExceeded
+            status = unsat
+            if clock.solve(solver, [vm.class_sel_var(n), guard] if perfect else [guard]):
+                status = sat
+                improved(solver.model)
+                for c in range(floor + 1, best.total_size):
+                    if clock.solve(solver, [guard, vm.unused_var(c + 1)]):
+                        improved(solver.model)
+                        break
+            else:
+                floor = n
+        except SolveBudgetExceeded:
+            status = "timeout"
+        cost = None if best is None else best.total_size
+        rnd = _Round(status, cost, solver.solve_calls - calls, solver.conflicts - conflicts)
+        if best is not None:
+            best.metadata = {"mode": mode, "scope": scope.kind, "objective": cost}
+            if status == "timeout":
+                rnd.found = SolveOutcome(status="feasible", decision_set=best, objective=cost)
+            else:
+                rnd.found = SolveOutcome(status="optimal", decision_set=_verified(best, ds, scope),
+                                         objective=cost)
+        return rnd
+
+    return _search_budgets(limits, n, step, progress, solve_round)
+
+
 def minimize_perfect(ds: BinDataset, scope: Scope, limits: SearchLimits | None = None,
                      progress=None) -> SolveOutcome:
     """Smallest exact-fit decision set by trying node counts 1, 2, 3, ...
@@ -333,38 +403,11 @@ def minimize_perfect(ds: BinDataset, scope: Scope, limits: SearchLimits | None =
     Sizes below the answer are proven UNSAT along the way, so the first
     satisfiable size is the minimum; no binary search is attempted since
     the UNSAT proofs at n-1 are the expensive part and would be repeated.
-
-    One encoding grows by a node per round on one solver.  The clauses
-    that end the sequence at node n carry a guard literal g_n, and the
-    round assumes g_n along with "node n is a leaf".  After an UNSAT
-    round the unit -g_n retires them, so every learnt clause stays valid
-    for the larger sizes.
+    The rounds grow one perfect encoding on one solver (_exact_search),
+    by one node each, so every clause learnt on a smaller size carries
+    over to the larger ones.
     """
-    scope.validate(len(ds.classes))
-    _check_consistent(ds)
-    solver = Solver()
-    enc = Encoder(ds, scope, "perfect", solver)
-    guard = None
-
-    def solve_round(n, clock):
-        nonlocal guard
-        if guard is not None:
-            solver.add_clause([-guard])
-        guard = enc.build(n, guarded=True)  # rounds run n = 1, 2, 3, ..., one new node each
-        calls, conflicts = solver.solve_calls, solver.conflicts
-        try:
-            status = "sat" if clock.solve(solver, [enc.vm.class_sel_var(n), guard]) else "unsat"
-        except SolveBudgetExceeded:
-            status = "timeout"
-        rnd = _Round(status, None, solver.solve_calls - calls, solver.conflicts - conflicts)
-        if status == "sat":
-            dset = _verified(decode(solver.model, enc.vm, scope, ds.classes), ds, scope)
-            dset.metadata = {"mode": "perfect", "scope": scope.kind, "objective": n}
-            rnd.cost = n
-            rnd.found = SolveOutcome(status="optimal", decision_set=dset, objective=n)
-        return rnd
-
-    return _search_budgets(limits, 1, 1, progress, solve_round)
+    return _exact_search(ds, scope, "perfect", 1, 1, limits, progress)
 
 
 def minimize_bounded(ds: BinDataset, scope: Scope, n0: int | None = None,
@@ -374,64 +417,12 @@ def minimize_bounded(ds: BinDataset, scope: Scope, n0: int | None = None,
 
     When the budget is too small the hard clauses are UNSAT and the
     search retries with n0 + step.  On success the objective equals the
-    perfect optimum whenever the budget reached it.
-
-    The rounds grow one encoding on one solver, as minimize_perfect's do.
-    A round's first solve, under its guard alone, decides whether budget
-    n fits; its model's u used nodes bound the optimum from above.  Since
-    unused_j implies unused_{j+1}, the assumption unused_{c+1} allows at
-    most c used nodes, and the round solves under it for c = 0, 1, ...,
-    u - 1: the first satisfiable c is the optimum, and u is when none is.
-    A timeout returns the best model so far as "feasible".
+    perfect optimum whenever the budget reached it.  A round's first
+    solve gives an anytime model within the budget, and the climb of
+    _exact_search then proves or improves it.
     """
-    scope.validate(len(ds.classes))
-    _check_consistent(ds)
-    solver = Solver()
-    enc = Encoder(ds, scope, "bounded", solver)
-    vm = enc.vm
-    guard = None
-
-    def solve_round(n, clock):
-        nonlocal guard
-        calls, conflicts = solver.solve_calls, solver.conflicts
-        best = cost = None
-
-        def improved(model):
-            nonlocal best, cost
-            best = model
-            cost = sum(1 for j in range(1, n + 1) if not model.value(vm.unused_var(j)))
-            if progress is not None:
-                progress({"event": "model", "cost": cost, "n": n, "elapsed": clock.elapsed()})
-
-        try:
-            if guard:
-                solver.add_clause([-guard])
-            guard = enc.build(n, clock.expired, guarded=True)
-            if not guard:
-                raise SolveBudgetExceeded
-            status = "infeasible"
-            if clock.solve(solver, [guard]):
-                status = "optimal"
-                improved(solver.model)
-                for c in range(cost):  # all smaller c are UNSAT: the first SAT c is optimal
-                    if clock.solve(solver, [guard, vm.unused_var(c + 1)]):
-                        improved(solver.model)
-                        break
-        except SolveBudgetExceeded:
-            status = "timeout"
-        rnd = _Round(status, cost, solver.solve_calls - calls, solver.conflicts - conflicts)
-        if best is not None:
-            dset = decode(best, vm, scope, ds.classes)
-            dset.metadata = {"mode": "bounded", "scope": scope.kind, "objective": cost}
-            if status == "timeout":
-                rnd.found = SolveOutcome(status="feasible", decision_set=dset, objective=cost)
-            else:
-                rnd.found = SolveOutcome(status="optimal", decision_set=_verified(dset, ds, scope),
-                                         objective=cost)
-        return rnd
-
     n = n0 if n0 is not None else default_node_budget(ds.num_features)
-    return _search_budgets(limits, n, step, progress, solve_round)
+    return _exact_search(ds, scope, "bounded", n, step, limits, progress)
 
 
 def minimize_sparse(ds: BinDataset, scope: Scope, lam, n0: int | None = None,

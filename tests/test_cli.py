@@ -128,6 +128,10 @@ def test_learn_timeout_exits_2(ex1_csv, capsys):
         (["--mode", "sparse"], "--lambda is required"),
         (["--lambda", "0.5"], "only applies"),
         (["--mode", "sparse", "--lambda", "-1"], "must be >= 0"),
+        (["--time-limit", "nan"], "error: time budgets must be positive and finite"),
+        (["--solve-limit", "inf"], "error: time budgets must be positive and finite"),
+        (["--mode", "sparse", "--lambda", "nan"], "error: lambda must be a finite number"),
+        (["--mode", "sparse", "--lambda", "1e400"], "error: lambda must be a finite number"),
     ],
 )
 def test_learn_config_errors_exit_1(ex1_csv, capsys, extra, fragment):

@@ -221,6 +221,9 @@ def test_lam_to_cost_rejects_bad_inputs():
         lam_to_cost(-0.1, 10)
     with pytest.raises(EncodingError, match="m_effective"):
         lam_to_cost(0.5, 0)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(EncodingError, match="finite"):
+            lam_to_cost(bad, 10)
 
 
 # ---------------------------------------------------------------- builders

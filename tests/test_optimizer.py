@@ -6,7 +6,8 @@ import pytest
 
 from rulesat import optimizer
 from rulesat.dataset import BinDataset
-from rulesat.encoder import Encoder, Scope, build_bounded, build_perfect, build_sparse, lam_to_cost
+from rulesat.encoder import (EncodingError, Encoder, Scope, build_bounded, build_perfect,
+                             build_sparse, lam_to_cost)
 from rulesat.formula import Formula, check_model
 from rulesat.model import Rule, evaluate
 from rulesat.optimizer import (
@@ -334,16 +335,11 @@ def test_model_events_share_the_rounds_time_base(ex1):
 
 def test_no_round_starts_after_the_deadline(ex1, monkeypatch):
     calls = []
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for name in ("build_bounded", "build_sparse", "_CostCounter"):
-        monkeypatch.setattr(optimizer, name, counted(name, getattr(optimizer, name)))
-    monkeypatch.setattr(Encoder, "append_node", counted("append_node", Encoder.append_node))
+    monkeypatch.setattr(optimizer, "_CostCounter",
+                        counting(calls, "_CostCounter", optimizer._CostCounter))
+    monkeypatch.setattr(Encoder, "append_node",
+                        counting(calls, "append_node", Encoder.append_node))
+    monkeypatch.setattr(Solver, "solve", counting(calls, "solve", Solver.solve))
     tiny = SearchLimits(wall_time_budget=1e-9)
     # what a run started after a command's deadline is handed
     left = optimizer._remaining_limits(optimizer._Clock(tiny))
@@ -373,6 +369,63 @@ def test_a_round_builds_no_node_after_the_deadline(ex1, monkeypatch):
         (record,) = out.stats["rounds"]
         assert (record["status"], record["cost"]) == ("timeout", None)
         assert out.stats["solve_calls"] == 0
+
+
+def test_a_round_climbs_above_the_budgets_proven_infeasible(ex1, monkeypatch):
+    # a budget n proven infeasible rules out every set of at most n used
+    # nodes, so a later round asks for "at most c used" only from c = n + 1
+    asked, encoders = [], []
+
+    class Recording(Solver):
+        def solve(self, assumptions=(), deadline=None):
+            asked.append(list(assumptions))
+            return super().solve(assumptions, deadline)
+
+    class Kept(Encoder):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            encoders.append(self)
+
+    monkeypatch.setattr(optimizer, "Solver", Recording)
+    monkeypatch.setattr(optimizer, "Encoder", Kept)
+
+    def climbs(ds, scope, n0, step):
+        """The search's outcome and, per round, the largest budget an
+        earlier round proved infeasible with the c of each climbing solve."""
+        del asked[:], encoders[:]
+        out = minimize_bounded(ds, scope, n0=n0, step=step)
+        (enc,) = encoders
+        c_of = {enc.vm.unused_var(j): j - 1 for j in range(1, enc.vm.n_nodes + 1)}
+        rounds = iter(out.stats["rounds"])
+        floor, record, per_round = -1, None, []
+        for assumptions in asked:
+            if len(assumptions) == 1:  # a round's first solve, under its guard alone
+                if record is not None and record["status"] == "infeasible":
+                    floor = record["n"]
+                record = next(rounds)
+                per_round.append((floor, []))
+            else:
+                per_round[-1][1].append(c_of[assumptions[1]])
+        return out, per_round
+
+    out, per_round = climbs(ex1, AGG, 5, 10)
+    assert out.objective == 7
+    assert per_round[0] == (-1, [])
+    floor, cs = per_round[1]
+    assert floor == 5 and cs[0] == 6
+    rng = random.Random(606)
+    above_a_floor = 0
+    for trial in range(25):
+        ds = random_dataset(rng, max_m=5, max_k=3)
+        present = sorted({cls for _, cls, _ in ds.examples})
+        for scope in [AGG] + [Scope.per_class(cls) for cls in present]:
+            optimum = oracle_min_size(ds, scope, cap=24)
+            out, per_round = climbs(ds, scope, rng.randint(1, optimum), rng.randint(1, 3))
+            assert (out.status, out.objective) == ("optimal", optimum), (trial, scope)
+            for floor, cs in per_round:
+                assert cs == list(range(floor + 1, floor + 1 + len(cs))), (trial, scope)
+                above_a_floor += floor >= 0 and bool(cs)
+    assert above_a_floor > 5
 
 
 def test_minimize_bounded_with_roomy_budget(ex1):
@@ -611,3 +664,12 @@ def test_limit_validation(ex1):
         minimize_bounded(ex1, AGG, n0=5, step=0)
     with pytest.raises(OptimizerError, match="node budget"):
         minimize_sparse(ex1, AGG, lam=0.5, n0=0)
+    # a NaN budget compares false with every bound and would never expire
+    for bad in (float("nan"), float("inf")):
+        for limits in (SearchLimits(wall_time_budget=bad), SearchLimits(per_solve_budget=bad)):
+            with pytest.raises(OptimizerError, match="finite"):
+                minimize_perfect(ex1, AGG, limits)
+            with pytest.raises(OptimizerError, match="finite"):
+                maxsat_solve(build_bounded(ex1, 7, AGG), limits)
+        with pytest.raises(EncodingError, match="finite"):
+            minimize_sparse(ex1, AGG, lam=bad)

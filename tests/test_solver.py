@@ -332,6 +332,10 @@ def test_search_counts_are_pinned(monkeypatch):
     out = optimizer.minimize_bounded(make_ex1(), Scope.aggregated())
     assert (out.objective, per_call) == (7, [22, 1, 0, 1, 2, 5, 12, 33, 5])
     per_call.clear()
+    # two rounds: budget 5 is infeasible, so budget 15 climbs from "at most 6 used"
+    out = optimizer.minimize_bounded(make_ex1(), Scope.aggregated(), n0=5, step=10)
+    assert (out.objective, per_call) == (7, [26, 28, 31, 15])
+    per_call.clear()
     out = optimizer.minimize_sparse(make_ex1(), Scope.aggregated(), lam=0.1, n0=2, step=3)
     assert (out.objective, per_call) == (4, [0, 5, 25, 7, 0, 2])
     per_call.clear()
