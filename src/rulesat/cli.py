@@ -28,8 +28,8 @@ from .encoder import (EncodingError, Scope, build_bounded, build_perfect, build_
 from .formula import FormulaError
 from .model import DecisionSet, ModelError, evaluate, load_model, save_model
 from .optimizer import (ContradictionError, OptimizerError, SearchLimits, SolveOutcome,
-                        _Clock, _remaining_limits, default_node_budget, minimize_bounded,
-                        minimize_perfect, minimize_sparse)
+                        _Clock, _greedy_budget, _remaining_limits, default_node_budget,
+                        minimize_bounded, minimize_perfect, minimize_sparse)
 
 MODES = ("opt", "mopt", "sparse")
 SCOPES = ("aggregated", "per-class")
@@ -216,7 +216,13 @@ def cmd_cv(args) -> int:
     return 0
 
 
-def _encode_one(ds: BinDataset, scope: Scope, config: RunConfig, n: int, path: str) -> None:
+def _encode_one(ds: BinDataset, scope: Scope, config: RunConfig, path: str) -> None:
+    if config.n0 is not None:
+        n = config.n0
+    elif config.mode == "mopt":  # the budget minimize_bounded starts from
+        n = _greedy_budget(ds, scope)
+    else:
+        n = default_node_budget(ds.num_features)
     if config.mode == "opt":
         bundle = build_perfect(ds, n, scope)
     elif config.mode == "mopt":
@@ -242,14 +248,13 @@ def _encode_one(ds: BinDataset, scope: Scope, config: RunConfig, n: int, path: s
 def cmd_encode(args) -> int:
     config = RunConfig.from_args(args)
     ds = _sanitized(_load_bindata(args.data, config.bins), config)
-    n = config.n0 if config.n0 is not None else default_node_budget(ds.num_features)
     if config.scope == "aggregated":
-        _encode_one(ds, Scope.aggregated(), config, n, args.dimacs)
+        _encode_one(ds, Scope.aggregated(), config, args.dimacs)
         return 0
     root, ext = os.path.splitext(args.dimacs)
     for target in range(len(ds.classes)):
         path = "%s.class%d%s" % (root, target, ext)
-        _encode_one(ds, Scope.per_class(target), config, n, path)
+        _encode_one(ds, Scope.per_class(target), config, path)
     return 0
 
 
@@ -272,7 +277,9 @@ def _add_common(sub, learning: bool) -> None:
         sub.add_argument("--lambda", dest="lam", type=float, default=None,
                          help="per-node penalty rate (sparse mode only)")
         sub.add_argument("--n0", type=int, default=None,
-                         help="initial node budget (mopt/sparse; default 2*(K+2) capped at 32)")
+                         help="initial node budget (mopt/sparse); default for mopt: the size "
+                              "of a greedy exact-fit decision set, for sparse: 2*(K+2); both "
+                              "at most min(2*(K+2), 32)")
         sub.add_argument("--step", type=int, default=10,
                          help="node budget increment between retries")
         sub.add_argument("--time-limit", type=float, default=600.0,

@@ -232,6 +232,11 @@ def serialize(dset: DecisionSet) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    # JSON true and false load as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def deserialize(doc: dict) -> DecisionSet:
     if not isinstance(doc, dict):
         raise ModelError("model document must be an object")
@@ -247,7 +252,9 @@ def deserialize(doc: dict) -> DecisionSet:
         or not all(isinstance(c, str) for c in classes)
     ):
         raise ModelError("classes must be a non-empty list of strings")
-    if not isinstance(total_size, int) or total_size < 0:
+    if len(set(classes)) != len(classes):
+        raise ModelError("classes must be distinct, got %r" % (classes,))
+    if not _is_int(total_size) or total_size < 0:
         raise ModelError("total_size must be a non-negative int")
     if not isinstance(rules_doc, list):
         raise ModelError("rules must be a list")
@@ -256,13 +263,13 @@ def deserialize(doc: dict) -> DecisionSet:
         if not isinstance(rd, dict) or "body" not in rd or "head" not in rd:
             raise ModelError("each rule needs body and head")
         head = rd["head"]
-        if not isinstance(head, int) or not 0 <= head < len(classes):
+        if not _is_int(head) or not 0 <= head < len(classes):
             raise ModelError("rule head %r out of range" % (head,))
         body = []
         for ld in rd["body"]:
             if (
                 not isinstance(ld, dict)
-                or not isinstance(ld.get("feature"), int)
+                or not _is_int(ld.get("feature"))
                 or ld["feature"] < 0
                 or not isinstance(ld.get("neg"), bool)
             ):

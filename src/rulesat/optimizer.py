@@ -13,15 +13,17 @@ first satisfiable c is the optimum, with no cost counter.
 minimize_perfect runs it on the perfect encoding from budget 1 in steps
 of 1, also assuming that the last node is a leaf, so its first
 satisfiable budget is minimal and no round climbs.  minimize_bounded
-starts from a guessed budget, and a round's first model is an anytime
-answer within it.  minimize_sparse trades misclassifications against
-a per-node penalty by MaxSAT and re-runs, each round on a fresh solver,
-with a larger budget as long as the optimum exhausts it, stopping once
-a round leaves a node unused.  The drivers share one loop over node
-budgets (_search_budgets), which keeps the clock, the round records and
-the solver totals.  Each driver's Encoder writes straight into its
-Solver; a round checks the clock before each node, and a sparse round
-runs _descend.
+starts, unless given a budget, from the size of an exact-fit decision
+set that a greedy pass over the data builds (_greedy_budget), capped at
+default_node_budget: below the cap its first round has a model and ends
+optimal.  A round's first model is an anytime answer within its budget.
+minimize_sparse trades misclassifications against a per-node penalty by
+MaxSAT and re-runs, each round on a fresh solver, with a larger budget
+as long as the optimum exhausts it, stopping once a round leaves a node
+unused.  The drivers share one loop over node budgets (_search_budgets),
+which keeps the clock, the round records and the solver totals.  Each
+driver's Encoder writes straight into its Solver; a round checks the
+clock before each node, and a sparse round runs _descend.
 
 maxsat_solve loads a formula into a solver and runs _descend, a linear
 SAT-to-UNSAT search: solve, read the model cost c, then assume "cost <=
@@ -46,7 +48,7 @@ from .dataset import BinDataset
 from .encoder import (CnfBundle, Encoder, Scope, build_bounded, build_perfect,  # noqa: F401
                       build_sparse, lam_to_cost)
 from .formula import Assignment, Formula
-from .model import DecisionSet, decode, verify_perfect
+from .model import DecisionSet, Rule, decode, verify_perfect
 from .solver import SolveBudgetExceeded, Solver
 
 DEFAULT_STEP = 10
@@ -92,6 +94,51 @@ class MaxsatResult:
 
 def default_node_budget(num_features: int) -> int:
     return min(2 * (num_features + 2), 32)
+
+
+def _greedy_rules(ds: BinDataset, scope: Scope):
+    """Yield the rules of an exact-fit decision set built greedily; ds
+    must be consistent.
+
+    Per class the scope must cover, the rule for the smallest uncovered
+    feature vector starts from all of its literals and drops each, in
+    feature order, whose removal leaves it covering no example of another
+    class.  The vectors it covers are then done.
+    """
+    vectors: dict[int, set] = {}
+    for bits, cls, _ in ds.examples:
+        vectors.setdefault(cls, set()).add(bits)
+    if scope.is_aggregated:
+        heads = sorted(vectors)
+    else:
+        heads = [scope.target] if scope.target in vectors else []
+    for head in heads:
+        others = [bits for cls, group in vectors.items() if cls != head for bits in group]
+        uncovered = sorted(vectors[head])
+        while uncovered:
+            body = [(f, bit == 1) for f, bit in enumerate(uncovered[0])]
+            for literal in list(body):
+                shorter = Rule(tuple(lit for lit in body if lit != literal), head)
+                if not any(map(shorter.covers, others)):
+                    body.remove(literal)
+            rule = Rule(tuple(body), head)
+            yield rule
+            uncovered = [bits for bits in uncovered if not rule.covers(bits)]
+
+
+def _greedy_budget(ds: BinDataset, scope: Scope) -> int:
+    """The node budget minimize_bounded starts from: the size of the
+    greedy decision set of _greedy_rules, capped at default_node_budget
+    and at least 1.  The set fits exactly, so its size bounds the optimum
+    from above, and a round at that budget has a model.
+    """
+    cap = default_node_budget(ds.num_features)
+    size = 0
+    for rule in _greedy_rules(ds, scope):
+        size += rule.size
+        if size >= cap:
+            return cap
+    return max(size, 1)
 
 
 class _Clock:
@@ -333,17 +380,21 @@ def _search_budgets(limits: SearchLimits | None, n: int, step: int, progress,
     return outcome
 
 
-def _exact_search(ds: BinDataset, scope: Scope, mode: str, n: int, step: int,
+def _exact_search(ds: BinDataset, scope: Scope, mode: str, n: int | None, step: int,
                   limits: SearchLimits | None, progress) -> SolveOutcome:
     """The one round body of minimize_perfect (mode "perfect") and
     minimize_bounded (mode "bounded"); see the module docstring.
 
-    floor starts at 0 in perfect mode, since a perfect encoding of n
-    nodes uses all n, and at -1 in bounded mode, where a set may use no
-    node.  A timeout returns the best model so far as "feasible".
+    n None starts from _greedy_budget, computed once the scope and the
+    data have been checked.  floor starts at 0 in perfect mode, since a
+    perfect encoding of n nodes uses all n, and at -1 in bounded mode,
+    where a set may use no node.  A timeout returns the best model so far
+    as "feasible".
     """
     scope.validate(len(ds.classes))
     _check_consistent(ds)
+    if n is None:
+        n = _greedy_budget(ds, scope)
     solver = Solver()
     enc = Encoder(ds, scope, mode, solver)
     vm = enc.vm
@@ -415,14 +466,15 @@ def minimize_bounded(ds: BinDataset, scope: Scope, n0: int | None = None,
                      progress=None) -> SolveOutcome:
     """Exact fit within a node budget, minimizing the used-node count.
 
-    When the budget is too small the hard clauses are UNSAT and the
-    search retries with n0 + step.  On success the objective equals the
-    perfect optimum whenever the budget reached it.  A round's first
-    solve gives an anytime model within the budget, and the climb of
-    _exact_search then proves or improves it.
+    Without n0 the budget is the size of a greedy exact-fit decision set
+    (_greedy_budget), capped at default_node_budget: below the cap the
+    first round has a model and ends optimal.  When a budget is too small
+    the hard clauses are UNSAT and the search retries with n0 + step.  On
+    success the objective equals the perfect optimum whenever the budget
+    reached it.  A round's first solve gives an anytime model within the
+    budget, and the climb of _exact_search then proves or improves it.
     """
-    n = n0 if n0 is not None else default_node_budget(ds.num_features)
-    return _exact_search(ds, scope, "bounded", n, step, limits, progress)
+    return _exact_search(ds, scope, "bounded", n0, step, limits, progress)
 
 
 def minimize_sparse(ds: BinDataset, scope: Scope, lam, n0: int | None = None,

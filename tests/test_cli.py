@@ -8,7 +8,9 @@ import time
 import pytest
 
 from rulesat.cli import main
+from rulesat.encoder import Scope
 from rulesat.model import evaluate, load_model
+from rulesat.optimizer import minimize_bounded
 
 from conftest import EX1_CSV, make_ex1
 
@@ -186,6 +188,18 @@ def test_eval_malformed_model_exit_1(ex1_csv, tmp_path, capsys):
     assert "missing" in capsys.readouterr().err
 
 
+def test_eval_rejects_boolean_ints_and_repeated_classes_exit_1(ex1_csv, tmp_path, capsys):
+    bool_feature = json.loads(json.dumps(PERFECT_MODEL))
+    bool_feature["rules"][0]["body"][0]["feature"] = True
+    bool_head = json.loads(json.dumps(PERFECT_MODEL))
+    bool_head["rules"][1]["head"] = True
+    for doc in (bool_feature, bool_head, {**PERFECT_MODEL, "total_size": True},
+                {**PERFECT_MODEL, "classes": ["0", "0"]}):
+        model = write_model(tmp_path, doc)
+        assert main(["eval", "--data", ex1_csv, "--model", model]) == 1, doc
+        assert "error:" in capsys.readouterr().err, doc
+
+
 # ---------------------------------------------------------------- cv
 
 
@@ -339,6 +353,17 @@ def test_encode_default_budget_from_feature_count(ex1_csv, tmp_path):
     assert code == 0
     sidecar = json.load(open(target + ".map.json", encoding="utf-8"))
     assert sidecar["varmap"]["n_nodes"] == 12  # 2 * (4 features + 2)
+
+
+def test_encode_mopt_default_budget_is_the_first_learn_round(ex1_csv, tmp_path):
+    target = str(tmp_path / "mopt.cnf")
+    assert main(["encode", "--data", ex1_csv, "--mode", "mopt", "--dimacs", target]) == 0
+    # the greedy budgets of ex1, where 2 * (4 features + 2) gave 12
+    for cls, budget in ((0, 4), (1, 6)):
+        sidecar = json.load(open(str(tmp_path / ("mopt.class%d.cnf.map.json" % cls)),
+                                 encoding="utf-8"))
+        first = minimize_bounded(make_ex1(), Scope.per_class(cls)).stats["rounds"][0]
+        assert sidecar["varmap"]["n_nodes"] == first["n"] == budget, cls
 
 
 # sha256 of every file `encode --n0 4` writes for ex1, mode x scope

@@ -331,6 +331,14 @@ def test_save_and_load_model(tmp_path):
          "bad body literal"),
         ({"classes": ["a"], "rules": [], "total_size": 0, "metadata": 7},
          "metadata must be an object"),
+        # JSON booleans are no ints, and two heads may not share a label
+        ({"classes": ["a"], "rules": [{"body": [{"feature": True, "neg": False}],
+                                       "head": 0}], "total_size": 0},
+         "bad body literal"),
+        ({"classes": ["a", "b"], "rules": [{"body": [], "head": True}], "total_size": 0},
+         "out of range"),
+        ({"classes": ["a"], "rules": [], "total_size": True}, "non-negative"),
+        ({"classes": ["p", "p"], "rules": [], "total_size": 0}, "distinct"),
     ],
 )
 def test_deserialize_rejects_malformed_documents(doc, fragment):

@@ -9,7 +9,7 @@ from rulesat.dataset import BinDataset
 from rulesat.encoder import (EncodingError, Encoder, Scope, build_bounded, build_perfect,
                              build_sparse, lam_to_cost)
 from rulesat.formula import Formula, check_model
-from rulesat.model import Rule, evaluate
+from rulesat.model import DecisionSet, Rule, evaluate, verify_perfect
 from rulesat.optimizer import (
     ContradictionError,
     OptimizerError,
@@ -471,6 +471,32 @@ def test_minimize_bounded_matches_oracle_in_every_scope():
             assert out.status == "optimal", (trial, scope)
             assert out.objective == expected, (trial, scope, ds)
             assert out.decision_set.total_size == expected
+
+
+def test_greedy_budget_bounds_the_optimum_and_takes_one_round():
+    rng = random.Random(406)
+    below_cap = 0
+    for trial in range(60):
+        ds = random_dataset(rng, max_m=8, max_k=4)
+        cap = default_node_budget(ds.num_features)
+        present = sorted({cls for _, cls, _ in ds.examples})
+        for scope in [AGG] + [Scope.per_class(c) for c in present]:
+            rules = list(optimizer._greedy_rules(ds, scope))
+            greedy = DecisionSet(rules=rules, classes=ds.classes,
+                                 total_size=sum(rule.size for rule in rules))
+            assert verify_perfect(greedy, ds, scope) == (True, None), (trial, scope, ds)
+            expected = oracle_min_size(ds, scope, cap=32)
+            bound = optimizer._greedy_budget(ds, scope)
+            # an exact set: its size bounds the optimum, which may pass the cap
+            assert expected <= greedy.total_size, (trial, scope, ds)
+            assert bound == min(greedy.total_size, cap), (trial, scope)
+            if greedy.total_size <= cap:
+                below_cap += 1
+                out = minimize_bounded(ds, scope)
+                (record,) = out.stats["rounds"]
+                assert (record["n"], record["status"], record["cost"]) == (
+                    bound, "optimal", expected), (trial, scope, ds)
+    assert below_cap > 100
 
 
 def test_minimize_bounded_climbs_without_a_cost_counter(monkeypatch):

@@ -332,6 +332,11 @@ def test_search_counts_are_pinned(monkeypatch):
     out = optimizer.minimize_bounded(make_ex1(), Scope.aggregated())
     assert (out.objective, per_call) == (7, [22, 1, 0, 1, 2, 5, 12, 33, 5])
     per_call.clear()
+    # the greedy budget: 4 nodes, the optimum itself, where 2(K+2) gave 12
+    out = optimizer.minimize_bounded(make_ex1(), Scope.per_class(0))
+    assert (out.objective, [r["n"] for r in out.stats["rounds"]], per_call) == (
+        4, [4], [5, 1, 0, 3, 1])
+    per_call.clear()
     # two rounds: budget 5 is infeasible, so budget 15 climbs from "at most 6 used"
     out = optimizer.minimize_bounded(make_ex1(), Scope.aggregated(), n0=5, step=10)
     assert (out.objective, per_call) == (7, [26, 28, 31, 15])
