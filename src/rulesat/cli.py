@@ -61,11 +61,15 @@ class RunConfig:
             raise CliError("--lambda only applies to --mode sparse")
         if lam is not None and lam < 0:
             raise CliError("--lambda must be >= 0")
+        n0 = getattr(args, "n0", None)
+        # encode writes an opt encoding of --n0 nodes; opt searches take no budget
+        if mode == "opt" and n0 is not None and args.command != "encode":
+            raise CliError("--n0 only applies to --mode mopt and sparse")
         limits = SearchLimits(wall_time_budget=args.time_limit,
                               per_solve_budget=args.solve_limit)
         limits.validate()
         return RunConfig(mode=mode, scope=getattr(args, "scope", "per-class"), lam=lam,
-                         bins=args.bins, n0=getattr(args, "n0", None), step=args.step,
+                         bins=args.bins, n0=n0, step=args.step,
                          seed=args.seed, limits=limits, verbose=args.verbose)
 
 

@@ -24,6 +24,21 @@ node the end of the sequence (termination and coverage) depend on which
 node is last.  build() writes them after the last node: plainly for a
 build_* function, or under a guard literal for a search driver, which
 retires them with a unit before it grows the encoding further.
+
+In aggregated scope the encoding also fixes the order of the rules:
+every class-0 rule comes before every class-1 rule (one auxiliary per
+node, see Encoder._class_order).  A decision set is unordered, so this
+loses no set and spares the solver refuting every ordering of the same
+candidate rules.  The models keep the same sets and sizes because:
+
+* any decision set can list its class-0 rules first;
+* the validity chain restarts after each leaf, so what a rule covers,
+  and its size, do not depend on where it stands;
+* the unused suffix and the guarded ending do not depend on which rule
+  is last.
+
+So an UNSAT answer for the ordered encoding is one for decision sets.
+Per-class encodings have one head and carry no such clauses.
 """
 
 from __future__ import annotations
@@ -246,7 +261,11 @@ class Encoder:
     append_node() emits every clause of the next node into sink, a Solver
     or a Formula: its selector choice, its links to the previous node
     (validity chain and unused suffix), class agreement, its coverage
-    auxiliaries and, per class, its forced head.  Each clause is sorted by
+    auxiliaries and its forced head (per class) or its place in the class
+    order (aggregated).  The class order admits exactly the sequences that
+    list every class-0 rule before every class-1 rule; each decision set
+    has such a listing, and a rule's coverage and size do not depend on
+    its place, so the order changes no optimum.  Each clause is sorted by
     variable id, as normalize_clause sorts it, since a Solver watches its
     first two literals; only a guard goes first.  build() grows the
     encoding and then writes the clauses that end the sequence at the
@@ -285,6 +304,7 @@ class Encoder:
             self.covered = [i + 1 for i, b in enumerate(self.bits) if b == 1]
         # per covered example, the aux saying "node j's rule covers it"
         self._hits: list[list[int]] = [[] for _ in self.covered]
+        self._order = 0  # s of the last node, in aggregated scope (see _class_order)
 
     def _add(self, clause) -> None:
         self.sink.add_clause(sorted(clause, key=abs))
@@ -306,8 +326,24 @@ class Encoder:
             self._link(j - 1)
         self._class_agreement(j)
         self._coverage_aux(j)
-        if not self.scope.is_aggregated:
+        if self.scope.is_aggregated:
+            self._class_order(j)
+        else:
             self._add([-vm.class_sel_var(j), vm.truth_var(j)])
+
+    def _class_order(self, j: int) -> None:
+        """Node j's clauses of the class order.  Its auxiliary s_j says a
+        class-1 leaf occurs at or before node j: a class-1 leaf sets it, it
+        stays set, and once s_{j-1} is set a leaf at node j is class 1."""
+        vm, add = self.vm, self._add
+        leaf, t = vm.class_sel_var(j), vm.truth_var(j)
+        prev, s = self._order, vm.new_aux()
+        self._order = s
+        self.sink.ensure_vars(s)
+        add([-leaf, -t, s])
+        if prev:
+            add([-prev, s])
+            add([-prev, -leaf, t])
 
     def _node_choice(self, j: int) -> None:
         vm = self.vm

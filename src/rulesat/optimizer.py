@@ -338,7 +338,9 @@ def _search_budgets(limits: SearchLimits | None, n: int, step: int, progress,
                     solve_round) -> SolveOutcome:
     """The loop the three drivers share: solve_round(n, clock) for node
     budgets n, n + step, ... up to limits.max_nodes, each started only
-    while time is left.
+    while time is left.  A first budget above the cap, where no round
+    could run, is an OptimizerError; the drivers' default budgets stay
+    within it.
 
     The search stops at the first round that finds an optimal outcome
     or times out.  The best feasible outcome found so far, if any,
@@ -348,8 +350,9 @@ def _search_budgets(limits: SearchLimits | None, n: int, step: int, progress,
     limits.validate()
     if step < 1:
         raise OptimizerError("step must be >= 1")
-    if n < 1:
-        raise OptimizerError("node budget must be >= 1")
+    if not 1 <= n <= limits.max_nodes:
+        raise OptimizerError("node budget %d is outside 1..%d (the node cap, max_nodes)"
+                             % (n, limits.max_nodes))
     clock = _Clock(limits)
     rounds = []
     solve_calls = conflicts = 0
@@ -386,15 +389,15 @@ def _exact_search(ds: BinDataset, scope: Scope, mode: str, n: int | None, step: 
     minimize_bounded (mode "bounded"); see the module docstring.
 
     n None starts from _greedy_budget, computed once the scope and the
-    data have been checked.  floor starts at 0 in perfect mode, since a
-    perfect encoding of n nodes uses all n, and at -1 in bounded mode,
-    where a set may use no node.  A timeout returns the best model so far
-    as "feasible".
+    data have been checked, or from the node cap if that is smaller.
+    floor starts at 0 in perfect mode, since a perfect encoding of n nodes
+    uses all n, and at -1 in bounded mode, where a set may use no node.  A
+    timeout returns the best model so far as "feasible".
     """
     scope.validate(len(ds.classes))
     _check_consistent(ds)
     if n is None:
-        n = _greedy_budget(ds, scope)
+        n = min(_greedy_budget(ds, scope), (limits or SearchLimits()).max_nodes)
     solver = Solver()
     enc = Encoder(ds, scope, mode, solver)
     vm = enc.vm
@@ -467,12 +470,13 @@ def minimize_bounded(ds: BinDataset, scope: Scope, n0: int | None = None,
     """Exact fit within a node budget, minimizing the used-node count.
 
     Without n0 the budget is the size of a greedy exact-fit decision set
-    (_greedy_budget), capped at default_node_budget: below the cap the
-    first round has a model and ends optimal.  When a budget is too small
-    the hard clauses are UNSAT and the search retries with n0 + step.  On
-    success the objective equals the perfect optimum whenever the budget
-    reached it.  A round's first solve gives an anytime model within the
-    budget, and the climb of _exact_search then proves or improves it.
+    (_greedy_budget), capped at default_node_budget and at
+    limits.max_nodes: below the caps the first round has a model and ends
+    optimal.  When a budget is too small the hard clauses are UNSAT and
+    the search retries with n0 + step.  On success the objective equals
+    the perfect optimum whenever the budget reached it.  A round's first
+    solve gives an anytime model within the budget, and the climb of
+    _exact_search then proves or improves it.
     """
     return _exact_search(ds, scope, "bounded", n0, step, limits, progress)
 
@@ -517,5 +521,6 @@ def minimize_sparse(ds: BinDataset, scope: Scope, lam, n0: int | None = None,
                                  objective=res.cost)
         return rnd
 
-    n = n0 if n0 is not None else default_node_budget(ds.num_features)
-    return _search_budgets(limits, n, step, progress, solve_round)
+    if n0 is None:
+        n0 = min(default_node_budget(ds.num_features), (limits or SearchLimits()).max_nodes)
+    return _search_budgets(limits, n0, step, progress, solve_round)

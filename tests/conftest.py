@@ -60,3 +60,18 @@ def random_dataset(rng: random.Random, max_m: int = 6, max_k: int = 4,
     names = ["f%d" % f for f in range(k)]
     return BinDataset(num_features=k, classes=classes, feature_names=names,
                       examples=examples)
+
+
+def forced_rules(vm, rules) -> list[int]:
+    """Assumptions pinning the first nodes of an encoding to rules, listed
+    in the given order: per rule, a node per body literal (its feature and
+    polarity), then a leaf whose truth value is the head."""
+    table = []
+    for rule in rules:
+        table += [(f + 1, positive) for f, positive in rule.body]
+        table.append((vm.n_features + 1, rule.head == 1))
+    lits = []
+    for j, (r, truth) in enumerate(table, start=1):
+        t = vm.truth_var(j)
+        lits += [vm.select_var(j, r), t if truth else -t]
+    return lits

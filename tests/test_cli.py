@@ -134,6 +134,9 @@ def test_learn_timeout_exits_2(ex1_csv, capsys):
         (["--solve-limit", "inf"], "error: time budgets must be positive and finite"),
         (["--mode", "sparse", "--lambda", "nan"], "error: lambda must be a finite number"),
         (["--mode", "sparse", "--lambda", "1e400"], "error: lambda must be a finite number"),
+        (["--n0", "4"], "error: --n0 only applies to --mode mopt and sparse"),
+        (["--mode", "mopt", "--n0", "100"], "error: node budget 100 is outside 1..64"),
+        (["--mode", "sparse", "--lambda", "0.5", "--n0", "65"], "outside 1..64 (the node cap"),
     ],
 )
 def test_learn_config_errors_exit_1(ex1_csv, capsys, extra, fragment):
@@ -282,6 +285,14 @@ def test_cv_bad_fold_counts_exit_1(ex1_csv, capsys):
     assert "cannot split 8 examples into 9 folds" in capsys.readouterr().err
 
 
+def test_cv_rejects_node_budgets_opt_ignores_or_no_round_reaches(ex1_csv, capsys):
+    for extra, fragment in ((["--mode", "opt", "--n0", "4"], "--n0 only applies"),
+                            (["--mode", "mopt", "--n0", "100"], "outside 1..64")):
+        assert main(["cv", "--data", ex1_csv, "--folds", "2"] + extra) == 1
+        err = capsys.readouterr().err
+        assert fragment in err and "time budget exhausted" not in err
+
+
 def test_cv_output_is_pinned(tmp_path, capsys):
     # 3,000 rows, most of them repeats of 14 feature vectors: a numeric
     # distractor, a colour whose three common levels and the flag set the
@@ -369,9 +380,9 @@ def test_encode_mopt_default_budget_is_the_first_learn_round(ex1_csv, tmp_path):
 # sha256 of every file `encode --n0 4` writes for ex1, mode x scope
 ENCODE_SHA256 = {
     "mopt-aggregated.cnf":
-        "1f674ef22337e107b0f4087444275fcad5c57d913c55aeec4e0516ff56b763e9",
+        "381b8b2ed1a7ab3aa1baa502ea9f73561cbc81c1667a63c42fe42140c8192786",
     "mopt-aggregated.cnf.map.json":
-        "280f10979dc891666e04cf5e70db1eafd78a7884903d259cd11c166620debffa",
+        "f705b3d72ea14ad3c72cd0f9328a6ab44dac21b8d8240468865b53e11bb742fb",
     "mopt-per-class.class0.cnf":
         "13a92cadb3e49b09e73186276df3bb9a57b333f960b0378d6826a96c06c779e7",
     "mopt-per-class.class0.cnf.map.json":
@@ -381,9 +392,9 @@ ENCODE_SHA256 = {
     "mopt-per-class.class1.cnf.map.json":
         "9dd0c882b2ce7f558c401c7e7536a6c72fe16556619d2064562bbbdfe4a3484e",
     "opt-aggregated.cnf":
-        "bb45aed5521c48754a2c466785cb7ddeddad0193b532e6cd6f063461c7aee1c8",
+        "bfd8bd84712ad268d3237e0548cd0485395f6b73c1db67f895c9d4203c4e1a84",
     "opt-aggregated.cnf.map.json":
-        "8cc80b795da3a2f1098ad32967bcc159f25215bb28768d9ba45afc2fa1d2a63a",
+        "b72ee4262f7a5255fc8c0d9bb359f2b11848b3059e19845b86adc65dedf5addc",
     "opt-per-class.class0.cnf":
         "b77822e6960b03ead9d08421e1205b3f8e8b67f03635e7b17187c2e324e9359c",
     "opt-per-class.class0.cnf.map.json":
@@ -393,9 +404,9 @@ ENCODE_SHA256 = {
     "opt-per-class.class1.cnf.map.json":
         "394e63c33522e53a879420283421385973d14d01086d115b971b3a8058e9d5ee",
     "sparse-aggregated.cnf":
-        "1575793b2512707c6895f4cdeb2765217012195c6d35157bd29fc1afdf642986",
+        "b48d980dd021fec9a69e2f2e646049009e5637ebf0a4cc01a4767a2ef23386ec",
     "sparse-aggregated.cnf.map.json":
-        "3aacff5dd22626fbd9aca9bb8079cb2d500e4cab4dc08b8e81c4995b015837f3",
+        "ca33df735f0595d5886ea6142785c1928dedf50d6a2c6133ee6ee4acf0dbcf1e",
     "sparse-per-class.class0.cnf":
         "fb3fb1f73e4713457d4d2c41791633e770c904cd3115f7da61f304a3156139c2",
     "sparse-per-class.class0.cnf.map.json":

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -21,7 +22,7 @@ from rulesat.formula import normalize_clause
 from rulesat.model import Rule, decode, verify_perfect
 from rulesat.solver import Solver
 
-from conftest import make_ex1, random_dataset
+from conftest import forced_rules, make_ex1, random_dataset
 from oracles import all_models
 
 
@@ -276,7 +277,7 @@ def test_builders_reject_bad_requests(ex1):
 @pytest.mark.parametrize(
     "scope,sizes",
     [
-        (Scope.aggregated(), [(202, 942, 0, 2576), (209, 989, 7, 2691), (217, 989, 15, 2763)]),
+        (Scope.aggregated(), [(209, 961, 0, 2627), (216, 1008, 7, 2742), (224, 1008, 15, 2814)]),
         (Scope.per_class(0), [(181, 883, 0, 2422), (188, 930, 7, 2537), (196, 930, 15, 2606)]),
         (Scope.per_class(1), [(167, 839, 0, 2310), (174, 886, 7, 2425), (182, 886, 15, 2492)]),
     ],
@@ -342,16 +343,16 @@ def test_encoder_emits_canonical_clauses_in_build_order():
 
 
 def test_forced_node_table_decodes_known_rules(ex1):
-    # pin the seven nodes to a known exact classifier: a positive sleep
-    # literal closing on class 0, a negative sleep and negative caffeine
-    # pair closing on class 1, and a positive caffeine literal closing
-    # on class 0
+    # pin the seven nodes to a known exact classifier, class-0 rules first:
+    # a positive sleep literal closing on class 0, a positive caffeine
+    # literal closing on class 0, and a negative sleep and negative
+    # caffeine pair closing on class 1
     bundle = build_perfect(ex1, 7, Scope.aggregated())
     vm = bundle.varmap
     table = [
         (1, True), (5, False),
-        (1, False), (2, False), (5, True),
         (2, True), (5, False),
+        (1, False), (2, False), (5, True),
     ]
     assumptions = []
     for j, (r, truth) in enumerate(table, start=1):
@@ -368,6 +369,27 @@ def test_forced_node_table_decodes_known_rules(ex1):
     }
     ok, witness = verify_perfect(dset, ex1, bundle.scope)
     assert ok, witness
+
+
+def test_aggregated_encoding_admits_only_class_0_rules_first(ex1):
+    # the known classifier's three rules in each of their six orders: a
+    # sequence is a model exactly when the class-1 rule comes last, in the
+    # perfect encoding and in a bounded one whose last two nodes are unused
+    rules = [Rule(((0, True),), 0), Rule(((1, True),), 0),
+             Rule(((0, False), (1, False)), 1)]
+    perfect = build_perfect(ex1, 7, Scope.aggregated())
+    bounded = build_bounded(ex1, 9, Scope.aggregated())
+    admitted = 0
+    for order in permutations(rules):
+        in_class_order = order[-1].head == 1
+        for bundle, extra in ((perfect, []), (bounded, [bounded.varmap.unused_var(8)])):
+            sat, model = solve_bundle(bundle, forced_rules(bundle.varmap, order) + extra)
+            assert sat == in_class_order, (order, bundle.mode)
+            if sat:
+                dset = decode(model, bundle.varmap, bundle.scope, bundle.classes)
+                assert (dset.rules, dset.total_size) == (list(order), 7)
+                admitted += 1
+    assert admitted == 4  # two orders, two encodings
 
 
 def test_validity_chain_matches_resimulation(ex1):

@@ -9,7 +9,7 @@ from rulesat.dataset import BinDataset
 from rulesat.encoder import (EncodingError, Encoder, Scope, build_bounded, build_perfect,
                              build_sparse, lam_to_cost)
 from rulesat.formula import Formula, check_model
-from rulesat.model import DecisionSet, Rule, evaluate, verify_perfect
+from rulesat.model import DecisionSet, Rule, decode, evaluate, verify_perfect
 from rulesat.optimizer import (
     ContradictionError,
     OptimizerError,
@@ -22,7 +22,7 @@ from rulesat.optimizer import (
 )
 from rulesat.solver import SolveBudgetExceeded, Solver
 
-from conftest import make_ex1, random_dataset
+from conftest import forced_rules, make_ex1, random_dataset
 from oracles import brute_min_cost, oracle_min_size, sequence_min_size, sparse_min_objective
 
 AGG = Scope.aggregated()
@@ -224,6 +224,33 @@ def test_minimize_perfect_matches_oracles_on_micro_data():
             assert out.objective == expected, (trial, scope, ds)
             if expected <= 5:
                 assert sequence_min_size(ds, scope, cap=expected) == expected
+
+
+def test_opt_sets_reencode_in_class_order_at_their_size():
+    # the rules of an aggregated opt set, shuffled and then listed class 0
+    # first, are a model of the perfect encoding at the set's size that
+    # decodes to those rules; with a class-1 rule before a class-0 rule
+    # they are excluded
+    rng = random.Random(98)
+    mixed = 0
+    for trial in range(40):
+        ds = random_dataset(rng, max_m=8, max_k=4)
+        out = minimize_perfect(ds, AGG)
+        assert out.objective == oracle_min_size(ds, AGG, cap=32), (trial, ds)
+        rules = list(out.decision_set.rules)
+        rng.shuffle(rules)
+        bundle = build_perfect(ds, out.objective, AGG)
+        solver = Solver()
+        solver.add_formula(bundle.formula)
+        in_class_order = sorted(rules, key=lambda rule: rule.head)
+        assert solver.solve(forced_rules(bundle.varmap, in_class_order)), (trial, ds)
+        dset = decode(solver.model, bundle.varmap, AGG, ds.classes)
+        assert (dset.rules, dset.total_size) == (in_class_order, out.objective), trial
+        if len({rule.head for rule in rules}) == 2:
+            mixed += 1
+            class_1_first = sorted(rules, key=lambda rule: -rule.head)
+            assert not solver.solve(forced_rules(bundle.varmap, class_1_first)), trial
+    assert mixed > 15
 
 
 def test_minimize_perfect_rounds_match_fresh_solves(monkeypatch):
@@ -473,6 +500,25 @@ def test_minimize_bounded_matches_oracle_in_every_scope():
             assert out.decision_set.total_size == expected
 
 
+def test_aggregated_mopt_and_sparse_match_the_oracles():
+    # the class order of aggregated encodings changes no optimum: default
+    # and grown mopt budgets on data up to the oracle's limits, and sparse
+    rng = random.Random(408)
+    for trial in range(30):
+        ds = random_dataset(rng, max_m=8, max_k=4)
+        expected = oracle_min_size(ds, AGG, cap=32)
+        for n0 in (None, rng.randint(1, expected)):
+            out = minimize_bounded(ds, AGG, n0=n0, step=rng.randint(1, 3))
+            assert (out.status, out.objective) == ("optimal", expected), (trial, n0, ds)
+    for trial in range(30):
+        ds = random_dataset(rng, max_m=6, max_k=3, weighted=True)
+        lam = rng.choice([0.05, 0.1, 0.25, 0.5])
+        lam_cost = lam_to_cost(lam, ds.total_weight)
+        out = minimize_sparse(ds, AGG, lam=lam, n0=ds.total_weight // lam_cost + 1)
+        assert (out.status, out.objective) == (
+            "optimal", sparse_min_objective(ds, AGG, lam_cost)), (trial, ds, lam_cost)
+
+
 def test_greedy_budget_bounds_the_optimum_and_takes_one_round():
     rng = random.Random(406)
     below_cap = 0
@@ -537,10 +583,22 @@ def test_minimize_bounded_timeout_keeps_the_first_model(ex1, monkeypatch):
 
 
 def test_minimize_bounded_budget_above_node_cap(ex1):
-    out = minimize_bounded(ex1, AGG, n0=70,
-                           limits=SearchLimits(max_nodes=64))
-    assert out.status == "timeout"
-    assert "node cap" in out.stats["note"]
+    # a first budget above the node cap could run no round: it is an error,
+    # not a timeout
+    with pytest.raises(OptimizerError, match="outside 1..64"):
+        minimize_bounded(ex1, AGG, n0=70, limits=SearchLimits(max_nodes=64))
+    with pytest.raises(OptimizerError, match="node cap"):
+        minimize_sparse(ex1, AGG, lam=0.5, n0=65)
+    out = minimize_bounded(ex1, AGG, n0=5, limits=SearchLimits(max_nodes=6))
+    assert (out.status, out.stats["note"]) == ("timeout", "node cap 6 reached")
+    # a default budget starts at the cap when it would pass it: the greedy
+    # budget of class 1 is 6 nodes, its optimum 3, and sparse's default 12
+    out = minimize_bounded(ex1, Scope.per_class(1), limits=SearchLimits(max_nodes=3))
+    assert ([r["n"] for r in out.stats["rounds"]], out.status, out.objective) == (
+        [3], "optimal", 3)
+    out = minimize_sparse(ex1, AGG, lam=0.5, limits=SearchLimits(max_nodes=2))
+    assert ([r["n"] for r in out.stats["rounds"]], out.status, out.objective) == (
+        [2], "optimal", 7)
 
 
 # ---------------------------------------------------------------- sparse
