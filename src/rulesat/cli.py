@@ -28,10 +28,11 @@ from .encoder import (EncodingError, Scope, build_bounded, build_perfect, build_
 from .formula import FormulaError
 from .model import DecisionSet, ModelError, evaluate, load_model, save_model
 from .optimizer import (ContradictionError, OptimizerError, SearchLimits, SolveOutcome,
-                        _Clock, _greedy_budget, _remaining_limits, default_node_budget,
-                        minimize_bounded, minimize_perfect, minimize_sparse)
+                        _Clock, _remaining_limits, first_budget, minimize_bounded,
+                        minimize_perfect, minimize_sparse)
 
 MODES = ("opt", "mopt", "sparse")
+ENCODINGS = {"opt": "perfect", "mopt": "bounded", "sparse": "sparse"}  # the library's names
 SCOPES = ("aggregated", "per-class")
 
 
@@ -46,7 +47,6 @@ class RunConfig:
     lam: float | None
     bins: int
     n0: int | None
-    step: int
     seed: int
     limits: SearchLimits
     verbose: bool
@@ -69,8 +69,8 @@ class RunConfig:
                               per_solve_budget=args.solve_limit)
         limits.validate()
         return RunConfig(mode=mode, scope=getattr(args, "scope", "per-class"), lam=lam,
-                         bins=args.bins, n0=n0, step=args.step,
-                         seed=args.seed, limits=limits, verbose=args.verbose)
+                         bins=args.bins, n0=n0, seed=args.seed, limits=limits,
+                         verbose=args.verbose)
 
 
 def _load_bindata(path: str, bins: int) -> BinDataset:
@@ -101,11 +101,9 @@ def _run_one(ds: BinDataset, scope: Scope, config: RunConfig, clock: _Clock,
     if config.mode == "opt":
         outcome = minimize_perfect(ds, scope, limits=limits, progress=progress)
     elif config.mode == "mopt":
-        outcome = minimize_bounded(ds, scope, n0=config.n0, step=config.step,
-                                   limits=limits, progress=progress)
+        outcome = minimize_bounded(ds, scope, n0=config.n0, limits=limits, progress=progress)
     else:
-        outcome = minimize_sparse(ds, scope, config.lam, n0=config.n0, step=config.step,
-                                  limits=limits, progress=progress)
+        outcome = minimize_sparse(ds, scope, config.lam, config.n0, limits, progress)
     if outcome.decision_set is None:
         raise CliTimeout(outcome)
     return outcome
@@ -221,12 +219,7 @@ def cmd_cv(args) -> int:
 
 
 def _encode_one(ds: BinDataset, scope: Scope, config: RunConfig, path: str) -> None:
-    if config.n0 is not None:
-        n = config.n0
-    elif config.mode == "mopt":  # the budget minimize_bounded starts from
-        n = _greedy_budget(ds, scope)
-    else:
-        n = default_node_budget(ds.num_features)
+    n = first_budget(ds, scope, ENCODINGS[config.mode], config.n0, config.limits.max_nodes)
     if config.mode == "opt":
         bundle = build_perfect(ds, n, scope)
     elif config.mode == "mopt":
@@ -281,11 +274,10 @@ def _add_common(sub, learning: bool) -> None:
         sub.add_argument("--lambda", dest="lam", type=float, default=None,
                          help="per-node penalty rate (sparse mode only)")
         sub.add_argument("--n0", type=int, default=None,
-                         help="initial node budget (mopt/sparse); default for mopt: the size "
+                         help="first node budget (mopt/sparse); default for mopt: the size "
                               "of a greedy exact-fit decision set, for sparse: 2*(K+2); both "
-                              "at most min(2*(K+2), 32)")
-        sub.add_argument("--step", type=int, default=10,
-                         help="node budget increment between retries")
+                              "at most min(2*(K+2), 32). A later budget, if any, follows "
+                              "from what the first round proves")
         sub.add_argument("--time-limit", type=float, default=600.0,
                          help="total seconds for the whole command, across classes and folds")
         sub.add_argument("--solve-limit", type=float, default=60.0,

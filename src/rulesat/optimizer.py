@@ -1,29 +1,32 @@
 """Search drivers: one exact search over node budgets, and MaxSAT.
 
 minimize_perfect and minimize_bounded run one exact search
-(_exact_search) that grows one encoding on one solver through the node
-budgets n, n + step, ...  A round solves under the guard of the ending
-Encoder.build writes at its budget, and the next round retires it, so
-the clauses learnt on the smaller budgets carry over.  The used count u
-of a round's first model bounds the optimum from above.  The unused
-flags form a suffix, so "at most c used nodes" is the single assumption
+(_exact_search) that grows one encoding on one solver through its node
+budgets.  A round solves under the guard of the ending Encoder.build
+writes at its budget, and the next round retires it, so the clauses
+learnt on the smaller budgets carry over.  The used count u of a round's
+first model bounds the optimum from above.  The unused flags form a
+suffix, so "at most c used nodes" is the single assumption
 unused_{c+1}, and the round climbs c from floor + 1 to u - 1, where
 floor is the largest budget an earlier round proved infeasible: the
 first satisfiable c is the optimum, with no cost counter.
-minimize_perfect runs it on the perfect encoding from budget 1 in steps
-of 1, also assuming that the last node is a leaf, so its first
+minimize_perfect runs it on the perfect encoding from budget 1 up, one
+node per round, also assuming that the last node is a leaf, so its first
 satisfiable budget is minimal and no round climbs.  minimize_bounded
 starts, unless given a budget, from the size of an exact-fit decision
 set that a greedy pass over the data builds (_greedy_budget), capped at
 default_node_budget: below the cap its first round has a model and ends
-optimal.  A round's first model is an anytime answer within its budget.
-minimize_sparse trades misclassifications against a per-node penalty by
-MaxSAT and re-runs, each round on a fresh solver, with a larger budget
-as long as the optimum exhausts it, stopping once a round leaves a node
-unused.  The drivers share one loop over node budgets (_search_budgets),
-which keeps the clock, the round records and the solver totals.  Each
-driver's Encoder writes straight into its Solver; a round checks the
-clock before each node, and a sparse round runs _descend.
+optimal; after an infeasible round, the next and last one runs at the
+greedy set's full size.  A round's first model is an anytime answer
+within its budget.  minimize_sparse trades misclassifications against a
+per-node penalty by MaxSAT, each round on a fresh solver.  A set cheaper
+than a round's optimum C uses at most (C - 1) // lambda_cost nodes, so C
+is optimal if that bound is within the budget; else the next and last
+round runs at the bound.  The drivers share one loop (_search_budgets)
+that runs the budget each round derives, within the node cap, and keeps
+the clock, the round records and the solver totals.  Each driver's
+Encoder writes straight into its Solver; a round checks the clock
+before each node, and a sparse round runs _descend.
 
 maxsat_solve loads a formula into a solver and runs _descend, a linear
 SAT-to-UNSAT search: solve, read the model cost c, then assume "cost <=
@@ -50,8 +53,6 @@ from .encoder import (CnfBundle, Encoder, Scope, build_bounded, build_perfect,  
 from .formula import Assignment, Formula
 from .model import DecisionSet, Rule, decode, verify_perfect
 from .solver import SolveBudgetExceeded, Solver
-
-DEFAULT_STEP = 10
 
 
 class ContradictionError(ValueError):
@@ -126,19 +127,26 @@ def _greedy_rules(ds: BinDataset, scope: Scope):
             uncovered = [bits for bits in uncovered if not rule.covers(bits)]
 
 
-def _greedy_budget(ds: BinDataset, scope: Scope) -> int:
-    """The node budget minimize_bounded starts from: the size of the
-    greedy decision set of _greedy_rules, capped at default_node_budget
-    and at least 1.  The set fits exactly, so its size bounds the optimum
-    from above, and a round at that budget has a model.
-    """
-    cap = default_node_budget(ds.num_features)
+def _greedy_budget(ds: BinDataset, scope: Scope, cap: int) -> int:
+    """The size of the exact-fit set of _greedy_rules, capped at cap and
+    at least 1: a bounded round at that budget has a model."""
     size = 0
     for rule in _greedy_rules(ds, scope):
         size += rule.size
         if size >= cap:
             return cap
     return max(size, 1)
+
+
+def first_budget(ds: BinDataset, scope: Scope, mode: str, n0: int | None, max_nodes: int) -> int:
+    """The node budget a search or an encoding in mode ("perfect",
+    "bounded" or "sparse") starts from: n0 if given, else
+    default_node_budget capped at max_nodes, or the smaller greedy budget
+    in bounded mode."""
+    if n0 is not None:
+        return n0
+    cap = min(default_node_budget(ds.num_features), max_nodes)
+    return _greedy_budget(ds, scope, cap) if mode == "bounded" else cap
 
 
 class _Clock:
@@ -332,24 +340,21 @@ class _Round:
     solve_calls: int
     conflicts: int
     found: SolveOutcome | None = None  # an "optimal" one ends the search
+    next: int | None = None  # the budget of the next round, larger than this one's
 
 
-def _search_budgets(limits: SearchLimits | None, n: int, step: int, progress,
-                    solve_round) -> SolveOutcome:
-    """The loop the three drivers share: solve_round(n, clock) for node
-    budgets n, n + step, ... up to limits.max_nodes, each started only
-    while time is left.  A first budget above the cap, where no round
-    could run, is an OptimizerError; the drivers' default budgets stay
-    within it.
+def _search_budgets(limits: SearchLimits, n: int, progress, solve_round) -> SolveOutcome:
+    """The loop the three drivers share: solve_round(n, clock) for the
+    node budget n, then for the budget each round names as the next one,
+    capped at limits.max_nodes, each started only while time is left.  A
+    first budget above the cap, where no round could run, is an
+    OptimizerError; the drivers' default budgets stay within it.
 
-    The search stops at the first round that finds an optimal outcome
-    or times out.  The best feasible outcome found so far, if any,
-    stands in for a timeout or for reaching the node cap.
+    The search stops at the first round that finds an optimal outcome,
+    times out or runs at the cap.  The best feasible outcome found so
+    far, if any, stands in for a timeout or for reaching the node cap.
     """
-    limits = limits or SearchLimits()
     limits.validate()
-    if step < 1:
-        raise OptimizerError("step must be >= 1")
     if not 1 <= n <= limits.max_nodes:
         raise OptimizerError("node budget %d is outside 1..%d (the node cap, max_nodes)"
                              % (n, limits.max_nodes))
@@ -357,7 +362,7 @@ def _search_budgets(limits: SearchLimits | None, n: int, step: int, progress,
     rounds = []
     solve_calls = conflicts = 0
     best = outcome = None
-    while outcome is None and n <= limits.max_nodes:
+    while outcome is None:
         # past the deadline a round would only build its encoding and time out
         rnd = _Round("timeout", None, 0, 0) if clock.expired() else solve_round(n, clock)
         solve_calls += rnd.solve_calls
@@ -373,7 +378,10 @@ def _search_budgets(limits: SearchLimits | None, n: int, step: int, progress,
             outcome = found
         elif rnd.status == "timeout":
             outcome = best or SolveOutcome(status="timeout")
-        n += step
+        elif n == limits.max_nodes:
+            break
+        else:
+            n = min(rnd.next, limits.max_nodes)
     stats = {"solve_calls": solve_calls, "conflicts": conflicts,
              "elapsed": clock.elapsed(), "rounds": rounds}
     if outcome is None:
@@ -383,21 +391,20 @@ def _search_budgets(limits: SearchLimits | None, n: int, step: int, progress,
     return outcome
 
 
-def _exact_search(ds: BinDataset, scope: Scope, mode: str, n: int | None, step: int,
+def _exact_search(ds: BinDataset, scope: Scope, mode: str, n0: int | None,
                   limits: SearchLimits | None, progress) -> SolveOutcome:
     """The one round body of minimize_perfect (mode "perfect") and
     minimize_bounded (mode "bounded"); see the module docstring.
 
-    n None starts from _greedy_budget, computed once the scope and the
-    data have been checked, or from the node cap if that is smaller.
-    floor starts at 0 in perfect mode, since a perfect encoding of n nodes
-    uses all n, and at -1 in bounded mode, where a set may use no node.  A
-    timeout returns the best model so far as "feasible".
+    floor starts at 0 in perfect mode, since a perfect encoding of n
+    nodes uses all n, and at -1 in bounded mode, where a set may use no
+    node.  A timeout returns the best model so far as "feasible".
     """
     scope.validate(len(ds.classes))
     _check_consistent(ds)
-    if n is None:
-        n = min(_greedy_budget(ds, scope), (limits or SearchLimits()).max_nodes)
+    limits = limits or SearchLimits()
+    # after the checks: the greedy pass of first_budget needs consistent data
+    n = first_budget(ds, scope, mode, n0, limits.max_nodes)
     solver = Solver()
     enc = Encoder(ds, scope, mode, solver)
     vm = enc.vm
@@ -438,6 +445,9 @@ def _exact_search(ds: BinDataset, scope: Scope, mode: str, n: int | None, step: 
             status = "timeout"
         cost = None if best is None else best.total_size
         rnd = _Round(status, cost, solver.solve_calls - calls, solver.conflicts - conflicts)
+        if status == unsat:
+            # the optimum is above n; a bounded round at the greedy size has a model
+            rnd.next = n + 1 if perfect else _greedy_budget(ds, scope, clock.limits.max_nodes)
         if best is not None:
             best.metadata = {"mode": mode, "scope": scope.kind, "objective": cost}
             if status == "timeout":
@@ -447,7 +457,7 @@ def _exact_search(ds: BinDataset, scope: Scope, mode: str, n: int | None, step: 
                                          objective=cost)
         return rnd
 
-    return _search_budgets(limits, n, step, progress, solve_round)
+    return _search_budgets(limits, n, progress, solve_round)
 
 
 def minimize_perfect(ds: BinDataset, scope: Scope, limits: SearchLimits | None = None,
@@ -461,36 +471,34 @@ def minimize_perfect(ds: BinDataset, scope: Scope, limits: SearchLimits | None =
     by one node each, so every clause learnt on a smaller size carries
     over to the larger ones.
     """
-    return _exact_search(ds, scope, "perfect", 1, 1, limits, progress)
+    return _exact_search(ds, scope, "perfect", 1, limits, progress)
 
 
 def minimize_bounded(ds: BinDataset, scope: Scope, n0: int | None = None,
-                     step: int = DEFAULT_STEP, limits: SearchLimits | None = None,
-                     progress=None) -> SolveOutcome:
+                     limits: SearchLimits | None = None, progress=None) -> SolveOutcome:
     """Exact fit within a node budget, minimizing the used-node count.
 
     Without n0 the budget is the size of a greedy exact-fit decision set
     (_greedy_budget), capped at default_node_budget and at
     limits.max_nodes: below the caps the first round has a model and ends
-    optimal.  When a budget is too small the hard clauses are UNSAT and
-    the search retries with n0 + step.  On success the objective equals
-    the perfect optimum whenever the budget reached it.  A round's first
-    solve gives an anytime model within the budget, and the climb of
-    _exact_search then proves or improves it.
+    optimal.  After a budget too small for any exact fit, the next and
+    last round runs at the greedy set's size, capped only at
+    limits.max_nodes.  A round's first solve gives an anytime model within
+    the budget, and the climb of _exact_search then proves or improves it.
     """
-    return _exact_search(ds, scope, "bounded", n0, step, limits, progress)
+    return _exact_search(ds, scope, "bounded", n0, limits, progress)
 
 
 def minimize_sparse(ds: BinDataset, scope: Scope, lam, n0: int | None = None,
-                    step: int = DEFAULT_STEP, limits: SearchLimits | None = None,
-                    progress=None) -> SolveOutcome:
+                    limits: SearchLimits | None = None, progress=None) -> SolveOutcome:
     """Minimize misclassification weight plus lambda-scaled node count.
 
     The hard clauses are always satisfiable (flag everything as
     misclassified, use no node), so the budget only caps the searchable
-    size.  A round whose optimum uses every node may be budget-starved;
-    the search then retries with a larger budget, stopping once a
-    round's optimum leaves at least one node unused.
+    size.  Every node costs lambda_cost, so a set cheaper than a round's
+    optimum C uses at most B = (C - 1) // lambda_cost nodes.  If B <= n,
+    the round's budget, C is optimal; otherwise the next round runs at B,
+    capped at limits.max_nodes, and at B its optimum is certified.
     """
     scope.validate(len(ds.classes))
     lam_cost = lam_to_cost(lam, ds.total_weight)
@@ -514,13 +522,12 @@ def minimize_sparse(ds: BinDataset, scope: Scope, lam, n0: int | None = None,
             "mode": "sparse", "scope": scope.kind, "lambda_cost": lam_cost,
             "objective": res.cost, "misclassified_weight": misclassified,
         }
-        # growing the budget never raises the optimum, so once a round's
-        # optimum leaves a node unused the enlarging loop is done
-        done = res.status == "optimal" and dset.total_size < n
+        rnd.next = (res.cost - 1) // lam_cost
+        done = res.status == "optimal" and rnd.next <= n
         rnd.found = SolveOutcome(status="optimal" if done else "feasible", decision_set=dset,
                                  objective=res.cost)
         return rnd
 
-    if n0 is None:
-        n0 = min(default_node_budget(ds.num_features), (limits or SearchLimits()).max_nodes)
-    return _search_budgets(limits, n0, step, progress, solve_round)
+    limits = limits or SearchLimits()
+    return _search_budgets(limits, first_budget(ds, scope, "sparse", n0, limits.max_nodes),
+                           progress, solve_round)

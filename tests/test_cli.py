@@ -144,6 +144,29 @@ def test_learn_config_errors_exit_1(ex1_csv, capsys, extra, fragment):
     assert fragment in capsys.readouterr().err
 
 
+def test_sparse_certifies_its_optimum_past_a_small_first_budget(tmp_path, capsys):
+    # "a => 1, not a => 0" costs 4 nodes and nothing else at lambda_cost 1;
+    # the one-node set "true => 0" (objective 6) fits --n0 2 with a node
+    # to spare, which does not make it optimal: a cheaper set may use up to
+    # (6 - 1) // 1 = 5 nodes, so a round at 5 nodes must run
+    path = tmp_path / "ab.csv"
+    rows = ["1,0,1"] * 2 + ["1,1,1"] * 3 + ["0,0,0"] * 3 + ["0,1,0"] * 2
+    path.write_text("a,b,y\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    for extra in (["--n0", "2"], []):
+        assert main(["learn", "--data", str(path), "--mode", "sparse", "--lambda", "0.1",
+                     "--scope", "aggregated"] + extra) == 0
+        line = status_line(capsys.readouterr().out)
+        assert "status=optimal total_size=4 objective=4" in line, extra
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("learn", []), ("cv", ["--folds", "2"]), ("encode", ["--dimacs", "out.cnf"])])
+def test_step_is_not_an_option(ex1_csv, capsys, command, extra):
+    # every later node budget follows from what a round proves
+    assert main([command, "--data", ex1_csv, "--mode", "mopt", "--step", "3"] + extra) == 1
+    assert "unrecognized arguments: --step 3" in capsys.readouterr().err
+
+
 def test_learn_bad_flag_values_exit_1(ex1_csv, capsys):
     assert main(["learn", "--data", ex1_csv, "--mode", "bogus"]) == 1
     assert "invalid choice" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Search driver correctness against exhaustive reference oracles."""
 
+import itertools
 import random
 
 import pytest
@@ -314,7 +315,8 @@ def test_minimize_perfect_covers_impossible_target_class():
 
 def test_minimize_bounded_rounds_match_fresh_solves(monkeypatch):
     # one growing encoding on one solver answers every round as a fresh
-    # solver does on that round's full bounded encoding
+    # solver does on that round's full bounded encoding; an infeasible
+    # budget is followed by the greedy set's size, the last round
     created = []
 
     class CountedSolver(Solver):
@@ -330,20 +332,21 @@ def test_minimize_bounded_rounds_match_fresh_solves(monkeypatch):
         present = sorted({cls for _, cls, _ in ds.examples})
         for scope in [AGG] + [Scope.per_class(cls) for cls in present]:
             optimum = oracle_min_size(ds, scope, cap=24)
-            n0, step = rng.randint(1, optimum + 2), rng.randint(1, 3)
+            n0 = rng.randint(1, optimum + 2)
             below += n0 < optimum
             above += n0 > optimum
             del created[:]
-            out = minimize_bounded(ds, scope, n0=n0, step=step)
+            out = minimize_bounded(ds, scope, n0=n0)
             assert len(created) == 1
             assert (out.status, out.objective) == ("optimal", optimum), (trial, scope)
             rounds = out.stats["rounds"]
-            assert [r["n"] for r in rounds] == [n0 + step * i for i in range(len(rounds))]
+            greedy = optimizer._greedy_budget(ds, scope, SearchLimits.max_nodes)
+            assert [r["n"] for r in rounds] == ([n0] if n0 >= optimum else [n0, greedy])
             for r in rounds:
                 fresh = Solver()
                 fresh.add_formula(build_bounded(ds, r["n"], scope).formula)
                 expected = "optimal" if fresh.solve() else "infeasible"
-                assert r["status"] == expected, (trial, scope, n0, step, r["n"])
+                assert r["status"] == expected, (trial, scope, n0, r["n"])
                 if expected == "optimal":
                     assert r["cost"] == optimum, (trial, scope, r["n"])
     assert below > 10 and above > 10  # budgets on both sides of the optimum
@@ -351,10 +354,10 @@ def test_minimize_bounded_rounds_match_fresh_solves(monkeypatch):
 
 def test_model_events_share_the_rounds_time_base(ex1):
     events = []
-    out = minimize_bounded(ex1, AGG, n0=5, step=10, progress=events.append)
-    assert [r["n"] for r in out.stats["rounds"]] == [5, 15]
+    out = minimize_bounded(ex1, AGG, n0=5, progress=events.append)
+    assert [r["n"] for r in out.stats["rounds"]] == [5, 10]  # 10: the greedy budget
     models = [e for e in events if e.get("event") == "model"]
-    assert models and all(e["n"] == 15 for e in models)
+    assert models and all(e["n"] == 10 for e in models)
     assert all("n" in e for e in events)
     times = [e["elapsed"] for e in events]
     assert times == sorted(times)
@@ -416,11 +419,11 @@ def test_a_round_climbs_above_the_budgets_proven_infeasible(ex1, monkeypatch):
     monkeypatch.setattr(optimizer, "Solver", Recording)
     monkeypatch.setattr(optimizer, "Encoder", Kept)
 
-    def climbs(ds, scope, n0, step):
+    def climbs(ds, scope, n0):
         """The search's outcome and, per round, the largest budget an
         earlier round proved infeasible with the c of each climbing solve."""
         del asked[:], encoders[:]
-        out = minimize_bounded(ds, scope, n0=n0, step=step)
+        out = minimize_bounded(ds, scope, n0=n0)
         (enc,) = encoders
         c_of = {enc.vm.unused_var(j): j - 1 for j in range(1, enc.vm.n_nodes + 1)}
         rounds = iter(out.stats["rounds"])
@@ -435,7 +438,7 @@ def test_a_round_climbs_above_the_budgets_proven_infeasible(ex1, monkeypatch):
                 per_round[-1][1].append(c_of[assumptions[1]])
         return out, per_round
 
-    out, per_round = climbs(ex1, AGG, 5, 10)
+    out, per_round = climbs(ex1, AGG, 5)
     assert out.objective == 7
     assert per_round[0] == (-1, [])
     floor, cs = per_round[1]
@@ -447,7 +450,7 @@ def test_a_round_climbs_above_the_budgets_proven_infeasible(ex1, monkeypatch):
         present = sorted({cls for _, cls, _ in ds.examples})
         for scope in [AGG] + [Scope.per_class(cls) for cls in present]:
             optimum = oracle_min_size(ds, scope, cap=24)
-            out, per_round = climbs(ds, scope, rng.randint(1, optimum), rng.randint(1, 3))
+            out, per_round = climbs(ds, scope, rng.randint(1, optimum))
             assert (out.status, out.objective) == ("optimal", optimum), (trial, scope)
             for floor, cs in per_round:
                 assert cs == list(range(floor + 1, floor + 1 + len(cs))), (trial, scope)
@@ -466,11 +469,11 @@ def test_minimize_bounded_with_roomy_budget(ex1):
 
 
 def test_minimize_bounded_grows_past_infeasible_budget(ex1):
-    out = minimize_bounded(ex1, AGG, n0=5, step=10)
+    out = minimize_bounded(ex1, AGG, n0=5)
     assert out.status == "optimal"
     assert out.objective == 7
     rounds = out.stats["rounds"]
-    assert [r["n"] for r in rounds] == [5, 15]
+    assert [r["n"] for r in rounds] == [5, 10]  # 10: the greedy budget
     assert rounds[0]["status"] == "infeasible"
     assert rounds[1]["status"] == "optimal"
 
@@ -493,8 +496,7 @@ def test_minimize_bounded_matches_oracle_in_every_scope():
         for scope in [AGG] + [Scope.per_class(c) for c in present]:
             expected = oracle_min_size(ds, scope, cap=24)
             # budgets below the optimum make the search grow them
-            out = minimize_bounded(ds, scope, n0=rng.randint(1, expected + 2),
-                                   step=rng.randint(1, 3))
+            out = minimize_bounded(ds, scope, n0=rng.randint(1, expected + 2))
             assert out.status == "optimal", (trial, scope)
             assert out.objective == expected, (trial, scope, ds)
             assert out.decision_set.total_size == expected
@@ -508,7 +510,7 @@ def test_aggregated_mopt_and_sparse_match_the_oracles():
         ds = random_dataset(rng, max_m=8, max_k=4)
         expected = oracle_min_size(ds, AGG, cap=32)
         for n0 in (None, rng.randint(1, expected)):
-            out = minimize_bounded(ds, AGG, n0=n0, step=rng.randint(1, 3))
+            out = minimize_bounded(ds, AGG, n0=n0)
             assert (out.status, out.objective) == ("optimal", expected), (trial, n0, ds)
     for trial in range(30):
         ds = random_dataset(rng, max_m=6, max_k=3, weighted=True)
@@ -532,7 +534,7 @@ def test_greedy_budget_bounds_the_optimum_and_takes_one_round():
                                  total_size=sum(rule.size for rule in rules))
             assert verify_perfect(greedy, ds, scope) == (True, None), (trial, scope, ds)
             expected = oracle_min_size(ds, scope, cap=32)
-            bound = optimizer._greedy_budget(ds, scope)
+            bound = optimizer.first_budget(ds, scope, "bounded", None, SearchLimits.max_nodes)
             # an exact set: its size bounds the optimum, which may pass the cap
             assert expected <= greedy.total_size, (trial, scope, ds)
             assert bound == min(greedy.total_size, cap), (trial, scope)
@@ -589,8 +591,14 @@ def test_minimize_bounded_budget_above_node_cap(ex1):
         minimize_bounded(ex1, AGG, n0=70, limits=SearchLimits(max_nodes=64))
     with pytest.raises(OptimizerError, match="node cap"):
         minimize_sparse(ex1, AGG, lam=0.5, n0=65)
+    # a derived budget past the cap runs at the cap: the greedy budget 10
+    # after an infeasible 5, and sparse's bound 3 after the optimum 4 at 1
     out = minimize_bounded(ex1, AGG, n0=5, limits=SearchLimits(max_nodes=6))
-    assert (out.status, out.stats["note"]) == ("timeout", "node cap 6 reached")
+    assert ([r["n"] for r in out.stats["rounds"]], out.status, out.stats["note"]) == (
+        [5, 6], "timeout", "node cap 6 reached")
+    out = minimize_sparse(ex1, AGG, lam=0.005, n0=1, limits=SearchLimits(max_nodes=2))
+    assert ([r["n"] for r in out.stats["rounds"]], out.status, out.objective,
+            out.stats["note"]) == ([1, 2], "feasible", 4, "node cap 2 reached")
     # a default budget starts at the cap when it would pass it: the greedy
     # budget of class 1 is 6 nodes, its optimum 3, and sparse's default 12
     out = minimize_bounded(ex1, Scope.per_class(1), limits=SearchLimits(max_nodes=3))
@@ -625,36 +633,43 @@ def test_minimize_sparse_gives_up_on_expensive_nodes(ex1):
 
 
 def test_minimize_sparse_grows_budget_until_certified(ex1):
-    out = minimize_sparse(ex1, AGG, lam=0.005, n0=1, step=10)
+    # lambda_cost is 1: the optimum 4 of budget 1 leaves room for a cheaper
+    # set of up to (4 - 1) // 1 = 3 nodes, so budget 3 runs, and certifies it
+    out = minimize_sparse(ex1, AGG, lam=0.005, n0=1)
     assert out.status == "optimal"
     assert out.objective == 4
     rounds = out.stats["rounds"]
-    assert [r["n"] for r in rounds] == [1, 11]
-    assert rounds[0]["cost"] == 4  # budget-starved round already found it
+    assert [(r["n"], r["cost"]) for r in rounds] == [(1, 4), (3, 4)]
     assert sparse_min_objective(ex1, AGG, 1) == 4
 
 
 def test_minimize_sparse_matches_oracle_on_micro_data():
+    # from every first budget: 1, k + 1, the default, and one beyond
+    # total_weight / lam_cost, where any set using that many nodes already
+    # costs more than the empty set; a round too small to certify its
+    # optimum is followed by one more, the last
     rng = random.Random(31)
+    second_rounds = 0
     for trial in range(30):
         ds = random_dataset(rng, max_m=5, max_k=3, weighted=True)
         lam = rng.choice([0.1, 0.25, 0.5, 1.0])
         lam_cost = lam_to_cost(lam, ds.total_weight)
-        # a budget beyond total_weight / lam_cost always certifies: any
-        # set using that many nodes already costs more than the empty set
-        n0 = ds.total_weight // lam_cost + 1
         scopes = [AGG, Scope.per_class(0), Scope.per_class(1)]
-        for scope in scopes:
+        for scope, n0 in itertools.product(scopes, (1, ds.num_features + 1, None,
+                                                    ds.total_weight // lam_cost + 1)):
             expected = sparse_min_objective(ds, scope, lam_cost)
             out = minimize_sparse(ds, scope, lam=lam, n0=n0)
-            assert out.status == "optimal", (trial, scope)
-            assert out.objective == expected, (trial, scope, ds, lam_cost)
+            assert out.status == "optimal", (trial, scope, n0)
+            assert out.objective == expected, (trial, scope, n0, ds, lam_cost)
+            assert len(out.stats["rounds"]) <= 2, (trial, scope, n0)
+            second_rounds += len(out.stats["rounds"]) == 2
             meta = out.decision_set.metadata
             gap = out.objective - meta["misclassified_weight"]
             assert gap == lam_cost * out.decision_set.total_size
             if scope.is_aggregated:
                 report = evaluate(out.decision_set, ds)
                 assert report.errors == meta["misclassified_weight"]
+    assert second_rounds > 5
 
 
 def test_minimize_sparse_handles_contradictory_data():
@@ -744,8 +759,6 @@ def test_limit_validation(ex1):
         SearchLimits(wall_time_budget=0).validate()
     with pytest.raises(OptimizerError, match="max_nodes"):
         SearchLimits(max_nodes=0).validate()
-    with pytest.raises(OptimizerError, match="step"):
-        minimize_bounded(ex1, AGG, n0=5, step=0)
     with pytest.raises(OptimizerError, match="node budget"):
         minimize_sparse(ex1, AGG, lam=0.5, n0=0)
     # a NaN budget compares false with every bound and would never expire

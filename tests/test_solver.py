@@ -337,16 +337,21 @@ def test_search_counts_are_pinned(monkeypatch):
     assert (out.objective, [r["n"] for r in out.stats["rounds"]], per_call) == (
         4, [4], [5, 1, 0, 3, 1])
     per_call.clear()
-    # two rounds: budget 5 is infeasible, so budget 15 climbs from "at most 6 used"
-    out = optimizer.minimize_bounded(make_ex1(), Scope.aggregated(), n0=5, step=10)
-    assert (out.objective, per_call) == (7, [25, 31, 23, 11])
-    per_call.clear()
-    out = optimizer.minimize_sparse(make_ex1(), Scope.aggregated(), lam=0.1, n0=2, step=3)
-    assert (out.objective, per_call) == (4, [0, 5, 25, 7, 0, 2])
-    per_call.clear()
-    out = optimizer.minimize_sparse(make_ex1(), Scope.per_class(0), lam=0.1, n0=2, step=3)
+    # two rounds: budget 5 is infeasible, so the greedy budget 10 climbs
+    # from "at most 6 used"
+    out = optimizer.minimize_bounded(make_ex1(), Scope.aggregated(), n0=5)
     assert (out.objective, [r["n"] for r in out.stats["rounds"]], per_call) == (
-        3, [2, 5], [0, 0, 3, 0, 0, 5, 2, 0, 0, 27, 9, 3, 3, 1])
+        7, [5, 10], [25, 15, 16, 5])
+    per_call.clear()
+    # lambda_cost 1: the optimum 4 at budget 2 leaves room for a cheaper set
+    # of up to 3 nodes, so budget 3 runs; class 0's optimum 3 is certified at 2
+    out = optimizer.minimize_sparse(make_ex1(), Scope.aggregated(), lam=0.1, n0=2)
+    assert (out.objective, [r["n"] for r in out.stats["rounds"]], per_call) == (
+        4, [2, 3], [0, 5, 25, 7, 0, 2, 0, 4, 0, 0, 0, 8])
+    per_call.clear()
+    out = optimizer.minimize_sparse(make_ex1(), Scope.per_class(0), lam=0.1, n0=2)
+    assert (out.objective, [r["n"] for r in out.stats["rounds"]], per_call) == (
+        3, [2], [0, 0, 3, 0, 0, 5, 2])
 
 
 def test_pigeonhole_unsat():
