@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formula import FormulaError
+from .formula import FormulaError, is_literal
 
 
 @dataclass
@@ -71,7 +71,7 @@ def build_totalizer(sink, inputs) -> TotalizerHandle:
     if not inputs:
         raise FormulaError("totalizer needs at least one input")
     for lit in inputs:
-        if lit == 0 or not isinstance(lit, int):
+        if not is_literal(lit):
             raise FormulaError("bad literal %r" % (lit,))
     outputs = _build(sink, list(inputs))
     return TotalizerHandle(inputs=inputs, outputs=tuple(outputs))

@@ -171,6 +171,7 @@ def cmd_learn(args) -> int:
     # perfect/bounded/sparse and its scopes aggregated/per_class
     dset.metadata["mode"] = config.mode
     dset.metadata["scope"] = config.scope
+    dset.metadata["feature_names"] = list(ds.feature_names)  # for eval's check
     _print_model(dset, status, ds)
     if args.out:
         save_model(dset, args.out)
@@ -178,9 +179,25 @@ def cmd_learn(args) -> int:
     return 0
 
 
+def _check_features(dset: DecisionSet, ds: BinDataset) -> None:
+    """Rules name features by index, so the eval data must binarize to
+    the features the model was trained on, when the model stored them."""
+    trained = dset.metadata.get("feature_names")
+    if trained is None or trained == ds.feature_names:
+        return
+    f = 0
+    while f < min(len(trained), len(ds.feature_names)) and trained[f] == ds.feature_names[f]:
+        f += 1
+    model, data = (repr(names[f]) if f < len(names) else "absent"
+                   for names in (trained, ds.feature_names))
+    raise CliError("the data's features differ from the model's: feature %d is %s in the "
+                   "model and %s in the data" % (f, model, data))
+
+
 def cmd_eval(args) -> int:
     dset = load_model(args.model)
     ds = _load_bindata(args.data, args.bins)
+    _check_features(dset, ds)
     report = evaluate(dset, ds, mode="standard")
     counts = {}
     for outcome in report.per_example:

@@ -1,4 +1,9 @@
-"""CSV ingestion, quantization, one-hot binarization, and CV folds."""
+"""CSV ingestion, quantization, one-hot binarization, and CV folds.
+
+A BinDataset checks its rows when it is constructed.  subset and
+sanitize build theirs from rows already checked and do not check them
+again, so `rulesat cv` checks each row once, in binarize.
+"""
 
 from __future__ import annotations
 
@@ -62,12 +67,17 @@ class BinDataset:
         return sum(w for _, _, w in self.examples)
 
     def subset(self, indices) -> "BinDataset":
-        return BinDataset(
-            num_features=self.num_features,
-            classes=list(self.classes),
-            feature_names=list(self.feature_names),
-            examples=list(map(self.examples.__getitem__, indices)),
-        )
+        return self._derived(list(map(self.examples.__getitem__, indices)))
+
+    def _derived(self, examples) -> "BinDataset":
+        """A copy of this dataset's metadata over examples, which must be
+        valid rows of it: they are not checked again."""
+        out = object.__new__(BinDataset)
+        out.num_features = self.num_features
+        out.classes = list(self.classes)
+        out.feature_names = list(self.feature_names)
+        out.examples = examples
+        return out
 
 
 @dataclass
@@ -250,13 +260,7 @@ def sanitize(ds: BinDataset, mode: str) -> tuple[BinDataset, SanitizeReport]:
             continue
         examples.append((bits, cls, by_class[cls]))
     report.removed = ds.total_weight - sum(w for _, _, w in examples)
-    out = BinDataset(
-        num_features=ds.num_features,
-        classes=list(ds.classes),
-        feature_names=list(ds.feature_names),
-        examples=examples,
-    )
-    return out, report
+    return ds._derived(examples), report
 
 
 def kfold_split(ds: BinDataset, k: int, seed: int) -> FoldPlan:

@@ -270,6 +270,11 @@ class Encoder:
     first two literals; only a guard goes first.  build() grows the
     encoding and then writes the clauses that end the sequence at the
     last node, as another node would void them.
+
+    A Solver sink takes the clauses through add_trusted, which checks no
+    literal: they hold no repeated variable, and every id, auxiliaries
+    included, is reserved with sink.ensure_vars before a clause names it.
+    Other sinks take them through add_clause.
     """
 
     def __init__(self, ds: BinDataset, scope: Scope, mode: str, sink,
@@ -294,6 +299,7 @@ class Encoder:
             has_misclass=mode == "sparse",
         )
         self.sink = sink
+        self._put = getattr(sink, "add_trusted", sink.add_clause)
         if scope.is_aggregated:
             self.bits = [cls for _, cls, _ in ds.examples]
         else:
@@ -307,7 +313,13 @@ class Encoder:
         self._order = 0  # s of the last node, in aggregated scope (see _class_order)
 
     def _add(self, clause) -> None:
-        self.sink.add_clause(sorted(clause, key=abs))
+        self._put(sorted(clause, key=abs))
+
+    def _aux(self, count: int) -> list[int]:
+        """count fresh auxiliary ids, reserved in the sink."""
+        ids = [self.vm.new_aux() for _ in range(count)]
+        self.sink.ensure_vars(self.vm.num_vars)
+        return ids
 
     def _truth_lit(self, j: int, bit: int) -> int:
         t = self.vm.truth_var(j)
@@ -337,9 +349,8 @@ class Encoder:
         stays set, and once s_{j-1} is set a leaf at node j is class 1."""
         vm, add = self.vm, self._add
         leaf, t = vm.class_sel_var(j), vm.truth_var(j)
-        prev, s = self._order, vm.new_aux()
+        prev, (s,) = self._order, self._aux(1)
         self._order = s
-        self.sink.ensure_vars(s)
         add([-leaf, -t, s])
         if prev:
             add([-prev, s])
@@ -350,7 +361,9 @@ class Encoder:
         row = [vm.select_var(j, r) for r in range(1, self.k + 2)]
         if vm.has_unused:
             row = [vm.unused_var(j)] + row
-        for clause in exactly_one(row, new_var=vm.new_aux):
+        clauses = exactly_one(row, new_var=vm.new_aux)
+        self.sink.ensure_vars(vm.num_vars)  # the ladder's auxiliaries
+        for clause in clauses:
             self._add(clause)
 
     def _link(self, j: int) -> None:
@@ -360,8 +373,8 @@ class Encoder:
             # unused nodes form a suffix, entered only right after a leaf
             add([-vm.unused_var(j), vm.unused_var(j + 1)])
             add([-vm.unused_var(j + 1), vm.unused_var(j), vm.class_sel_var(j)])
-        for i, (bits, _, _) in enumerate(self.ds.examples, start=1):
-            agree = vm.new_aux()
+        agrees = self._aux(self.m)
+        for i, ((bits, _, _), agree) in enumerate(zip(self.ds.examples, agrees), start=1):
             if self.k == 0:
                 add([-agree])
             for r in range(1, self.k + 1):
@@ -389,8 +402,7 @@ class Encoder:
 
     def _coverage_aux(self, j: int) -> None:
         vm, add = self.vm, self._add
-        for i, hits in zip(self.covered, self._hits):
-            aux = vm.new_aux()
+        for i, hits, aux in zip(self.covered, self._hits, self._aux(len(self.covered))):
             add([-aux, vm.class_sel_var(j)])
             add([-aux, vm.valid_var(i, j)])
             add([-vm.class_sel_var(j), -vm.valid_var(i, j), aux])
@@ -416,9 +428,9 @@ class Encoder:
                    else [vm.class_sel_var(n)]]
         for i, hits in zip(self.covered, self._hits):
             clauses.append(hits + [vm.misclass_var(i)] if self.mode == "sparse" else hits)
-        guard = [-vm.new_aux()] if guarded else []
+        guard = [-self._aux(1)[0]] if guarded else []
         for clause in clauses:
-            self.sink.add_clause(guard + sorted(clause, key=abs))
+            self._put(guard + sorted(clause, key=abs))
         return -guard[0] if guarded else True
 
     def soft(self) -> list[tuple[tuple[int, ...], int]]:

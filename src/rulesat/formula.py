@@ -13,17 +13,23 @@ class FormulaError(ValueError):
     """Malformed clause, literal, weight, or assignment."""
 
 
+def is_literal(lit) -> bool:
+    """lit is a nonzero int.  A bool is not a literal, though bool is a
+    subclass of int: True would pass as literal 1."""
+    return isinstance(lit, int) and not isinstance(lit, bool) and lit != 0
+
+
 def normalize_clause(lits) -> tuple[int, ...] | None:
     """Deduplicate and sort a clause; return None for tautologies.
 
     A zero literal is rejected (0 terminates DIMACS clauses and cannot
-    name a variable).
+    name a variable), and so is a bool.
     """
     seen = set()
     for lit in lits:
         if lit == 0:
             raise FormulaError("literal 0 is not allowed in a clause")
-        if not isinstance(lit, int):
+        if not is_literal(lit):
             raise FormulaError("literals must be ints, got %r" % (lit,))
         if -lit in seen:
             return None

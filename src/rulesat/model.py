@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import repeat
+from operator import eq, itemgetter, mul, or_
 
 from .dataset import BinDataset
 from .encoder import Scope, VarMap
@@ -188,16 +189,21 @@ def evaluate(dset: DecisionSet, ds: BinDataset, mode: str = "standard") -> EvalR
                     % (f, ds.num_features)
                 )
     head_map = _class_map(dset, ds)
+    rows = [bits for bits, _, _ in ds.examples]
+    # per row, the dataset classes whose rules cover it, as bits of a mask:
+    # each rule tests every row in one map, and a class ORs its rules' bits
+    masks = [0] * len(rows)
+    for rule in dset.rules:
+        hits = map(eq, map(rule._pick, rows), repeat(rule._want))
+        masks = list(map(or_, masks, map(mul, hits, repeat(1 << head_map[rule.head]))))
     total = 0
     errors = 0
     separated = 0
     outcomes: list[str] = []
-    tests = [(rule.covers, head_map[rule.head]) for rule in dset.rules]
-    for bits, cls, weight in ds.examples:
+    for (_, cls, weight), mask in zip(ds.examples, masks):
         total += weight
-        covering = {head for covers, head in tests if covers(bits)}
-        wrong = covering - {cls}
-        own = cls in covering
+        own = mask >> cls & 1
+        wrong = (mask ^ own << cls).bit_count()
         if wrong:
             outcomes.append("wrong-class-covered")
             errors += weight
@@ -206,7 +212,7 @@ def evaluate(dset: DecisionSet, ds: BinDataset, mode: str = "standard") -> EvalR
             errors += weight
         else:
             outcomes.append("correct")
-        separated += weight * (len(wrong) + (0 if own else 1))
+        separated += weight * (wrong + 1 - own)
     accuracy = 100.0 * (total - errors) / total if total else 100.0
     return EvalReport(
         num_examples=total,
@@ -279,6 +285,9 @@ def deserialize(doc: dict) -> DecisionSet:
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ModelError("metadata must be an object")
+    names = metadata.get("feature_names", [])
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise ModelError("metadata feature_names must be a list of strings")
     return DecisionSet(rules=rules, classes=list(classes), total_size=total_size,
                        metadata=dict(metadata))
 

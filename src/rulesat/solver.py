@@ -9,6 +9,11 @@ Internals: two-watched-literal propagation, first-UIP clause learning,
 activity-driven branching with phase saving, Luby restarts, and a simple
 size-based reduction of the learnt clause store.
 
+add_clause checks every literal it is given.  add_trusted skips those
+checks for a caller that emits clauses in canonical form over variables
+it has reserved, as Encoder does; both then apply the root-level
+assignments the same way (_add_root).
+
 Propagation makes one pass over a watch list and writes nothing back for
 the clauses that keep their watch.  Only when some clause moved its
 watch elsewhere is the list compacted, once, to the clauses still
@@ -26,7 +31,7 @@ from __future__ import annotations
 import time
 from heapq import heapify, heappop, heappush
 
-from .formula import Assignment, FormulaError
+from .formula import Assignment, FormulaError, is_literal
 
 _RESTART_UNIT = 128
 _ACTIVITY_CAP = 1e100
@@ -104,7 +109,7 @@ class Solver:
 
         Later decisions on it reuse the value it last had (phase saving).
         """
-        if lit == 0 or not isinstance(lit, int):
+        if not is_literal(lit):
             raise FormulaError("bad literal %r" % (lit,))
         self.ensure_vars(abs(lit))
         self._saved[abs(lit)] = lit > 0
@@ -126,7 +131,7 @@ class Solver:
         seen = set()
         clause = []
         for lit in lits:
-            if lit == 0 or not isinstance(lit, int):
+            if not is_literal(lit):
                 raise FormulaError("bad literal %r" % (lit,))
             if -lit in seen:
                 return  # tautology
@@ -134,12 +139,32 @@ class Solver:
                 continue
             seen.add(lit)
             self.ensure_vars(abs(lit))
-            val = self._value(lit)
+            clause.append(lit)
+        self._add_root(clause)
+
+    def add_trusted(self, clause: list[int]) -> None:
+        """add_clause for a caller that guarantees what add_clause checks:
+        it is not searching, and clause is a list of distinct nonzero int
+        literals, no tautology, over variables already reserved with
+        ensure_vars.
+        """
+        if self.ok:
+            self._add_root(clause)
+
+    def _add_root(self, clause: list[int]) -> None:
+        """Apply the root-level assignments to a checked clause and keep
+        what is left: a literal true at the root drops the clause, a false
+        one is removed, a unit is enqueued and an empty clause makes the
+        database UNSAT."""
+        assigns = self._assigns
+        kept = []
+        for lit in clause:
+            val = assigns[lit] if lit > 0 else -assigns[-lit]
             if val == 1:
                 return  # already satisfied at root
-            if val == -1:
-                continue  # falsified at root, drop the literal
-            clause.append(lit)
+            if val == 0:  # a literal false at the root is dropped
+                kept.append(lit)
+        clause = kept
         if not clause:
             self.ok = False
             return
@@ -421,7 +446,7 @@ class Solver:
             return False
         assumptions = list(assumptions)
         for lit in assumptions:
-            if lit == 0 or not isinstance(lit, int):
+            if not is_literal(lit):
                 raise FormulaError("bad assumption literal %r" % (lit,))
             self.ensure_vars(abs(lit))
         self._cancel_until(0)

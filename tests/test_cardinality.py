@@ -72,6 +72,13 @@ def test_empty_input_rejected():
         build_totalizer(Solver(), [])
 
 
+def test_bool_input_rejected():
+    s = Solver()
+    s.ensure_vars(2)
+    with pytest.raises(FormulaError):
+        build_totalizer(s, [True, 2])
+
+
 def test_clause_side_conditions_via_enumeration():
     """Full model check without the solver: every model of the emitted
     clauses keeps outputs consistent with the input count."""

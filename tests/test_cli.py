@@ -8,6 +8,7 @@ import time
 import pytest
 
 from rulesat.cli import main
+from rulesat.dataset import BinDataset
 from rulesat.encoder import Scope
 from rulesat.model import evaluate, load_model
 from rulesat.optimizer import minimize_bounded
@@ -226,6 +227,30 @@ def test_eval_rejects_boolean_ints_and_repeated_classes_exit_1(ex1_csv, tmp_path
         assert "error:" in capsys.readouterr().err, doc
 
 
+def test_eval_refuses_data_whose_features_differ_from_the_model(tmp_path, capsys):
+    # the eval CSV lacks green and adds yellow, so its features shift: the
+    # rule on color=red would be read as one on color=yellow
+    train = tmp_path / "train.csv"
+    train.write_text("color,label\nred,A\ngreen,B\nblue,C\n", encoding="utf-8")
+    test = tmp_path / "test.csv"
+    test.write_text("color,label\nred,A\nblue,C\nyellow,B\nred,A\n", encoding="utf-8")
+    model = str(tmp_path / "model.json")
+    assert main(["learn", "--data", str(train), "--mode", "opt", "--out", model]) == 0
+    assert load_model(model).metadata["feature_names"] == [
+        "color=blue", "color=green", "color=red"]
+    capsys.readouterr()
+    assert main(["eval", "--data", str(test), "--model", model]) == 1
+    err = capsys.readouterr().err
+    assert "feature 1 is 'color=green' in the model and 'color=red' in the data" in err
+    assert main(["eval", "--data", str(train), "--model", model]) == 0
+    assert "accuracy=100.0" in capsys.readouterr().out
+    # a model saved without the names is scored as before
+    doc = json.loads(open(model, encoding="utf-8").read())
+    del doc["metadata"]["feature_names"]
+    assert main(["eval", "--data", str(test), "--model", write_model(tmp_path, doc)]) == 0
+    assert "accuracy=25.0" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------- cv
 
 
@@ -244,6 +269,16 @@ def test_cv_reports_each_fold_and_means(ex1_csv, capsys):
     for line in fold_lines:
         assert "accuracy=" in line and "status=optimal" in line
     assert out.splitlines()[-1].startswith("mean accuracy=")
+
+
+def test_cv_checks_each_row_once(ex1_csv, capsys, monkeypatch):
+    # binarize checks the rows; each fold's subsets and sanitize output
+    # come from checked rows and are not checked again
+    calls = []
+    check = BinDataset.__post_init__
+    monkeypatch.setattr(BinDataset, "__post_init__", lambda ds: calls.append(check(ds)))
+    run_cv(ex1_csv, capsys, "--folds", "3", "--mode", "mopt")
+    assert len(calls) <= 1
 
 
 def test_cv_deterministic(ex1_csv, capsys):

@@ -319,8 +319,8 @@ class RecordingSink:
 
 def test_encoder_emits_canonical_clauses_in_build_order():
     # a search's clauses go from the Encoder straight into its Solver, whose
-    # add_clause is then their only check; so every clause must already be
-    # what normalize_clause makes of it, and the sequence must be the one a
+    # add_trusted checks no literal; so every clause must already be what
+    # normalize_clause makes of it, and the sequence must be the one a
     # built Formula holds
     rng = random.Random(606)
     for trial in range(15):
@@ -337,6 +337,50 @@ def test_encoder_emits_canonical_clauses_in_build_order():
                 assert sink.clauses == bundle.formula.hard, (trial, scope, mode)
                 assert sink.num_vars == bundle.formula.num_vars
                 assert enc.soft() == bundle.formula.soft
+
+
+class CheckedSink:
+    """Feeds a Solver through add_clause only: it has no add_trusted."""
+
+    def __init__(self, solver):
+        self.solver = solver
+
+    def add_clause(self, lits):
+        self.solver.add_clause(lits)
+
+    def ensure_vars(self, n):
+        self.solver.ensure_vars(n)
+
+
+def solver_state(s):
+    return s._watches, s._trail, s.num_vars, s._n_problem_clauses, s.ok
+
+
+def test_trusted_clauses_build_the_solver_add_clause_builds():
+    # an Encoder feeds its Solver through add_trusted, which checks no
+    # literal; the solver must come out as add_clause would build it, also
+    # where literals are fixed at the root: node 1's validity units, what
+    # a solve propagates, and a retired guard; the wide dataset's node
+    # choices take the ladder, whose auxiliaries must be reserved as well
+    rng = random.Random(1313)
+    wide = BinDataset(20, ["0", "1"], ["f%d" % f for f in range(20)],
+                      [(tuple(rng.randrange(2) for _ in range(20)), cls, 1) for cls in (0, 1, 1)])
+    datasets = [random_dataset(rng, max_m=5, max_k=3, weighted=True) for _ in range(12)]
+    for trial, ds in enumerate(datasets + [wide]):
+        n = rng.randint(1, 3)
+        grow = rng.randint(1, 2)
+        for scope in (Scope.aggregated(), Scope.per_class(0), Scope.per_class(1)):
+            for mode in ("perfect", "bounded", "sparse"):
+                solvers = trusted, checked = Solver(), Solver()
+                encoders = [Encoder(ds, scope, mode, sink, 2 if mode == "sparse" else None)
+                            for sink in (trusted, CheckedSink(checked))]
+                for budget in (n, n + grow):
+                    guards = [enc.build(budget, guarded=True) for enc in encoders]
+                    assert solver_state(trusted) == solver_state(checked), (trial, scope, mode)
+                    for solver, guard in zip(solvers, guards):
+                        solver.solve([guard])
+                        solver.add_clause([-guard])
+                assert solver_state(trusted) == solver_state(checked), (trial, scope, mode)
 
 
 # ------------------------------------------------------- encoding semantics

@@ -22,6 +22,18 @@ def test_normalize_rejects_bad_literals():
         normalize_clause([1, "2"])
 
 
+def test_bools_are_not_literals(tmp_path):
+    # bool is a subclass of int, so True would pass as literal 1 and
+    # emit_dimacs would write the line "True 2 0"
+    for clause in ([True, 2], [1, False]):
+        with pytest.raises(FormulaError):
+            normalize_clause(clause)
+        with pytest.raises(FormulaError):
+            Formula().add_hard(clause)
+        with pytest.raises(FormulaError):
+            Formula().add_soft(clause, 1)
+
+
 def test_add_hard_tracks_num_vars_and_skips_tautologies():
     f = Formula()
     f.add_hard([1, -5])

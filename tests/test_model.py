@@ -339,6 +339,11 @@ def test_save_and_load_model(tmp_path):
          "out of range"),
         ({"classes": ["a"], "rules": [], "total_size": True}, "non-negative"),
         ({"classes": ["p", "p"], "rules": [], "total_size": 0}, "distinct"),
+        # the training feature names, when stored, are a list of strings
+        ({"classes": ["a"], "rules": [], "total_size": 0,
+          "metadata": {"feature_names": "f0"}}, "feature_names"),
+        ({"classes": ["a"], "rules": [], "total_size": 0,
+          "metadata": {"feature_names": ["f0", 1]}}, "feature_names"),
     ],
 )
 def test_deserialize_rejects_malformed_documents(doc, fragment):

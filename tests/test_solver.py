@@ -72,6 +72,18 @@ def test_add_clause_rejects_bad_literals():
         s.add_clause([1.5])
 
 
+def test_bools_are_not_literals():
+    s = Solver()
+    s.ensure_vars(2)
+    with pytest.raises(FormulaError):
+        s.add_clause([True, -2])
+    with pytest.raises(FormulaError):
+        s.solve(assumptions=[True])
+    with pytest.raises(FormulaError):
+        s.set_phase(True)
+    assert s.solve() and s.num_vars == 2
+
+
 def test_random_differential_sat(seed=101, trials=300):
     rng = random.Random(seed)
     for _ in range(trials):
