@@ -73,8 +73,8 @@ class RunConfig:
                          verbose=args.verbose)
 
 
-def _load_bindata(path: str, bins: int) -> BinDataset:
-    return binarize(load_csv(path), q=bins)
+def _load_bindata(path: str, bins: int, numeric_bins: dict | None = None) -> BinDataset:
+    return binarize(load_csv(path), q=bins, numeric_bins=numeric_bins)
 
 
 def _sanitized(ds: BinDataset, config: RunConfig) -> BinDataset:
@@ -172,6 +172,7 @@ def cmd_learn(args) -> int:
     dset.metadata["mode"] = config.mode
     dset.metadata["scope"] = config.scope
     dset.metadata["feature_names"] = list(ds.feature_names)  # for eval's check
+    dset.metadata["numeric_bins"] = ds.numeric_bins  # eval bins with the training cuts
     _print_model(dset, status, ds)
     if args.out:
         save_model(dset, args.out)
@@ -196,7 +197,7 @@ def _check_features(dset: DecisionSet, ds: BinDataset) -> None:
 
 def cmd_eval(args) -> int:
     dset = load_model(args.model)
-    ds = _load_bindata(args.data, args.bins)
+    ds = _load_bindata(args.data, args.bins, dset.metadata.get("numeric_bins"))
     _check_features(dset, ds)
     report = evaluate(dset, ds, mode="standard")
     counts = {}
@@ -281,7 +282,9 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(sub, learning: bool) -> None:
     sub.add_argument("--data", required=True, help="input CSV (last column is the class)")
     sub.add_argument("--bins", type=int, default=2,
-                     help="quantization bins for numeric features (default 2)")
+                     help="quantization bins for numeric features (default 2)" + (
+                         "" if learning else "; a column whose training cuts the model "
+                                             "stores is binned with those"))
     sub.add_argument("--seed", type=int, default=1234)
     sub.add_argument("--verbose", action="store_true",
                      help="line-delimited JSON progress on stderr")

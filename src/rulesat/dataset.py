@@ -40,6 +40,9 @@ class BinDataset:
     classes: list[str]
     feature_names: list[str]
     examples: list[tuple[tuple[int, ...], int, int]]  # (bits, class index, weight)
+    # numeric column name -> {"cuts": [...], "labels": [...]}: how binarize
+    # binned it, so that other data can be binned the same way
+    numeric_bins: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.feature_names) != self.num_features:
@@ -77,6 +80,7 @@ class BinDataset:
         out.classes = list(self.classes)
         out.feature_names = list(self.feature_names)
         out.examples = examples
+        out.numeric_bins = self.numeric_bins
         return out
 
 
@@ -154,30 +158,28 @@ def _as_numbers(values: list[str]) -> list[float] | None:
     return out
 
 
-def _quantize(numbers: list[float], q: int) -> tuple[list[int], list[str]]:
-    """Equal-frequency binning into at most q bins.
+def _quantize(numbers: list[float], q: int) -> tuple[list[float], list[str]]:
+    """Equal-frequency binning into at most q bins: the cut points and a
+    label per bin.  A value's bin is the number of cuts strictly below it.
 
     Columns with at most q distinct values pass through untouched, one
     bin per value; this keeps 0/1 data fixed under re-binarization.
     """
     distinct = sorted(set(numbers))
     if len(distinct) <= q:
-        labels = ["%g" % v for v in distinct]
-        return [distinct.index(v) for v in numbers], labels
+        return distinct[:-1], ["%g" % v for v in distinct]
     srt = sorted(numbers)
     m = len(srt)
-    cuts = []
-    for k in range(1, q):
-        cuts.append(srt[ceil(m * k / q) - 1])
-    cuts = sorted(set(cuts))
-    bins = [bisect_left(cuts, v) for v in numbers]  # count of cuts strictly below v
-    used = sorted(set(bins))
-    remap = {b: i for i, b in enumerate(used)}
-    labels = ["bin%d" % i for i in range(len(used))]
-    return [remap[b] for b in bins], labels
+    cuts = sorted({srt[ceil(m * k / q) - 1] for k in range(1, q)})
+    # each cut is a value and lands in its own bin; the bin above the last
+    # cut is empty when that cut is the largest value
+    if cuts[-1] == srt[-1]:
+        cuts.pop()
+    return cuts, ["bin%d" % i for i in range(len(cuts) + 1)]
 
 
-def binarize(raw: RawDataset, q: int = 2, max_categories: int = 32) -> BinDataset:
+def binarize(raw: RawDataset, q: int = 2, max_categories: int = 32,
+             numeric_bins: dict | None = None) -> BinDataset:
     """Quantize numeric columns and one-hot everything wider than one bit.
 
     Columns with exactly two values become a single bit, columns with d > 2
@@ -185,11 +187,17 @@ def binarize(raw: RawDataset, q: int = 2, max_categories: int = 32) -> BinDatase
     all-zero bit.  q must be 2, 3, or 4.  A NaN cell in a numeric column
     has no place in the bin order and is rejected with its row, numbered
     as in the CSV (the header is row 1).
+
+    numeric_bins, shaped as BinDataset.numeric_bins (a trained model's, for
+    example), fixes the cuts and labels of the columns it names, which
+    must then be numeric; other numeric columns are binned from the data.
     """
     if q not in (2, 3, 4):
         raise DatasetError("quantization level must be 2, 3, or 4, got %r" % (q,))
     if raw.num_examples == 0:
         raise DatasetError("cannot binarize an empty dataset")
+    fixed = numeric_bins or {}
+    bins: dict = {}
     feature_names: list[str] = []
     columns: list[list[int]] = []  # one 0/1 column per emitted feature
     for ci, name in enumerate(raw.feature_names):
@@ -201,7 +209,14 @@ def binarize(raw: RawDataset, q: int = 2, max_categories: int = 32) -> BinDatase
                     if isnan(x):
                         raise DatasetError("row %d, column %r: NaN cannot be binned"
                                            % (row, name))
-            codes, labels = _quantize(numbers, q)
+            if name in fixed:
+                cuts, labels = fixed[name]["cuts"], fixed[name]["labels"]
+            else:
+                cuts, labels = _quantize(numbers, q)
+            bins[name] = {"cuts": list(cuts), "labels": list(labels)}
+            codes = [bisect_left(cuts, v) for v in numbers]
+        elif name in fixed:
+            raise DatasetError("column %r is binned as numeric, but holds text" % name)
         else:
             distinct = sorted(set(values))
             if len(distinct) > max_categories:
@@ -231,6 +246,7 @@ def binarize(raw: RawDataset, q: int = 2, max_categories: int = 32) -> BinDatase
         classes=classes,
         feature_names=feature_names,
         examples=examples,
+        numeric_bins=bins,
     )
 
 
@@ -251,15 +267,15 @@ def sanitize(ds: BinDataset, mode: str) -> tuple[BinDataset, SanitizeReport]:
             order.append((bits, cls))
             by_class[cls] = 0
         by_class[cls] += weight
-    report = SanitizeReport()
-    report.merged = ds.total_weight - len(order)
+    total = ds.total_weight
     examples = []
     for bits, cls in order:
         by_class = groups[bits]
         if mode == "perfect" and len(by_class) > 1:
             continue
         examples.append((bits, cls, by_class[cls]))
-    report.removed = ds.total_weight - sum(w for _, _, w in examples)
+    report = SanitizeReport(merged=total - len(order),
+                            removed=total - sum(w for _, _, w in examples))
     return ds._derived(examples), report
 
 

@@ -7,6 +7,19 @@ literal (a leaf).  Per node j the encoding allocates selector variables
 node's polarity, and per example i a validity variable that tracks
 whether example i still matches the rule prefix ending at node j.
 
+Validity is tied straight to the previous node's selectors and truth
+(Encoder._link).  With leaf_j node j's class selector, sel_r its selector
+of feature r and tau_r the polarity of feature r that example i has:
+
+    v(i, 1)
+    v(i, j+1) <-> leaf_j or (v(i, j) and OR_r (sel_r and tau_r))
+
+as the clauses [-leaf_j, v(i, j+1)], [-v(i, j+1), leaf_j, v(i, j)] and,
+per feature r, [-v(i, j), -sel_r, -tau_r, v(i, j+1)] and
+[-v(i, j+1), -sel_r, tau_r]: 2k + 2 clauses per example and node, and no
+auxiliary.  On a used node exactly one selector is true, so the
+validities of the node after it follow from selectors and truths alone.
+
 Three model variants share that skeleton:
 
 * perfect   - every node used, classifier must fit the data exactly
@@ -367,29 +380,32 @@ class Encoder:
             self._add(clause)
 
     def _link(self, j: int) -> None:
-        """Clauses tying node j + 1 to node j."""
+        """Clauses tying node j + 1 to node j.  Per example i they encode
+
+            v(i, j+1) <-> leaf_j or (v(i, j) and node j's literal matches i)
+
+        as [-leaf, v_next] and [-v_next, leaf, v_cur], plus per feature r
+        [-v_cur, -sel_r, -tau_r, v_next] and [-v_next, -sel_r, tau_r],
+        where tau_r is the polarity that matches example i on feature r.
+        Exactly one of node j's selectors is true, so sel_r excludes the
+        leaf, and a used node's validities follow from the selectors and
+        truths: 2k + 2 clauses per example and node, and no auxiliary."""
         vm, add = self.vm, self._add
         if vm.has_unused:
             # unused nodes form a suffix, entered only right after a leaf
             add([-vm.unused_var(j), vm.unused_var(j + 1)])
             add([-vm.unused_var(j + 1), vm.unused_var(j), vm.class_sel_var(j)])
-        agrees = self._aux(self.m)
-        for i, ((bits, _, _), agree) in enumerate(zip(self.ds.examples, agrees), start=1):
-            if self.k == 0:
-                add([-agree])
-            for r in range(1, self.k + 1):
-                sel = vm.select_var(j, r)
-                tau = self._truth_lit(j, bits[r - 1])
-                add([-sel, -tau, agree])  # matching literal marks agreement
-                add([-agree, -sel, tau])  # agreement at this node implies the match
-            add([-agree, -vm.class_sel_var(j)])
-            leaf = vm.class_sel_var(j)
+        leaf, t = vm.class_sel_var(j), vm.truth_var(j)
+        sels = [vm.select_var(j, r) for r in range(1, self.k + 1)]
+        for i, (bits, _, _) in enumerate(self.ds.examples, start=1):
             v_next = vm.valid_var(i, j + 1)
             v_cur = vm.valid_var(i, j)
+            for sel, bit in zip(sels, bits):
+                tau = t if bit else -t
+                add([-v_cur, -sel, -tau, v_next])  # a matching literal keeps validity
+                add([-v_next, -sel, tau])  # validity past a literal needs its match
             add([-leaf, v_next])  # a leaf resets validity for the next rule
-            add([-v_cur, -agree, v_next])
             add([-v_next, leaf, v_cur])
-            add([-v_next, leaf, agree])
 
     def _class_agreement(self, j: int) -> None:
         vm, add = self.vm, self._add

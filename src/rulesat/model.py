@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import repeat
+from math import isnan
 from operator import eq, itemgetter, mul, or_
 
 from .dataset import BinDataset
@@ -243,6 +244,27 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_numeric_bins(bins) -> None:
+    """The stored binning of numeric columns: per column name, increasing
+    numeric cut points and one string label per bin."""
+    if not isinstance(bins, dict):
+        raise ModelError("metadata numeric_bins must be an object")
+    for name, entry in bins.items():
+        cuts = entry.get("cuts") if isinstance(entry, dict) else None
+        labels = entry.get("labels") if isinstance(entry, dict) else None
+        if (
+            not isinstance(cuts, list)
+            or not all(isinstance(c, (int, float)) and not isinstance(c, bool) and not isnan(c)
+                       for c in cuts)
+            or not all(a < b for a, b in zip(cuts, cuts[1:]))
+            or not isinstance(labels, list)
+            or not all(isinstance(label, str) for label in labels)
+            or len(labels) != len(cuts) + 1
+        ):
+            raise ModelError("metadata numeric_bins[%r] needs increasing numeric cuts and "
+                             "one string label per bin" % name)
+
+
 def deserialize(doc: dict) -> DecisionSet:
     if not isinstance(doc, dict):
         raise ModelError("model document must be an object")
@@ -288,6 +310,7 @@ def deserialize(doc: dict) -> DecisionSet:
     names = metadata.get("feature_names", [])
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise ModelError("metadata feature_names must be a list of strings")
+    _check_numeric_bins(metadata.get("numeric_bins", {}))
     return DecisionSet(rules=rules, classes=list(classes), total_size=total_size,
                        metadata=dict(metadata))
 

@@ -251,6 +251,28 @@ def test_eval_refuses_data_whose_features_differ_from_the_model(tmp_path, capsys
     assert "accuracy=25.0" in capsys.readouterr().out
 
 
+def test_eval_bins_numeric_columns_with_the_training_cuts(tmp_path, capsys):
+    # trained on x = 1..4 -> A and 5..8 -> B, the cut lies at 4; the eval
+    # rows 5..8 all lie above it, though their own median is 6
+    train = tmp_path / "train.csv"
+    train.write_text("x,label\n" + "".join("%d,%s\n" % (v, "AB"[v > 4]) for v in range(1, 9)),
+                     encoding="utf-8")
+    test = tmp_path / "test.csv"
+    test.write_text("x,label\n5,A\n6,A\n7,B\n8,B\n", encoding="utf-8")
+    model = str(tmp_path / "model.json")
+    assert main(["learn", "--data", str(train), "--mode", "opt", "--out", model]) == 0
+    assert load_model(model).metadata["numeric_bins"] == {
+        "x": {"cuts": [4.0], "labels": ["bin0", "bin1"]}}
+    capsys.readouterr()
+    assert main(["eval", "--data", str(test), "--model", model]) == 0
+    assert "examples=4 misclassified=2 accuracy=50.0" in capsys.readouterr().out
+    # a model saved without the bins derives them from the eval data, as before
+    doc = json.loads(open(model, encoding="utf-8").read())
+    del doc["metadata"]["numeric_bins"]
+    assert main(["eval", "--data", str(test), "--model", write_model(tmp_path, doc)]) == 0
+    assert "accuracy=100.0" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------- cv
 
 
@@ -438,41 +460,41 @@ def test_encode_mopt_default_budget_is_the_first_learn_round(ex1_csv, tmp_path):
 # sha256 of every file `encode --n0 4` writes for ex1, mode x scope
 ENCODE_SHA256 = {
     "mopt-aggregated.cnf":
-        "381b8b2ed1a7ab3aa1baa502ea9f73561cbc81c1667a63c42fe42140c8192786",
+        "614cea3297df3cbf3f901d4345eae2aa19d8c53b30fddea96c281e4e5d3674db",
     "mopt-aggregated.cnf.map.json":
-        "f705b3d72ea14ad3c72cd0f9328a6ab44dac21b8d8240468865b53e11bb742fb",
+        "34ae9d7f5fec1626d7c565359d24287354bff8fbfa2dca61a86979babb4023d8",
     "mopt-per-class.class0.cnf":
-        "13a92cadb3e49b09e73186276df3bb9a57b333f960b0378d6826a96c06c779e7",
+        "88751844e8a07cd3dda923d888b0d88ddc375df1e7a4ee9f03d813c7a4a2e733",
     "mopt-per-class.class0.cnf.map.json":
-        "1dd87e43cb8e1f04bfdd94d166ee8110fec13b55c13b9b4f3565629c4f5fe5ef",
+        "35be812553a41cdc16c7c6e94179555f929edb9dad444794eadeb638f8cd5529",
     "mopt-per-class.class1.cnf":
-        "be6704dd112161283d75fb03a459a6178068456d7345f847483ab2e4f816d09f",
+        "597181e8dbb68356410d689ed5d47d813dd8b9fa7d67bd0ade5d66e2e808221c",
     "mopt-per-class.class1.cnf.map.json":
-        "9dd0c882b2ce7f558c401c7e7536a6c72fe16556619d2064562bbbdfe4a3484e",
+        "2ad8e40da40829639449694da967a0032fcc518a6a96cb1a33720ab2b1b8b814",
     "opt-aggregated.cnf":
-        "bfd8bd84712ad268d3237e0548cd0485395f6b73c1db67f895c9d4203c4e1a84",
+        "7b73b9087650c90d39907a0c12230fcf391626cd62c3f8ed35dbe15671bd9fc0",
     "opt-aggregated.cnf.map.json":
-        "b72ee4262f7a5255fc8c0d9bb359f2b11848b3059e19845b86adc65dedf5addc",
+        "083f0858e4e1f034f5331e95321e1e99655ab041f458353870141ff5a7f40980",
     "opt-per-class.class0.cnf":
-        "b77822e6960b03ead9d08421e1205b3f8e8b67f03635e7b17187c2e324e9359c",
+        "3e38b3eea5dc48429138643de0dbdad8488102f27bc8dd3a819ec772ef80fa7c",
     "opt-per-class.class0.cnf.map.json":
-        "a802d062deaa51d651f9b3aa2228de67911d99ec358125f3dec1bee181e55d0f",
+        "e4f98cee9facef69d8a64e619a36a307ac223863b6d511aa7f3aadd06fda218b",
     "opt-per-class.class1.cnf":
-        "3653b4a5c9ab87cea47d3a8d2f69add40cec4c3d491b19d915b5f023a9efabd9",
+        "2c12986a2067a254dc89a869d1f12d1018101ad8cf6ade13709feaf087c7acd5",
     "opt-per-class.class1.cnf.map.json":
-        "394e63c33522e53a879420283421385973d14d01086d115b971b3a8058e9d5ee",
+        "21dfe83ba306bb846d36c836592f8ba326f2d9a4c23bec0306819474e28175ad",
     "sparse-aggregated.cnf":
-        "b48d980dd021fec9a69e2f2e646049009e5637ebf0a4cc01a4767a2ef23386ec",
+        "06c0a4f2ecb5a15cc957abc76d6be12725f835c1e10d415f2188d9e97912cac5",
     "sparse-aggregated.cnf.map.json":
-        "ca33df735f0595d5886ea6142785c1928dedf50d6a2c6133ee6ee4acf0dbcf1e",
+        "59cfc6b002334d5f4e8277afc5b3595b8483dbe1bfc2846a9ab8fee121089839",
     "sparse-per-class.class0.cnf":
-        "fb3fb1f73e4713457d4d2c41791633e770c904cd3115f7da61f304a3156139c2",
+        "ba162a3b22cd95114650003ed3e37464ac813323fcddff05ce9951ed11ea34d9",
     "sparse-per-class.class0.cnf.map.json":
-        "f640df809a936700027d191112971411bf207d7fdc711e7fbfa514f9029acaa7",
+        "0f7135824948c916ec6d4178a8c0066f2eb0579fa08f536b0555341aa828bea7",
     "sparse-per-class.class1.cnf":
-        "6cb34a6d19d36ca5924f090454c55890cc44335d49d682eda16e2fede8cd5680",
+        "b4af42dfd1cedcb96c8c1c9f0aa7fdc093518efd6c547ccda44308538ef37987",
     "sparse-per-class.class1.cnf.map.json":
-        "8e4abc819797eff8e9505924f01ecf064f0e7ada09d783c7abb70e15dcbaaca7",
+        "edbd464fcecd45703f2003c6deb347ae26c0c29f048c128a35f2e4b3015274a0",
 }
 
 

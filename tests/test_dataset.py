@@ -229,7 +229,8 @@ def rowwise_examples(raw, q):
         values = [row[ci] for row in raw.rows]
         numbers = _as_numbers(values)
         if numbers is not None:
-            codes, labels = _quantize(numbers, q)
+            cuts, labels = _quantize(numbers, q)
+            codes = [sum(c < v for c in cuts) for v in numbers]
         else:
             labels = sorted(set(values))
             codes = [labels.index(v) for v in values]
@@ -270,6 +271,31 @@ def test_binarize_examples_equal_the_row_by_row_construction(tmp_path):
         raw = load_csv(write_csv(tmp_path, "\n".join(lines) + "\n", "r%d.csv" % case))
         q = rng.choice([2, 3, 4])
         assert binarize(raw, q=q).examples == rowwise_examples(raw, q)
+
+
+def test_binarize_reuses_given_numeric_bins(tmp_path):
+    train = binarize(load_csv(write_csv(
+        tmp_path, "x,k,y\n" + "".join("%d,u,%s\n" % (v, "AB"[v > 4]) for v in range(1, 9)))))
+    assert train.numeric_bins == {"x": {"cuts": [4.0], "labels": ["bin0", "bin1"]}}
+    assert [bits for bits, _, _ in train.examples] == [(0, 0)] * 4 + [(1, 0)] * 4
+    test_csv = write_csv(tmp_path, "x,k,y\n5,u,A\n6,u,A\n7,u,B\n8,u,B\n", "test.csv")
+    # from the data alone the cut falls at 6; the training cut puts every row in bin1
+    assert [bits for bits, _, _ in binarize(load_csv(test_csv)).examples] == [
+        (0, 0), (0, 0), (1, 0), (1, 0)]
+    fixed = binarize(load_csv(test_csv), numeric_bins=train.numeric_bins)
+    assert [bits for bits, _, _ in fixed.examples] == [(1, 0)] * 4
+    assert fixed.feature_names == train.feature_names
+    assert fixed.numeric_bins == train.numeric_bins
+    assert fixed.subset([0]).numeric_bins == train.numeric_bins
+    # a small domain passes through: its values are the cuts and labels
+    three = {"x": {"cuts": [1.0, 2.0], "labels": ["1", "2", "3"]}}
+    assert binarize(load_csv(write_csv(tmp_path, "x,y\n1,A\n2,B\n3,A\n")),
+                    q=4).numeric_bins == three
+    ds = binarize(load_csv(write_csv(tmp_path, "x,y\n0,A\n2.5,B\n9,A\n")), numeric_bins=three)
+    assert ds.feature_names == ["x=1", "x=2", "x=3"]
+    assert [bits for bits, _, _ in ds.examples] == [(1, 0, 0), (0, 0, 1), (0, 0, 1)]
+    with pytest.raises(DatasetError, match="'x' is binned as numeric, but holds text"):
+        binarize(load_csv(write_csv(tmp_path, "x,y\nlow,A\n")), numeric_bins=three)
 
 
 def test_binarize_label_only_csv_gives_empty_vectors(tmp_path):
@@ -390,6 +416,23 @@ def test_sanitize_mixed_duplicates_and_contradictions():
     assert out.examples == [(a, 0, 2)]
     assert report.merged == 1
     assert report.removed == 2
+
+
+def test_sanitize_weighted_contradiction_reads_the_total_once(monkeypatch):
+    a, b, c = (0, 1), (1, 0), (1, 1)
+    ds = BinDataset(2, ["0", "1"], ["a", "b"],
+                    [(a, 0, 2), (b, 0, 1), (a, 1, 3), (c, 1, 5), (b, 0, 4)])
+    reads = []
+    total = BinDataset.total_weight
+    monkeypatch.setattr(BinDataset, "total_weight",
+                        property(lambda self: reads.append(1) or total.fget(self)))
+    expected = {"perfect": ([(b, 0, 5), (c, 1, 5)], 11, 5),
+                "sparse": ([(a, 0, 2), (b, 0, 5), (a, 1, 3), (c, 1, 5)], 11, 0)}
+    for mode, (rows, merged, removed) in expected.items():
+        reads.clear()
+        out, report = sanitize(ds, mode)
+        assert (out.examples, report.merged, report.removed) == (rows, merged, removed), mode
+        assert len(reads) == 1, mode
 
 
 def test_sanitize_weight_conservation():

@@ -277,9 +277,9 @@ def test_builders_reject_bad_requests(ex1):
 @pytest.mark.parametrize(
     "scope,sizes",
     [
-        (Scope.aggregated(), [(209, 961, 0, 2627), (216, 1008, 7, 2742), (224, 1008, 15, 2814)]),
-        (Scope.per_class(0), [(181, 883, 0, 2422), (188, 930, 7, 2537), (196, 930, 15, 2606)]),
-        (Scope.per_class(1), [(167, 839, 0, 2310), (174, 886, 7, 2425), (182, 886, 15, 2492)]),
+        (Scope.aggregated(), [(161, 817, 0, 2435), (168, 864, 7, 2550), (176, 864, 15, 2622)]),
+        (Scope.per_class(0), [(133, 739, 0, 2230), (140, 786, 7, 2345), (148, 786, 15, 2414)]),
+        (Scope.per_class(1), [(119, 695, 0, 2118), (126, 742, 7, 2233), (134, 742, 15, 2300)]),
     ],
 )
 def test_build_sizes_are_pinned(ex1, scope, sizes):
@@ -454,6 +454,44 @@ def test_validity_chain_matches_resimulation(ex1):
             )
             truth = model.lit_true(vm.truth_var(j))
             valid = valid and (bits[feature - 1] == (1 if truth else 0))
+
+
+def test_used_nodes_validities_follow_from_selectors_and_truths():
+    # fix a model's selectors, truths and unused flags: every validity of
+    # a node up to the last leaf is then forced, so flipping any one of
+    # them leaves no model, in every mode and scope
+    rng = random.Random(1414)
+    encodings = {"perfect": build_perfect, "bounded": build_bounded,
+                 "sparse": lambda ds, n, scope: build_sparse(ds, n, 2, scope)}
+    flipped = 0
+    for trial in range(10):
+        ds = random_dataset(rng, max_m=5, max_k=3)
+        for scope in (Scope.aggregated(), Scope.per_class(0), Scope.per_class(1)):
+            for mode, build in encodings.items():
+                n = rng.randint(2, 5)
+                while True:
+                    bundle = build(ds, n, scope)
+                    solver = Solver()
+                    solver.add_formula(bundle.formula)
+                    if solver.solve():
+                        break
+                    n += 1
+                vm, model = bundle.varmap, solver.model
+                fixed = [vm.select_var(j, r) for j in range(1, n + 1)
+                         for r in range(1, vm.n_features + 2)]
+                fixed += [vm.truth_var(j) for j in range(1, n + 1)]
+                if vm.has_unused:
+                    fixed += [vm.unused_var(j) for j in range(1, n + 1)]
+                fixed = [v if model.lit_true(v) else -v for v in fixed]
+                leaves = [j for j in range(1, n + 1) if model.lit_true(vm.class_sel_var(j))
+                          and not (vm.has_unused and model.lit_true(vm.unused_var(j)))]
+                for j in range(1, max(leaves, default=0) + 1):
+                    for i in range(1, ds.num_examples + 1):
+                        v = vm.valid_var(i, j)
+                        flip = -v if model.lit_true(v) else v
+                        assert not solver.solve(fixed + [flip]), (trial, scope, mode, i, j)
+                        flipped += 1
+    assert flipped > 500
 
 
 def test_perfect_unsat_below_minimum(ex1):

@@ -292,7 +292,9 @@ def test_serialize_round_trip():
         rules=list(PERFECT_EX1),
         classes=["0", "1"],
         total_size=7,
-        metadata={"mode": "perfect", "objective": 7},
+        metadata={"mode": "perfect", "objective": 7,
+                  "numeric_bins": {"x": {"cuts": [-1, 2.5], "labels": ["bin0", "bin1", "bin2"]},
+                                   "c": {"cuts": [], "labels": ["7"]}}},
     )
     doc = serialize(original)
     back = deserialize(doc)
@@ -344,6 +346,20 @@ def test_save_and_load_model(tmp_path):
           "metadata": {"feature_names": "f0"}}, "feature_names"),
         ({"classes": ["a"], "rules": [], "total_size": 0,
           "metadata": {"feature_names": ["f0", 1]}}, "feature_names"),
+        # the stored binning, when present: increasing numeric cuts, and one
+        # string label per bin
+        ({"classes": ["a"], "rules": [], "total_size": 0,
+          "metadata": {"numeric_bins": []}}, "numeric_bins must be an object"),
+    ] + [
+        ({"classes": ["a"], "rules": [], "total_size": 0,
+          "metadata": {"numeric_bins": {"x": entry}}}, r"numeric_bins\['x'\]")
+        for entry in ([4.0], {"cuts": [4.0]}, {"cuts": 4.0, "labels": ["a", "b"]},
+                      {"cuts": [True], "labels": ["a", "b"]},
+                      {"cuts": ["4"], "labels": ["a", "b"]},
+                      {"cuts": [float("nan")], "labels": ["a", "b"]},
+                      {"cuts": [2, 2], "labels": ["a", "b", "c"]},
+                      {"cuts": [4.0], "labels": ["a"]},
+                      {"cuts": [4.0], "labels": ["a", 1]})
     ],
 )
 def test_deserialize_rejects_malformed_documents(doc, fragment):

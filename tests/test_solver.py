@@ -342,7 +342,7 @@ def test_search_counts_are_pinned(monkeypatch):
     assert (out.objective, per_call) == (7, [1, 1, 2, 7, 11, 14, 16])
     per_call.clear()
     out = optimizer.minimize_bounded(make_ex1(), Scope.aggregated())
-    assert (out.objective, per_call) == (7, [32, 1, 0, 1, 2, 6, 10, 12, 10])
+    assert (out.objective, per_call) == (7, [33, 1, 0, 1, 2, 7, 13, 12, 10])
     per_call.clear()
     # the greedy budget: 4 nodes, the optimum itself, where 2(K+2) gave 12
     out = optimizer.minimize_bounded(make_ex1(), Scope.per_class(0))
@@ -353,13 +353,13 @@ def test_search_counts_are_pinned(monkeypatch):
     # from "at most 6 used"
     out = optimizer.minimize_bounded(make_ex1(), Scope.aggregated(), n0=5)
     assert (out.objective, [r["n"] for r in out.stats["rounds"]], per_call) == (
-        7, [5, 10], [25, 15, 16, 5])
+        7, [5, 10], [25, 15, 22, 7])
     per_call.clear()
     # lambda_cost 1: the optimum 4 at budget 2 leaves room for a cheaper set
     # of up to 3 nodes, so budget 3 runs; class 0's optimum 3 is certified at 2
     out = optimizer.minimize_sparse(make_ex1(), Scope.aggregated(), lam=0.1, n0=2)
     assert (out.objective, [r["n"] for r in out.stats["rounds"]], per_call) == (
-        4, [2, 3], [0, 5, 25, 7, 0, 2, 0, 4, 0, 0, 0, 8])
+        4, [2, 3], [0, 5, 11, 0, 8, 4, 0, 4, 0, 0, 0, 8])
     per_call.clear()
     out = optimizer.minimize_sparse(make_ex1(), Scope.per_class(0), lam=0.1, n0=2)
     assert (out.objective, [r["n"] for r in out.stats["rounds"]], per_call) == (
