@@ -28,7 +28,7 @@ from .encoder import (EncodingError, Scope, build_bounded, build_perfect, build_
 from .formula import FormulaError
 from .model import DecisionSet, ModelError, evaluate, load_model, save_model
 from .optimizer import (ContradictionError, OptimizerError, SearchLimits, SolveOutcome,
-                        _Clock, _remaining_limits, first_budget, minimize_bounded,
+                        _Clock, _join, _remaining_limits, first_budget, minimize_bounded,
                         minimize_perfect, minimize_sparse)
 
 MODES = ("opt", "mopt", "sparse")
@@ -121,27 +121,18 @@ def _learn_model(ds: BinDataset, config: RunConfig, clock: _Clock,
     if config.scope == "aggregated":
         outcome = _run_one(ds, Scope.aggregated(), config, clock, context, 1 + later_models)
         return outcome.decision_set, outcome.status
-    rules = []
-    objectives = {}
-    total = 0
-    status = "optimal"
     targets = sorted({cls for _, cls, _ in ds.examples})
-    for done, target in enumerate(targets):
-        outcome = _run_one(ds, Scope.per_class(target), config, clock,
-                           {**context, "class": ds.classes[target]},
-                           len(targets) * (1 + later_models) - done)
-        rules.extend(outcome.decision_set.rules)
-        total += outcome.decision_set.total_size
-        objectives[ds.classes[target]] = outcome.objective
-        if outcome.status != "optimal":
-            status = "feasible"
-    metadata = {"mode": config.mode, "scope": "per-class",
-                "objective": sum(objectives.values()), "per_class_objectives": objectives}
+    outcomes = [_run_one(ds, Scope.per_class(target), config, clock,
+                         {**context, "class": ds.classes[target]},
+                         len(targets) * (1 + later_models) - done)
+                for done, target in enumerate(targets)]
+    joined = _join(outcomes, ds, config.mode, "per-class")
+    metadata = joined.decision_set.metadata
+    metadata["per_class_objectives"] = {ds.classes[target]: outcome.objective
+                                        for target, outcome in zip(targets, outcomes)}
     if config.mode == "sparse":
         metadata["lambda_cost"] = lam_to_cost(config.lam, ds.total_weight)
-    dset = DecisionSet(rules=rules, classes=list(ds.classes), total_size=total,
-                       metadata=metadata)
-    return dset, status
+    return joined.decision_set, joined.status
 
 
 class CliTimeout(Exception):

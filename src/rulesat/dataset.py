@@ -261,12 +261,14 @@ def sanitize(ds: BinDataset, mode: str) -> tuple[BinDataset, SanitizeReport]:
         raise DatasetError("sanitize mode must be 'perfect' or 'sparse'")
     groups: dict[tuple[int, ...], dict[int, int]] = {}
     order: list[tuple[tuple[int, ...], int]] = []
+    merged = 0
     for bits, cls, weight in ds.examples:
         by_class = groups.setdefault(bits, {})
-        if cls not in by_class:
+        if cls in by_class:
+            merged += weight
+        else:
             order.append((bits, cls))
-            by_class[cls] = 0
-        by_class[cls] += weight
+        by_class[cls] = by_class.get(cls, 0) + weight
     total = ds.total_weight
     examples = []
     for bits, cls in order:
@@ -274,8 +276,7 @@ def sanitize(ds: BinDataset, mode: str) -> tuple[BinDataset, SanitizeReport]:
         if mode == "perfect" and len(by_class) > 1:
             continue
         examples.append((bits, cls, by_class[cls]))
-    report = SanitizeReport(merged=total - len(order),
-                            removed=total - sum(w for _, _, w in examples))
+    report = SanitizeReport(merged=merged, removed=total - sum(w for _, _, w in examples))
     return ds._derived(examples), report
 
 

@@ -52,6 +52,10 @@ candidate rules.  The models keep the same sets and sizes because:
 
 So an UNSAT answer for the ordered encoding is one for decision sets.
 Per-class encodings have one head and carry no such clauses.
+
+The aggregated encodings serve the sparse search and `rulesat encode`
+only: an exact fit splits by class, so the opt and mopt searches run per
+class in every scope and join the rules (optimizer._join).
 """
 
 from __future__ import annotations

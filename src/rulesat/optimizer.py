@@ -6,27 +6,29 @@ budgets.  A round solves under the guard of the ending Encoder.build
 writes at its budget, and the next round retires it, so the clauses
 learnt on the smaller budgets carry over.  The used count u of a round's
 first model bounds the optimum from above.  The unused flags form a
-suffix, so "at most c used nodes" is the single assumption
-unused_{c+1}, and the round climbs c from floor + 1 to u - 1, where
-floor is the largest budget an earlier round proved infeasible: the
-first satisfiable c is the optimum, with no cost counter.
-minimize_perfect runs it on the perfect encoding from budget 1 up, one
-node per round, also assuming that the last node is a leaf, so its first
-satisfiable budget is minimal and no round climbs.  minimize_bounded
-starts, unless given a budget, from the size of an exact-fit decision
-set that a greedy pass over the data builds (_greedy_budget), capped at
-default_node_budget: below the cap its first round has a model and ends
-optimal; after an infeasible round, the next and last one runs at the
-greedy set's full size.  A round's first model is an anytime answer
-within its budget.  minimize_sparse trades misclassifications against a
+suffix, so "at most c used nodes" is the single assumption unused_{c+1},
+and the round climbs c from floor + 1 to u - 1, where floor is the
+largest budget an earlier round proved infeasible: the first satisfiable
+c is the optimum, with no cost counter.  minimize_perfect runs it on the
+perfect encoding from budget 1 up, one node per round, also assuming
+that the last node is a leaf, so its first satisfiable budget is minimal
+and no round climbs.  minimize_bounded starts, unless given a budget,
+from the size of an exact-fit decision set that a greedy pass over the
+data builds (_greedy_budget), capped at default_node_budget: below the
+cap its first round has a model and ends optimal; after an infeasible
+round, the next and last one runs at the greedy set's full size.  A
+round's first model is an anytime answer within its budget.  Exact fit
+splits by class, so in aggregated scope both drivers search each class
+in turn and join the rules (_join); aggregated encodings serve only
+sparse and encode.  minimize_sparse trades misclassifications against a
 per-node penalty by MaxSAT, each round on a fresh solver.  A set cheaper
 than a round's optimum C uses at most (C - 1) // lambda_cost nodes, so C
 is optimal if that bound is within the budget; else the next and last
 round runs at the bound.  The drivers share one loop (_search_budgets)
 that runs the budget each round derives, within the node cap, and keeps
 the clock, the round records and the solver totals.  Each driver's
-Encoder writes straight into its Solver; a round checks the clock
-before each node, and a sparse round runs _descend.
+Encoder writes straight into its Solver; a round checks the clock before
+each node, and a sparse round runs _descend.
 
 maxsat_solve loads a formula into a solver and runs _descend, a linear
 SAT-to-UNSAT search: solve, read the model cost c, then assume "cost <=
@@ -151,6 +153,7 @@ def first_budget(ds: BinDataset, scope: Scope, mode: str, n0: int | None, max_no
 
 class _Clock:
     def __init__(self, limits: SearchLimits):
+        limits.validate()
         self.limits = limits
         self.start = time.monotonic()
         self.wall_deadline = self.start + limits.wall_time_budget
@@ -257,7 +260,6 @@ def maxsat_solve(problem, limits: SearchLimits | None = None, progress=None) -> 
     if not formula.soft:
         raise OptimizerError("maxsat_solve needs at least one soft clause")
     limits = limits or SearchLimits()
-    limits.validate()
     solver = Solver()
     solver.add_formula(formula)
     return _descend(solver, formula.soft, _Clock(limits), progress)
@@ -354,11 +356,10 @@ def _search_budgets(limits: SearchLimits, n: int, progress, solve_round) -> Solv
     times out or runs at the cap.  The best feasible outcome found so
     far, if any, stands in for a timeout or for reaching the node cap.
     """
-    limits.validate()
+    clock = _Clock(limits)
     if not 1 <= n <= limits.max_nodes:
         raise OptimizerError("node budget %d is outside 1..%d (the node cap, max_nodes)"
                              % (n, limits.max_nodes))
-    clock = _Clock(limits)
     rounds = []
     solve_calls = conflicts = 0
     best = outcome = None
@@ -391,27 +392,73 @@ def _search_budgets(limits: SearchLimits, n: int, progress, solve_round) -> Solv
     return outcome
 
 
+def _join(outcomes: list[SolveOutcome], ds: BinDataset, mode: str, kind: str) -> SolveOutcome:
+    """The union of per-class outcomes in class order, sizes and objectives
+    summed: "optimal" only if each one is, else "feasible", and a timeout
+    with no set if one has no set."""
+    if any(out.decision_set is None for out in outcomes):
+        return SolveOutcome(status="timeout")
+    objective = sum(out.objective for out in outcomes)
+    dset = DecisionSet(rules=[rule for out in outcomes for rule in out.decision_set.rules],
+                       classes=list(ds.classes),
+                       total_size=sum(out.decision_set.total_size for out in outcomes),
+                       metadata={"mode": mode, "scope": kind, "objective": objective})
+    status = "optimal" if all(out.status == "optimal" for out in outcomes) else "feasible"
+    return SolveOutcome(status=status, decision_set=dset, objective=objective)
+
+
+def _search_each_class(ds: BinDataset, mode: str, n0: int | None, limits: SearchLimits,
+                       progress) -> SolveOutcome:
+    """An aggregated exact search: each class's own search, in class order,
+    on its share of the time left on one clock, joined.  No class starts
+    after one found no set.  Records carry the class and that clock's time.
+    """
+    clock = _Clock(limits)
+    targets = sorted({cls for _, cls, _ in ds.examples})
+    outcomes, rounds = [], []
+    for done, target in enumerate(targets):
+        def tag(record, label=ds.classes[target], start=clock.elapsed()):
+            return {**record, "class": label, "elapsed": start + record["elapsed"]}
+        out = _exact_search(ds, Scope.per_class(target), mode, n0,
+                            _remaining_limits(clock, len(targets) - done),
+                            progress and (lambda record: progress(tag(record))))
+        outcomes.append(out)
+        rounds += map(tag, out.stats["rounds"])
+        if out.decision_set is None:
+            break
+    joined = _join(outcomes, ds, mode, "aggregated")
+    if joined.decision_set is not None:
+        _verified(joined.decision_set, ds, Scope.aggregated())
+    joined.stats = {key: sum(out.stats[key] for out in outcomes)
+                    for key in ("solve_calls", "conflicts")}
+    joined.stats.update(elapsed=clock.elapsed(), rounds=rounds)
+    joined.stats.update((k, v) for out in outcomes for k, v in out.stats.items() if k == "note")
+    return joined
+
+
 def _exact_search(ds: BinDataset, scope: Scope, mode: str, n0: int | None,
                   limits: SearchLimits | None, progress) -> SolveOutcome:
-    """The one round body of minimize_perfect (mode "perfect") and
-    minimize_bounded (mode "bounded"); see the module docstring.
-
-    floor starts at 0 in perfect mode, since a perfect encoding of n
-    nodes uses all n, and at -1 in bounded mode, where a set may use no
-    node.  A timeout returns the best model so far as "feasible".
+    """The one search of minimize_perfect (mode "perfect", which takes no
+    n0) and minimize_bounded (mode "bounded"), run per class in aggregated
+    scope; see the module docstring.  A timeout returns the best model so
+    far as "feasible".
     """
     scope.validate(len(ds.classes))
     _check_consistent(ds)
+    perfect = mode == "perfect"
+    if perfect and n0 is not None:
+        raise OptimizerError("a perfect search starts at one node and takes no first budget")
     limits = limits or SearchLimits()
+    if scope.is_aggregated:
+        return _search_each_class(ds, mode, n0, limits, progress)
     # after the checks: the greedy pass of first_budget needs consistent data
-    n = first_budget(ds, scope, mode, n0, limits.max_nodes)
+    n = 1 if perfect else first_budget(ds, scope, mode, n0, limits.max_nodes)
     solver = Solver()
     enc = Encoder(ds, scope, mode, solver)
     vm = enc.vm
-    perfect = mode == "perfect"
     sat, unsat = ("sat", "unsat") if perfect else ("optimal", "infeasible")
     guard = None
-    floor = 0 if perfect else -1
+    floor = -1
 
     def solve_round(n, clock):
         nonlocal guard, floor
@@ -435,7 +482,7 @@ def _exact_search(ds: BinDataset, scope: Scope, mode: str, n0: int | None,
             if clock.solve(solver, [vm.class_sel_var(n), guard] if perfect else [guard]):
                 status = sat
                 improved(solver.model)
-                for c in range(floor + 1, best.total_size):
+                for c in range(floor + 1, best.total_size) if not perfect else ():
                     if clock.solve(solver, [guard, vm.unused_var(c + 1)]):
                         improved(solver.model)
                         break
@@ -471,7 +518,7 @@ def minimize_perfect(ds: BinDataset, scope: Scope, limits: SearchLimits | None =
     by one node each, so every clause learnt on a smaller size carries
     over to the larger ones.
     """
-    return _exact_search(ds, scope, "perfect", 1, limits, progress)
+    return _exact_search(ds, scope, "perfect", None, limits, progress)
 
 
 def minimize_bounded(ds: BinDataset, scope: Scope, n0: int | None = None,
@@ -485,6 +532,7 @@ def minimize_bounded(ds: BinDataset, scope: Scope, n0: int | None = None,
     last round runs at the greedy set's size, capped only at
     limits.max_nodes.  A round's first solve gives an anytime model within
     the budget, and the climb of _exact_search then proves or improves it.
+    In aggregated scope n0 is each class's first budget.
     """
     return _exact_search(ds, scope, "bounded", n0, limits, progress)
 

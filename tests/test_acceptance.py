@@ -34,10 +34,16 @@ def test_criterion_1_example_minimum_aggregated_size():
     assert out.objective == 7
     ok, witness = verify_perfect(out.decision_set, make_ex1(), AGG)
     assert ok, witness
+    # sizes 1-6 are UNSAT for the aggregated encoding itself
+    for n in range(1, 8):
+        solver = Solver()
+        solver.add_formula(build_perfect(make_ex1(), n, AGG).formula)
+        assert solver.solve() is (n == 7), n
+    # the search runs per class: class 0 fits 4 nodes, class 1 fits 3
     rounds = out.stats["rounds"]
-    assert [(r["n"], r["status"]) for r in rounds] == [
-        (n, "unsat") for n in range(1, 7)
-    ] + [(7, "sat")]
+    assert [(r["class"], r["n"], r["status"]) for r in rounds] == [
+        ("0", n, "unsat") for n in range(1, 4)
+    ] + [("0", 4, "sat")] + [("1", n, "unsat") for n in range(1, 3)] + [("1", 3, "sat")]
     assert elapsed < 5.0, elapsed
     print("PASS criterion 1: aggregated size 7, sizes 1-6 unsat, %.2fs" % elapsed)
 

@@ -102,7 +102,11 @@ def test_learn_verbose_reports_each_improved_model(ex1_csv, capsys):
     records = [json.loads(l) for l in capsys.readouterr().err.strip().splitlines()]
     models = [r for r in records if r.get("event") == "model"]
     assert models
-    assert all(r["cost"] >= 7 for r in models)
+    # each class's search reports its own models, down to its optimum
+    optima = {"0": 4, "1": 3}
+    assert all(r["cost"] >= optima[r["class"]] for r in models)
+    assert [r["class"] for r in records] == sorted(r["class"] for r in records)
+    assert {r["class"]: r["cost"] for r in models} == optima
 
 
 def test_learn_contradictory_data_needs_sparse(tmp_path, capsys):

@@ -426,13 +426,20 @@ def test_sanitize_weighted_contradiction_reads_the_total_once(monkeypatch):
     total = BinDataset.total_weight
     monkeypatch.setattr(BinDataset, "total_weight",
                         property(lambda self: reads.append(1) or total.fget(self)))
-    expected = {"perfect": ([(b, 0, 5), (c, 1, 5)], 11, 5),
-                "sparse": ([(a, 0, 2), (b, 0, 5), (a, 1, 3), (c, 1, 5)], 11, 0)}
+    # merged is the weight folded into an earlier row of the same vector
+    # and class: b's class-0 row of weight 4
+    expected = {"perfect": ([(b, 0, 5), (c, 1, 5)], 4, 5),
+                "sparse": ([(a, 0, 2), (b, 0, 5), (a, 1, 3), (c, 1, 5)], 4, 0)}
     for mode, (rows, merged, removed) in expected.items():
         reads.clear()
         out, report = sanitize(ds, mode)
         assert (out.examples, report.merged, report.removed) == (rows, merged, removed), mode
         assert len(reads) == 1, mode
+    # with unit weights, merged is the rows less the (vector, class) groups
+    unit = BinDataset(2, ["0", "1"], ["a", "b"], [(bits, cls, 1) for bits, cls, _ in ds.examples])
+    for mode, removed in (("perfect", 2), ("sparse", 0)):
+        _, report = sanitize(unit, mode)
+        assert (report.merged, report.removed) == (5 - 4, removed), mode
 
 
 def test_sanitize_weight_conservation():

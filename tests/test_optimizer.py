@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -195,10 +196,13 @@ def test_minimize_perfect_aggregated_example():
         "mode": "perfect", "scope": "aggregated", "objective": 7,
     }
     assert evaluate(out.decision_set, make_ex1()).accuracy == 100.0
+    # one search per class: class 0's optimum 4, then class 1's optimum 3
     rounds = out.stats["rounds"]
-    assert [r["n"] for r in rounds] == list(range(1, 8))
-    assert [r["status"] for r in rounds] == ["unsat"] * 6 + ["sat"]
+    assert [(r["class"], r["n"], r["status"]) for r in rounds] == (
+        [("0", n, "unsat") for n in (1, 2, 3)] + [("0", 4, "sat")]
+        + [("1", n, "unsat") for n in (1, 2)] + [("1", 3, "sat")])
     assert events == rounds
+    assert [rule.head for rule in out.decision_set.rules] == [0, 0, 1]
 
 
 def test_minimize_perfect_per_class_union_matches_aggregated():
@@ -268,7 +272,8 @@ def test_minimize_perfect_rounds_match_fresh_solves(monkeypatch):
     rng = random.Random(123)
     for trial in range(25):
         ds = random_dataset(rng, max_m=5, max_k=3)
-        for scope in (AGG, Scope.per_class(0), Scope.per_class(1)):
+        per_class = []
+        for scope in (Scope.per_class(0), Scope.per_class(1)):
             del created[:]
             out = minimize_perfect(ds, scope)
             rounds = out.stats["rounds"]
@@ -280,6 +285,13 @@ def test_minimize_perfect_rounds_match_fresh_solves(monkeypatch):
                 fresh.add_formula(build_perfect(ds, r["n"], scope).formula)
                 expected = "sat" if fresh.solve() else "unsat"
                 assert r["status"] == expected, (trial, scope, r["n"])
+            if any(cls == scope.target for _, cls, _ in ds.examples):
+                per_class += [(ds.classes[scope.target], r["n"], r["status"]) for r in rounds]
+        # aggregated: the rounds of each class with examples, one solver each
+        del created[:]
+        out = minimize_perfect(ds, AGG)
+        assert [(r["class"], r["n"], r["status"]) for r in out.stats["rounds"]] == per_class
+        assert len(created) == len({cls for _, cls, _ in ds.examples})
 
 
 def test_minimize_perfect_rejects_contradictions():
@@ -316,7 +328,8 @@ def test_minimize_perfect_covers_impossible_target_class():
 def test_minimize_bounded_rounds_match_fresh_solves(monkeypatch):
     # one growing encoding on one solver answers every round as a fresh
     # solver does on that round's full bounded encoding; an infeasible
-    # budget is followed by the greedy set's size, the last round
+    # budget is followed by the greedy set's size, the last round.  An
+    # aggregated search runs the rounds of each class's own search
     created = []
 
     class CountedSolver(Solver):
@@ -333,12 +346,19 @@ def test_minimize_bounded_rounds_match_fresh_solves(monkeypatch):
         for scope in [AGG] + [Scope.per_class(cls) for cls in present]:
             optimum = oracle_min_size(ds, scope, cap=24)
             n0 = rng.randint(1, optimum + 2)
-            below += n0 < optimum
-            above += n0 > optimum
             del created[:]
             out = minimize_bounded(ds, scope, n0=n0)
-            assert len(created) == 1
             assert (out.status, out.objective) == ("optimal", optimum), (trial, scope)
+            if scope.is_aggregated:
+                assert len(created) == len(present)
+                assert [(r["class"], r["n"], r["status"], r["cost"])
+                        for r in out.stats["rounds"]] == [
+                    (ds.classes[c], r["n"], r["status"], r["cost"]) for c in present
+                    for r in minimize_bounded(ds, Scope.per_class(c), n0=n0).stats["rounds"]]
+                continue
+            below += n0 < optimum
+            above += n0 > optimum
+            assert len(created) == 1
             rounds = out.stats["rounds"]
             greedy = optimizer._greedy_budget(ds, scope, SearchLimits.max_nodes)
             assert [r["n"] for r in rounds] == ([n0] if n0 >= optimum else [n0, greedy])
@@ -354,13 +374,23 @@ def test_minimize_bounded_rounds_match_fresh_solves(monkeypatch):
 
 def test_model_events_share_the_rounds_time_base(ex1):
     events = []
-    out = minimize_bounded(ex1, AGG, n0=5, progress=events.append)
-    assert [r["n"] for r in out.stats["rounds"]] == [5, 10]  # 10: the greedy budget
+    out = minimize_bounded(ex1, Scope.per_class(1), n0=2, progress=events.append)
+    assert [r["n"] for r in out.stats["rounds"]] == [2, 6]  # 6: the greedy budget
     models = [e for e in events if e.get("event") == "model"]
-    assert models and all(e["n"] == 10 for e in models)
+    assert models and all(e["n"] == 6 for e in models)
     assert all("n" in e for e in events)
     times = [e["elapsed"] for e in events]
     assert times == sorted(times)
+    # aggregated: both classes' records, tagged, on the one clock of the call
+    events.clear()
+    out = minimize_bounded(ex1, AGG, n0=2, progress=events.append)
+    assert [(r["class"], r["n"]) for r in out.stats["rounds"]] == [
+        ("0", 2), ("0", 4), ("1", 2), ("1", 6)]
+    models = [(e["class"], e["n"]) for e in events if e.get("event") == "model"]
+    assert models == [("0", 4), ("1", 6), ("1", 6)]
+    times = [e["elapsed"] for e in events]
+    assert times == sorted(times)
+    assert out.stats["rounds"] == [e for e in events if "status" in e]
 
 
 def test_no_round_starts_after_the_deadline(ex1, monkeypatch):
@@ -422,8 +452,7 @@ def test_a_round_climbs_above_the_budgets_proven_infeasible(ex1, monkeypatch):
     def climbs(ds, scope, n0):
         """The search's outcome and, per round, the largest budget an
         earlier round proved infeasible with the c of each climbing solve."""
-        del asked[:], encoders[:]
-        out = minimize_bounded(ds, scope, n0=n0)
+        out, _ = asks(ds, scope, n0)
         (enc,) = encoders
         c_of = {enc.vm.unused_var(j): j - 1 for j in range(1, enc.vm.n_nodes + 1)}
         rounds = iter(out.stats["rounds"])
@@ -438,11 +467,16 @@ def test_a_round_climbs_above_the_budgets_proven_infeasible(ex1, monkeypatch):
                 per_round[-1][1].append(c_of[assumptions[1]])
         return out, per_round
 
-    out, per_round = climbs(ex1, AGG, 5)
-    assert out.objective == 7
+    def asks(ds, scope, n0):
+        """The search's outcome and the assumptions of its solves."""
+        del asked[:], encoders[:]
+        return minimize_bounded(ds, scope, n0=n0), list(asked)
+
+    out, per_round = climbs(ex1, Scope.per_class(1), 2)
+    assert out.objective == 3
     assert per_round[0] == (-1, [])
     floor, cs = per_round[1]
-    assert floor == 5 and cs[0] == 6
+    assert floor == 2 and cs[0] == 3
     rng = random.Random(606)
     above_a_floor = 0
     for trial in range(25):
@@ -450,7 +484,17 @@ def test_a_round_climbs_above_the_budgets_proven_infeasible(ex1, monkeypatch):
         present = sorted({cls for _, cls, _ in ds.examples})
         for scope in [AGG] + [Scope.per_class(cls) for cls in present]:
             optimum = oracle_min_size(ds, scope, cap=24)
-            out, per_round = climbs(ds, scope, rng.randint(1, optimum))
+            n0 = rng.randint(1, optimum)
+            if scope.is_aggregated:
+                # the solves and climbs of each class's own search, in class order
+                out, agg_asked = asks(ds, scope, n0)
+                per_round, per_class_asked = [], []
+                for c in present:
+                    per_round += climbs(ds, Scope.per_class(c), n0)[1]
+                    per_class_asked += asked
+                assert agg_asked == per_class_asked, trial
+            else:
+                out, per_round = climbs(ds, scope, n0)
             assert (out.status, out.objective) == ("optimal", optimum), (trial, scope)
             for floor, cs in per_round:
                 assert cs == list(range(floor + 1, floor + 1 + len(cs))), (trial, scope)
@@ -465,17 +509,24 @@ def test_minimize_bounded_with_roomy_budget(ex1):
     assert out.decision_set.total_size == 7
     assert out.decision_set.metadata["mode"] == "bounded"
     assert evaluate(out.decision_set, make_ex1()).accuracy == 100.0
-    assert [r["n"] for r in out.stats["rounds"]] == [9]
+    # n0 is the first budget of each class
+    assert [(r["class"], r["n"], r["cost"]) for r in out.stats["rounds"]] == [
+        ("0", 9, 4), ("1", 9, 3)]
 
 
 def test_minimize_bounded_grows_past_infeasible_budget(ex1):
-    out = minimize_bounded(ex1, AGG, n0=5)
+    out = minimize_bounded(ex1, Scope.per_class(1), n0=2)
     assert out.status == "optimal"
-    assert out.objective == 7
+    assert out.objective == 3
     rounds = out.stats["rounds"]
-    assert [r["n"] for r in rounds] == [5, 10]  # 10: the greedy budget
+    assert [r["n"] for r in rounds] == [2, 6]  # 6: the greedy budget
     assert rounds[0]["status"] == "infeasible"
     assert rounds[1]["status"] == "optimal"
+    # aggregated: class 0 grows past 3 to its greedy budget 4, class 1 fits 3
+    out = minimize_bounded(ex1, AGG, n0=3)
+    assert (out.status, out.objective) == ("optimal", 7)
+    assert [(r["class"], r["n"], r["status"]) for r in out.stats["rounds"]] == [
+        ("0", 3, "infeasible"), ("0", 4, "optimal"), ("1", 3, "optimal")]
 
 
 def test_minimize_bounded_matches_perfect_on_micro_data():
@@ -528,7 +579,8 @@ def test_greedy_budget_bounds_the_optimum_and_takes_one_round():
         ds = random_dataset(rng, max_m=8, max_k=4)
         cap = default_node_budget(ds.num_features)
         present = sorted({cls for _, cls, _ in ds.examples})
-        for scope in [AGG] + [Scope.per_class(c) for c in present]:
+        one_round = {}  # the one round of each class's search below the cap
+        for scope in [Scope.per_class(c) for c in present] + [AGG]:
             rules = list(optimizer._greedy_rules(ds, scope))
             greedy = DecisionSet(rules=rules, classes=ds.classes,
                                  total_size=sum(rule.size for rule in rules))
@@ -541,9 +593,15 @@ def test_greedy_budget_bounds_the_optimum_and_takes_one_round():
             if greedy.total_size <= cap:
                 below_cap += 1
                 out = minimize_bounded(ds, scope)
-                (record,) = out.stats["rounds"]
-                assert (record["n"], record["status"], record["cost"]) == (
-                    bound, "optimal", expected), (trial, scope, ds)
+                rounds = [(r["n"], r["status"], r["cost"]) for r in out.stats["rounds"]]
+                if scope.is_aggregated:
+                    # one round per class, at that class's greedy budget: the
+                    # aggregated greedy set is the union of the classes' sets
+                    assert rounds == [one_round[c] for c in present], (trial, ds)
+                    assert out.objective == expected, (trial, ds)
+                else:
+                    assert rounds == [(bound, "optimal", expected)], (trial, scope, ds)
+                    one_round[scope.target] = rounds[0]
     assert below_cap > 100
 
 
@@ -554,12 +612,21 @@ def test_minimize_bounded_climbs_without_a_cost_counter(monkeypatch):
     rng = random.Random(405)
     datasets = [make_ex1()] + [random_dataset(rng, max_m=5, max_k=3) for _ in range(20)]
     for ds in datasets:
+        present = sorted({cls for _, cls, _ in ds.examples})
         expected = oracle_min_size(ds, AGG, cap=24)
-        out = minimize_bounded(ds, AGG, n0=expected + rng.randint(0, 3))
-        (record,) = out.stats["rounds"]
-        assert (record["status"], record["cost"]) == ("optimal", expected)
-        # one solve for the upper bound, then at most objective + 1 climbing
-        assert out.stats["solve_calls"] <= out.objective + 2, ds
+        n0 = expected + rng.randint(0, 3)
+        for scope in [Scope.per_class(c) for c in present]:
+            out = minimize_bounded(ds, scope, n0=n0)
+            (record,) = out.stats["rounds"]
+            assert (record["status"], record["cost"]) == (
+                "optimal", oracle_min_size(ds, scope, cap=24)), ds
+            # one solve for the upper bound, then at most objective + 1 climbing
+            assert out.stats["solve_calls"] <= out.objective + 2, ds
+        # aggregated: one such round per class
+        out = minimize_bounded(ds, AGG, n0=n0)
+        assert [r["status"] for r in out.stats["rounds"]] == ["optimal"] * len(present), ds
+        assert out.objective == expected, ds
+        assert out.stats["solve_calls"] <= out.objective + 2 * len(present), ds
     assert calls == []
 
 
@@ -575,13 +642,25 @@ def test_minimize_bounded_timeout_keeps_the_first_model(ex1, monkeypatch):
 
     monkeypatch.setattr(Solver, "solve", second_call_times_out)
     events = []
-    out = minimize_bounded(ex1, AGG, n0=12, progress=events.append)
+    out = minimize_bounded(ex1, Scope.per_class(0), n0=12, progress=events.append)
     (first,) = [e for e in events if e.get("event") == "model"]
     assert out.status == "feasible"
-    assert out.objective == first["cost"] >= 7
+    assert out.objective == first["cost"] >= 4
     assert out.decision_set.metadata["objective"] == first["cost"]
     (record,) = out.stats["rounds"]
     assert (record["status"], record["cost"]) == ("timeout", first["cost"])
+    # aggregated: class 0's first model joins class 1's optimum 3 as feasible
+    seen.clear()
+    events.clear()
+    out = minimize_bounded(ex1, AGG, n0=12, progress=events.append)
+    first = [e for e in events if e.get("event") == "model"][0]
+    assert first["class"] == "0"
+    assert (out.status, out.objective) == ("feasible", first["cost"] + 3)
+    assert out.decision_set.total_size == out.objective
+    assert out.decision_set.metadata == {
+        "mode": "bounded", "scope": "aggregated", "objective": out.objective}
+    assert [(r["class"], r["status"], r["cost"]) for r in out.stats["rounds"]] == [
+        ("0", "timeout", first["cost"]), ("1", "optimal", 3)]
 
 
 def test_minimize_bounded_budget_above_node_cap(ex1):
@@ -591,11 +670,16 @@ def test_minimize_bounded_budget_above_node_cap(ex1):
         minimize_bounded(ex1, AGG, n0=70, limits=SearchLimits(max_nodes=64))
     with pytest.raises(OptimizerError, match="node cap"):
         minimize_sparse(ex1, AGG, lam=0.5, n0=65)
-    # a derived budget past the cap runs at the cap: the greedy budget 10
-    # after an infeasible 5, and sparse's bound 3 after the optimum 4 at 1
-    out = minimize_bounded(ex1, AGG, n0=5, limits=SearchLimits(max_nodes=6))
+    # a derived budget past the cap runs at the cap: class 1's greedy budget
+    # 6 after an infeasible 1, and sparse's bound 3 after the optimum 4 at 1
+    out = minimize_bounded(ex1, Scope.per_class(1), n0=1, limits=SearchLimits(max_nodes=2))
     assert ([r["n"] for r in out.stats["rounds"]], out.status, out.stats["note"]) == (
-        [5, 6], "timeout", "node cap 6 reached")
+        [1, 2], "timeout", "node cap 2 reached")
+    # the cap holds per class, and no class starts after one found no set
+    out = minimize_bounded(ex1, AGG, n0=1, limits=SearchLimits(max_nodes=2))
+    assert ([(r["class"], r["n"]) for r in out.stats["rounds"]], out.status,
+            out.decision_set, out.stats["note"]) == (
+        [("0", 1), ("0", 2)], "timeout", None, "node cap 2 reached")
     out = minimize_sparse(ex1, AGG, lam=0.005, n0=1, limits=SearchLimits(max_nodes=2))
     assert ([r["n"] for r in out.stats["rounds"]], out.status, out.objective,
             out.stats["note"]) == ([1, 2], "feasible", 4, "node cap 2 reached")
@@ -736,6 +820,100 @@ def test_union_equality_on_micro_data():
         assert agg == per, ds
         checked += 1
     assert checked == 60
+
+
+# ---------------------------------------------------------------- join
+
+
+def test_aggregated_searches_join_the_per_class_optima():
+    # an aggregated opt or mopt search is the join of its classes' searches:
+    # the oracle's aggregated optimum, the sum of the per-class drivers'
+    # objectives, class-0 rules first, and a set exact on the full data
+    rng = random.Random(1515)
+    one_class = 0
+    for trial in range(40):
+        ds = random_dataset(rng, max_m=6, max_k=3)
+        if trial % 4 == 0:  # every example in one class
+            cls = rng.randrange(2)
+            ds = BinDataset(ds.num_features, ds.classes, ds.feature_names,
+                            [(bits, cls, w) for bits, _, w in ds.examples])
+        present = sorted({cls for _, cls, _ in ds.examples})
+        one_class += len(present) == 1
+        expected = oracle_min_size(ds, AGG, cap=24)
+        for search in (minimize_perfect, minimize_bounded):
+            per_class = sum(search(ds, Scope.per_class(c)).objective for c in present)
+            out = search(ds, AGG)
+            dset = out.decision_set
+            assert (out.status, out.objective, dset.total_size) == (
+                "optimal", expected, expected), (trial, search, ds)
+            assert per_class == expected, (trial, search, ds)
+            assert verify_perfect(dset, ds, AGG) == (True, None), (trial, search, ds)
+            heads = [rule.head for rule in dset.rules]
+            assert heads == sorted(heads) and set(heads) == set(present), (trial, search)
+    assert one_class >= 10
+
+
+def planted_probe(m, r):
+    """Instance r of m rows of the scale probe: distinct random rows over 8
+    features, class 1 iff (f0 and not f1) or (f2 and f3)."""
+    rows = [tuple((v >> f) & 1 for f in range(8))
+            for v in random.Random("scale:8:%d:%d" % (m, r)).sample(range(256), m)]
+    return BinDataset(num_features=8, classes=["0", "1"],
+                      feature_names=["f%d" % f for f in range(8)],
+                      examples=[(b, int((b[0] and not b[1]) or (b[2] and b[3])), 1)
+                                for b in rows])
+
+
+def test_scale_probe_optima_at_20_rows():
+    for r, expected in enumerate((11, 12, 15)):
+        ds = planted_probe(20, r)
+        for search in (minimize_perfect, minimize_bounded):
+            out = search(ds, AGG)
+            assert (out.status, out.objective) == ("optimal", expected), (r, search)
+
+
+def test_aggregated_classes_share_one_clock(ex1, monkeypatch):
+    # each class's search gets an equal share of the time left on the
+    # call's one clock: here class 0 takes 30 of 100 seconds, then 200
+    skew = [0.0]
+    monotonic = optimizer.time.monotonic
+    monkeypatch.setattr(optimizer, "time",
+                        SimpleNamespace(monotonic=lambda: monotonic() + skew[0]))
+    budgets = []
+    search = optimizer._exact_search
+
+    def class_0_takes(seconds):
+        def timed(ds, scope, mode, n0, limits, progress):
+            if scope.is_aggregated:
+                return search(ds, scope, mode, n0, limits, progress)
+            budgets.append((scope.target, limits.wall_time_budget))
+            out = search(ds, scope, mode, n0, limits, progress)
+            skew[0] += seconds if scope.target == 0 else 0.0
+            return out
+        return timed
+
+    limits = SearchLimits(wall_time_budget=100.0)
+    monkeypatch.setattr(optimizer, "_exact_search", class_0_takes(30.0))
+    out = minimize_perfect(ex1, AGG, limits)
+    ((first, share0), (second, share1)) = budgets
+    assert (first, second, out.status, out.objective) == (0, 1, "optimal", 7)
+    assert 49.0 < share0 <= 50.0 and 69.0 < share1 <= 70.0, budgets
+    assert out.stats["elapsed"] >= 30.0
+    # past the deadline class 1 starts no round, and the call has no set
+    budgets.clear()
+    monkeypatch.setattr(optimizer, "_exact_search", class_0_takes(200.0))
+    out = minimize_bounded(ex1, AGG, limits=limits)
+    assert [(target, budget <= 1e-9) for target, budget in budgets] == [(0, False), (1, True)]
+    assert (out.status, out.decision_set) == ("timeout", None)
+    assert [(r["class"], r["status"]) for r in out.stats["rounds"]][-1] == ("1", "timeout")
+
+
+def test_perfect_searches_start_at_one_node(ex1):
+    # a perfect round uses every node, so a search started above the
+    # optimum would answer its first budget; perfect mode takes none
+    for scope in (Scope.per_class(0), AGG):
+        with pytest.raises(OptimizerError, match="takes no first budget"):
+            optimizer._exact_search(ex1, scope, "perfect", 5, None, None)
 
 
 # ---------------------------------------------------------------- limits

@@ -338,22 +338,38 @@ def test_search_counts_are_pinned(monkeypatch):
                 per_call.append(self.conflicts - before)
 
     monkeypatch.setattr(optimizer, "Solver", Recording)
-    out = optimizer.minimize_perfect(make_ex1(), Scope.aggregated())
-    assert (out.objective, per_call) == (7, [1, 1, 2, 7, 11, 14, 16])
+    # an aggregated search's calls are class 0's search's, then class 1's
+    out = optimizer.minimize_perfect(make_ex1(), Scope.per_class(0))
+    assert (out.objective, per_call) == (4, [1, 2, 1, 7])
     per_call.clear()
-    out = optimizer.minimize_bounded(make_ex1(), Scope.aggregated())
-    assert (out.objective, per_call) == (7, [33, 1, 0, 1, 2, 7, 13, 12, 10])
+    out = optimizer.minimize_perfect(make_ex1(), Scope.per_class(1))
+    assert (out.objective, per_call) == (3, [1, 2, 2])
+    per_call.clear()
+    out = optimizer.minimize_perfect(make_ex1(), Scope.aggregated())
+    assert (out.objective, per_call) == (7, [1, 2, 1, 7] + [1, 2, 2])
     per_call.clear()
     # the greedy budget: 4 nodes, the optimum itself, where 2(K+2) gave 12
     out = optimizer.minimize_bounded(make_ex1(), Scope.per_class(0))
     assert (out.objective, [r["n"] for r in out.stats["rounds"]], per_call) == (
         4, [4], [5, 1, 0, 3, 1])
     per_call.clear()
-    # two rounds: budget 5 is infeasible, so the greedy budget 10 climbs
-    # from "at most 6 used"
+    out = optimizer.minimize_bounded(make_ex1(), Scope.per_class(1))
+    assert (out.objective, [r["n"] for r in out.stats["rounds"]], per_call) == (
+        3, [6], [11, 1, 0, 3, 1])
+    per_call.clear()
+    out = optimizer.minimize_bounded(make_ex1(), Scope.aggregated())
+    assert (out.objective, per_call) == (7, [5, 1, 0, 3, 1] + [11, 1, 0, 3, 1])
+    per_call.clear()
+    # two rounds: budget 2 is infeasible, so the greedy budget 6 climbs
+    # from "at most 3 used"
+    out = optimizer.minimize_bounded(make_ex1(), Scope.per_class(1), n0=2)
+    assert (out.objective, [r["n"] for r in out.stats["rounds"]], per_call) == (
+        3, [2, 6], [4, 7, 1])
+    per_call.clear()
+    # n0 is each class's first budget: 5 fits both classes' optima
     out = optimizer.minimize_bounded(make_ex1(), Scope.aggregated(), n0=5)
     assert (out.objective, [r["n"] for r in out.stats["rounds"]], per_call) == (
-        7, [5, 10], [25, 15, 22, 7])
+        7, [5, 5], [14, 1, 0, 3, 2, 5, 16, 1, 0, 3, 2])
     per_call.clear()
     # lambda_cost 1: the optimum 4 at budget 2 leaves room for a cheaper set
     # of up to 3 nodes, so budget 3 runs; class 0's optimum 3 is certified at 2
