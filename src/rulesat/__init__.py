@@ -8,6 +8,7 @@ a CDCL SAT solver and trading accuracy against size with MaxSAT.
 from .cardinality import TotalizerHandle, build_totalizer
 from .dataset import (BinDataset, DatasetError, FoldPlan, RawDataset, SanitizeReport,
                       binarize, kfold_split, load_csv, sanitize)
+from .cover import minimize_exact_fit
 from .dimacs import emit_dimacs, parse_dimacs
 from .encoder import (CnfBundle, EncodingError, Scope, VarMap, build_bounded,
                       build_perfect, build_sparse, exactly_one, lam_to_cost)
@@ -64,6 +65,7 @@ __all__ = [
     "load_model",
     "maxsat_solve",
     "minimize_bounded",
+    "minimize_exact_fit",
     "minimize_perfect",
     "minimize_sparse",
     "normalize_clause",

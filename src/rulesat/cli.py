@@ -21,13 +21,17 @@ import os
 import sys
 from dataclasses import dataclass
 
+from .cover import minimize_exact_fit
 from .dataset import BinDataset, DatasetError, binarize, kfold_split, load_csv, sanitize
 from .dimacs import emit_dimacs
 from .encoder import (EncodingError, Scope, build_bounded, build_perfect, build_sparse,
                       lam_to_cost)
 from .formula import FormulaError
 from .model import DecisionSet, ModelError, evaluate, load_model, save_model
-from .optimizer import (ContradictionError, OptimizerError, SearchLimits, SolveOutcome,
+# minimize_perfect and minimize_bounded are not called here; they stay
+# importable as cli.minimize_* because the benchmark's tracer patches the
+# drivers by their names in this module
+from .optimizer import (ContradictionError, OptimizerError, SearchLimits, SolveOutcome,  # noqa: F401
                         _Clock, _join, _remaining_limits, first_budget, minimize_bounded,
                         minimize_perfect, minimize_sparse)
 
@@ -62,9 +66,9 @@ class RunConfig:
         if lam is not None and lam < 0:
             raise CliError("--lambda must be >= 0")
         n0 = getattr(args, "n0", None)
-        # encode writes an opt encoding of --n0 nodes; opt searches take no budget
-        if mode == "opt" and n0 is not None and args.command != "encode":
-            raise CliError("--n0 only applies to --mode mopt and sparse")
+        # encode writes an encoding of --n0 nodes; opt and mopt learn by set cover
+        if mode != "sparse" and n0 is not None and args.command != "encode":
+            raise CliError("--n0 only applies to --mode sparse and to encode")
         limits = SearchLimits(wall_time_budget=args.time_limit,
                               per_solve_budget=args.solve_limit)
         limits.validate()
@@ -92,18 +96,20 @@ def _sanitized(ds: BinDataset, config: RunConfig) -> BinDataset:
 def _run_one(ds: BinDataset, scope: Scope, config: RunConfig, clock: _Clock,
              context: dict, runs_left: int) -> SolveOutcome:
     """One optimizer run, given its share of the time left on the command's
-    clock among runs_left runs, this one included."""
+    clock among runs_left runs, this one included.  Its records' elapsed
+    times read the command's clock."""
+    start = clock.elapsed()
+
     def progress(record):
         if config.verbose:
-            print(json.dumps({**context, **record}, sort_keys=True), file=sys.stderr)
+            print(json.dumps({**context, **record, "elapsed": start + record["elapsed"]},
+                             sort_keys=True), file=sys.stderr)
 
     limits = _remaining_limits(clock, runs_left)
-    if config.mode == "opt":
-        outcome = minimize_perfect(ds, scope, limits=limits, progress=progress)
-    elif config.mode == "mopt":
-        outcome = minimize_bounded(ds, scope, n0=config.n0, limits=limits, progress=progress)
-    else:
+    if config.mode == "sparse":
         outcome = minimize_sparse(ds, scope, config.lam, config.n0, limits, progress)
+    else:  # an exact fit: opt and mopt run the same search
+        outcome = minimize_exact_fit(ds, scope, limits, progress)
     if outcome.decision_set is None:
         raise CliTimeout(outcome)
     return outcome
@@ -280,15 +286,19 @@ def _add_common(sub, learning: bool) -> None:
     sub.add_argument("--verbose", action="store_true",
                      help="line-delimited JSON progress on stderr")
     if learning:
-        sub.add_argument("--mode", choices=MODES, default="opt")
+        sub.add_argument("--mode", choices=MODES, default="opt",
+                         help="opt and mopt: a smallest exact-fit decision set (learn and cv "
+                              "run one search for both, by prime rules and a set cover); "
+                              "sparse: misclassified weight plus a per-node penalty")
         sub.add_argument("--scope", choices=SCOPES, default="per-class")
         sub.add_argument("--lambda", dest="lam", type=float, default=None,
                          help="per-node penalty rate (sparse mode only)")
         sub.add_argument("--n0", type=int, default=None,
-                         help="first node budget (mopt/sparse); default for mopt: the size "
-                              "of a greedy exact-fit decision set, for sparse: 2*(K+2); both "
-                              "at most min(2*(K+2), 32). A later budget, if any, follows "
-                              "from what the first round proves")
+                         help="first node budget of --mode sparse, and the node count encode "
+                              "writes; default for mopt: the size of a greedy exact-fit "
+                              "decision set, else 2*(K+2); both at most min(2*(K+2), 32). A "
+                              "later sparse budget, if any, follows from what the first round "
+                              "proves")
         sub.add_argument("--time-limit", type=float, default=600.0,
                          help="total seconds for the whole command, across classes and folds")
         sub.add_argument("--solve-limit", type=float, default=60.0,

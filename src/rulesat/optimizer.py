@@ -17,9 +17,14 @@ from the size of an exact-fit decision set that a greedy pass over the
 data builds (_greedy_budget), capped at default_node_budget: below the
 cap its first round has a model and ends optimal; after an infeasible
 round, the next and last one runs at the greedy set's full size.  A
-round's first model is an anytime answer within its budget.  Exact fit
-splits by class, so in aggregated scope both drivers search each class
-in turn and join the rules (_join); aggregated encodings serve only
+round's first model is an anytime answer within its budget.
+
+Exact fit splits by class: a class-c rule covers no example of another
+class, and some class-c rule covers each class-c example, so the
+aggregated optimum is the sum of the per-class optima.  In aggregated scope both
+drivers, and cover.minimize_exact_fit, hand their per-class search to
+_search_each_class, which runs it for each class in turn, on its share of
+one clock, and joins the rules (_join); aggregated encodings serve only
 sparse and encode.  minimize_sparse trades misclassifications against a
 per-node penalty by MaxSAT, each round on a fresh solver.  A set cheaper
 than a round's optimum C uses at most (C - 1) // lambda_cost nodes, so C
@@ -34,9 +39,12 @@ maxsat_solve loads a formula into a solver and runs _descend, a linear
 SAT-to-UNSAT search: solve, read the model cost c, then assume "cost <=
 c - 1" through totalizer outputs (one totalizer per distinct soft
 weight, merged by weighted sums) and repeat until UNSAT; the last model
-is optimal.  The first solve starts from the phase that falsifies every
-soft clause (in the sparse encoding: every example misclassified, every
-node used), which makes a first model cheap.
+is optimal.  The first solve tries the phase its caller gives.
+maxsat_solve and a sparse round give the phase that falsifies every soft
+clause (_falsified; in the sparse encoding: every example misclassified,
+every node used), which makes a first model cheap.  The set cover of
+cover.minimize_exact_fit gives a greedy cover, so its first model is
+that cover.
 """
 
 from __future__ import annotations
@@ -262,15 +270,20 @@ def maxsat_solve(problem, limits: SearchLimits | None = None, progress=None) -> 
     limits = limits or SearchLimits()
     solver = Solver()
     solver.add_formula(formula)
-    return _descend(solver, formula.soft, _Clock(limits), progress)
+    return _descend(solver, formula.soft, _falsified(formula.soft), _Clock(limits), progress)
 
 
-def _descend(solver: Solver, soft, clock: _Clock, progress, **tags) -> MaxsatResult:
+def _falsified(soft) -> list[int]:
+    """The phase of a cheap first model: every soft clause falsified."""
+    return [-lit for clause, _ in soft for lit in clause]
+
+
+def _descend(solver: Solver, soft, phase, clock: _Clock, progress, **tags) -> MaxsatResult:
     """The linear search of maxsat_solve over the hard clauses already in
-    solver; each model event carries tags as extra fields."""
-    for clause, _ in soft:  # a cheap first model: every soft clause falsified
-        for lit in clause:
-            solver.set_phase(-lit)
+    solver, its first solve trying the literals of phase; each model event
+    carries tags as extra fields."""
+    for lit in phase:
+        solver.set_phase(lit)
     best_assignment = None
     best_cost = None
     models = 0
@@ -287,7 +300,9 @@ def _descend(solver: Solver, soft, clock: _Clock, progress, **tags) -> MaxsatRes
                 break
             models += 1
             cost = _model_cost(soft, solver.model)
-            assert best_cost is None or cost < best_cost
+            if best_cost is not None and cost >= best_cost:
+                raise AssertionError("the cost bound admitted a model of cost %d >= %d"
+                                     % (cost, best_cost))
             best_assignment, best_cost = solver.model, cost
             if progress is not None:
                 progress({"event": "model", "cost": cost, "elapsed": clock.elapsed(), **tags})
@@ -407,32 +422,36 @@ def _join(outcomes: list[SolveOutcome], ds: BinDataset, mode: str, kind: str) ->
     return SolveOutcome(status=status, decision_set=dset, objective=objective)
 
 
-def _search_each_class(ds: BinDataset, mode: str, n0: int | None, limits: SearchLimits,
+def _search_each_class(ds: BinDataset, search, mode: str, limits: SearchLimits,
                        progress) -> SolveOutcome:
-    """An aggregated exact search: each class's own search, in class order,
-    on its share of the time left on one clock, joined.  No class starts
-    after one found no set.  Records carry the class and that clock's time.
+    """An aggregated exact fit: search(scope, limits, progress), the
+    per-class search, for each class in class order, on its share of the
+    time left on one clock, joined and labelled mode.  No class starts
+    after one found no set.  Records carry the class and that clock's time;
+    the counts of the stats add up over the classes.
     """
     clock = _Clock(limits)
     targets = sorted({cls for _, cls, _ in ds.examples})
-    outcomes, rounds = [], []
+    outcomes, stats = [], {}
     for done, target in enumerate(targets):
         def tag(record, label=ds.classes[target], start=clock.elapsed()):
             return {**record, "class": label, "elapsed": start + record["elapsed"]}
-        out = _exact_search(ds, Scope.per_class(target), mode, n0,
-                            _remaining_limits(clock, len(targets) - done),
-                            progress and (lambda record: progress(tag(record))))
+        out = search(Scope.per_class(target), _remaining_limits(clock, len(targets) - done),
+                     progress and (lambda record: progress(tag(record))))
         outcomes.append(out)
-        rounds += map(tag, out.stats["rounds"])
+        for key, value in out.stats.items():
+            if key == "rounds":
+                stats.setdefault(key, []).extend(map(tag, value))
+            elif key == "note":
+                stats[key] = value
+            elif key != "elapsed":
+                stats[key] = stats.get(key, 0) + value
         if out.decision_set is None:
             break
     joined = _join(outcomes, ds, mode, "aggregated")
     if joined.decision_set is not None:
         _verified(joined.decision_set, ds, Scope.aggregated())
-    joined.stats = {key: sum(out.stats[key] for out in outcomes)
-                    for key in ("solve_calls", "conflicts")}
-    joined.stats.update(elapsed=clock.elapsed(), rounds=rounds)
-    joined.stats.update((k, v) for out in outcomes for k, v in out.stats.items() if k == "note")
+    joined.stats = {**stats, "elapsed": clock.elapsed()}
     return joined
 
 
@@ -450,7 +469,9 @@ def _exact_search(ds: BinDataset, scope: Scope, mode: str, n0: int | None,
         raise OptimizerError("a perfect search starts at one node and takes no first budget")
     limits = limits or SearchLimits()
     if scope.is_aggregated:
-        return _search_each_class(ds, mode, n0, limits, progress)
+        return _search_each_class(
+            ds, lambda scope, limits, progress: _exact_search(ds, scope, mode, n0, limits, progress),
+            mode, limits, progress)
     # after the checks: the greedy pass of first_budget needs consistent data
     n = 1 if perfect else first_budget(ds, scope, mode, n0, limits.max_nodes)
     solver = Solver()
@@ -556,7 +577,8 @@ def minimize_sparse(ds: BinDataset, scope: Scope, lam, n0: int | None = None,
         enc = Encoder(ds, scope, "sparse", solver, lam_cost)
         if not enc.build(n, clock.expired):
             return _Round("timeout", None, 0, 0)
-        res = _descend(solver, enc.soft(), clock, progress, n=n)
+        soft = enc.soft()
+        res = _descend(solver, soft, _falsified(soft), clock, progress, n=n)
         rnd = _Round(res.status, res.cost, res.stats["solve_calls"], res.stats["conflicts"])
         if res.assignment is None:
             return rnd

@@ -186,6 +186,27 @@ def sparse_min_objective(ds, scope, lam_cost):
     return best
 
 
+def prime_rules(ds, target):
+    """Every prime rule of class target, as a frozenset of (feature,
+    value) literals: part of a target-class vector's literals, matching no
+    vector of another class, and matching one once any literal is dropped.
+    By enumeration of the feature subsets: k <= 8 or so."""
+    own = {bits for bits, cls, _ in ds.examples if cls == target}
+    others = {bits for bits, cls, _ in ds.examples if cls != target}
+
+    def consistent(body):
+        return not any(all(o[f] == b for f, b in body) for o in others)
+
+    primes = set()
+    for shape in product((False, True), repeat=ds.num_features):
+        features = [f for f in range(ds.num_features) if shape[f]]
+        for v in own:
+            body = frozenset((f, v[f]) for f in features)
+            if consistent(body) and not any(consistent(body - {lit}) for lit in body):
+                primes.add(body)
+    return primes
+
+
 def solve_dpll(num_vars, clauses):
     """Plain DPLL with unit propagation and no clause learning.
 

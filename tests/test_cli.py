@@ -87,12 +87,27 @@ def test_learn_verbose_progress_is_json(ex1_csv, capsys):
     code = main(["learn", "--data", ex1_csv, "--scope", "aggregated",
                  "--verbose"])
     assert code == 0
-    err_lines = capsys.readouterr().err.strip().splitlines()
-    assert len(err_lines) == 7  # one record per node count tried
-    for line in err_lines:
-        record = json.loads(line)
-        assert record["status"] in ("sat", "unsat")
-        assert 1 <= record["n"] <= 7
+    records = [json.loads(l) for l in capsys.readouterr().err.strip().splitlines()]
+    # per class: its primes, then each improved cover, the last one optimal
+    assert [(r["class"], r["event"]) for r in records] == [
+        ("0", "primes"), ("0", "model"), ("1", "primes"), ("1", "model")]
+    assert [r["cost"] for r in records if r["event"] == "model"] == [4, 3]
+    assert all(r["primes"] >= r["kept"] >= 1 for r in records if r["event"] == "primes")
+
+
+def test_verbose_records_read_the_commands_one_clock(ex1_csv, capsys):
+    # a per-class or per-fold run's records count from the command's
+    # start, as the classes of an aggregated run do
+    for argv in (["learn"], ["learn", "--scope", "aggregated"],
+                 ["cv", "--folds", "4", "--seed", "7"]):
+        assert main(argv + ["--data", ex1_csv, "--verbose"]) == 0
+        records = [json.loads(l) for l in capsys.readouterr().err.strip().splitlines()]
+        assert {r["class"] for r in records} == {"0", "1"}, argv
+        if argv[0] == "cv":
+            assert [r["fold"] for r in records] == sorted(r["fold"] for r in records)
+            assert {r["fold"] for r in records} == {0, 1, 2, 3}
+        times = [r["elapsed"] for r in records]
+        assert times == sorted(times), argv
 
 
 def test_learn_verbose_reports_each_improved_model(ex1_csv, capsys):
@@ -139,8 +154,8 @@ def test_learn_timeout_exits_2(ex1_csv, capsys):
         (["--solve-limit", "inf"], "error: time budgets must be positive and finite"),
         (["--mode", "sparse", "--lambda", "nan"], "error: lambda must be a finite number"),
         (["--mode", "sparse", "--lambda", "1e400"], "error: lambda must be a finite number"),
-        (["--n0", "4"], "error: --n0 only applies to --mode mopt and sparse"),
-        (["--mode", "mopt", "--n0", "100"], "error: node budget 100 is outside 1..64"),
+        (["--n0", "4"], "error: --n0 only applies to --mode sparse and to encode"),
+        (["--mode", "mopt", "--n0", "4"], "error: --n0 only applies to --mode sparse and to encode"),
         (["--mode", "sparse", "--lambda", "0.5", "--n0", "65"], "outside 1..64 (the node cap"),
     ],
 )
@@ -371,7 +386,9 @@ def test_cv_bad_fold_counts_exit_1(ex1_csv, capsys):
 
 def test_cv_rejects_node_budgets_opt_ignores_or_no_round_reaches(ex1_csv, capsys):
     for extra, fragment in ((["--mode", "opt", "--n0", "4"], "--n0 only applies"),
-                            (["--mode", "mopt", "--n0", "100"], "outside 1..64")):
+                            (["--mode", "mopt", "--n0", "4"], "--n0 only applies"),
+                            (["--mode", "sparse", "--lambda", "0.5", "--n0", "100"],
+                             "outside 1..64")):
         assert main(["cv", "--data", ex1_csv, "--folds", "2"] + extra) == 1
         err = capsys.readouterr().err
         assert fragment in err and "time budget exhausted" not in err
