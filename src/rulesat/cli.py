@@ -3,14 +3,14 @@
 Exit codes: 0 on success, 1 on argument/data/config errors, 2 when the
 time budget ran out before any usable model was found.
 
-Per-class scope (the default) runs one optimizer per class and reports
-the union of the learned rule sets; classes absent from the training
-data contribute no rules.  Per-class runs and cross-validation folds run
-one after another, in input order.  --time-limit is one clock for the
-whole command, started when the command starts: each run gets an equal
-share of the time left on it among the runs still to come, so time an
-early run leaves unused goes to the later ones, and the last run gets
-all that is left.
+learn and cv search one class at a time, in class order, through
+optimizer._search_each_class, and report the union of the rule sets;
+classes absent from the training data contribute no rules.  Only
+aggregated sparse is one joint search, so for opt and mopt --scope
+changes only the model's labels.  --time-limit is one clock for the whole
+command: each search gets an equal share of the time left among the
+searches still to come, in this cross-validation fold and the later
+ones, so time one leaves unused goes to the later ones.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 from .cover import minimize_exact_fit
 from .dataset import BinDataset, DatasetError, binarize, kfold_split, load_csv, sanitize
@@ -32,8 +33,8 @@ from .model import DecisionSet, ModelError, evaluate, load_model, save_model
 # importable as cli.minimize_* because the benchmark's tracer patches the
 # drivers by their names in this module
 from .optimizer import (ContradictionError, OptimizerError, SearchLimits, SolveOutcome,  # noqa: F401
-                        _Clock, _join, _remaining_limits, first_budget, minimize_bounded,
-                        minimize_perfect, minimize_sparse)
+                        _Clock, _remaining_limits, _search_each_class, first_budget,
+                        minimize_bounded, minimize_perfect, minimize_sparse)
 
 MODES = ("opt", "mopt", "sparse")
 ENCODINGS = {"opt": "perfect", "mopt": "bounded", "sparse": "sparse"}  # the library's names
@@ -51,7 +52,6 @@ class RunConfig:
     lam: float | None
     bins: int
     n0: int | None
-    seed: int
     limits: SearchLimits
     verbose: bool
 
@@ -66,15 +66,14 @@ class RunConfig:
         if lam is not None and lam < 0:
             raise CliError("--lambda must be >= 0")
         n0 = getattr(args, "n0", None)
-        # encode writes an encoding of --n0 nodes; opt and mopt learn by set cover
-        if mode != "sparse" and n0 is not None and args.command != "encode":
+        searching = args.command != "encode"  # encode writes an encoding of --n0 nodes
+        if mode != "sparse" and n0 is not None and searching:  # opt and mopt learn by set cover
             raise CliError("--n0 only applies to --mode sparse and to encode")
-        limits = SearchLimits(wall_time_budget=args.time_limit,
-                              per_solve_budget=args.solve_limit)
+        limits = (SearchLimits(wall_time_budget=args.time_limit, per_solve_budget=args.solve_limit)
+                  if searching else SearchLimits())
         limits.validate()
         return RunConfig(mode=mode, scope=getattr(args, "scope", "per-class"), lam=lam,
-                         bins=args.bins, n0=n0, seed=args.seed, limits=limits,
-                         verbose=args.verbose)
+                         bins=args.bins, n0=n0, limits=limits, verbose=searching and args.verbose)
 
 
 def _load_bindata(path: str, bins: int, numeric_bins: dict | None = None) -> BinDataset:
@@ -93,52 +92,38 @@ def _sanitized(ds: BinDataset, config: RunConfig) -> BinDataset:
     return clean
 
 
-def _run_one(ds: BinDataset, scope: Scope, config: RunConfig, clock: _Clock,
-             context: dict, runs_left: int) -> SolveOutcome:
-    """One optimizer run, given its share of the time left on the command's
-    clock among runs_left runs, this one included.  Its records' elapsed
-    times read the command's clock."""
-    start = clock.elapsed()
-
-    def progress(record):
-        if config.verbose:
-            print(json.dumps({**context, **record, "elapsed": start + record["elapsed"]},
-                             sort_keys=True), file=sys.stderr)
-
-    limits = _remaining_limits(clock, runs_left)
-    if config.mode == "sparse":
-        outcome = minimize_sparse(ds, scope, config.lam, config.n0, limits, progress)
-    else:  # an exact fit: opt and mopt run the same search
-        outcome = minimize_exact_fit(ds, scope, limits, progress)
-    if outcome.decision_set is None:
-        raise CliTimeout(outcome)
-    return outcome
-
-
 def _learn_model(ds: BinDataset, config: RunConfig, clock: _Clock,
                  context: dict | None = None, later_models: int = 0):
     """Train per the configured scope; returns (DecisionSet, status) or
-    raises CliTimeout when nothing usable was found in time.
+    raises CliTimeout when nothing usable was found in time.  The searches
+    (one per class, or one joint search for aggregated sparse) share the
+    command's clock with later_models more models of as many searches."""
+    def progress(record):
+        if config.verbose:
+            print(json.dumps({**(context or {}), **record}, sort_keys=True), file=sys.stderr)
 
-    The time left is shared among this model's runs and those of
-    later_models more models, counted at as many runs as this one.
-    """
-    context = context or {}
-    if config.scope == "aggregated":
-        outcome = _run_one(ds, Scope.aggregated(), config, clock, context, 1 + later_models)
-        return outcome.decision_set, outcome.status
-    targets = sorted({cls for _, cls, _ in ds.examples})
-    outcomes = [_run_one(ds, Scope.per_class(target), config, clock,
-                         {**context, "class": ds.classes[target]},
-                         len(targets) * (1 + later_models) - done)
-                for done, target in enumerate(targets)]
-    joined = _join(outcomes, ds, config.mode, "per-class")
-    metadata = joined.decision_set.metadata
-    metadata["per_class_objectives"] = {ds.classes[target]: outcome.objective
-                                        for target, outcome in zip(targets, outcomes)}
-    if config.mode == "sparse":
-        metadata["lambda_cost"] = lam_to_cost(config.lam, ds.total_weight)
-    return joined.decision_set, joined.status
+    if config.mode == "sparse" and config.scope == "aggregated":
+        start = clock.elapsed()
+        outcome = minimize_sparse(ds, Scope.aggregated(), config.lam, config.n0,
+                                  _remaining_limits(clock, 1 + later_models),
+                                  lambda r: progress({**r, "elapsed": start + r["elapsed"]}))
+    else:
+        if config.scope == "aggregated":  # a two-class model, though searched per class
+            Scope.aggregated().validate(len(ds.classes))
+        if config.mode == "sparse":
+            def search(scope, limits, progress):
+                return minimize_sparse(ds, scope, config.lam, config.n0, limits, progress)
+        else:  # an exact fit: opt and mopt run the same search
+            search = partial(minimize_exact_fit, ds)
+        outcome = _search_each_class(ds, search, config.mode, clock, progress, later_models)
+        if config.scope == "per-class" and outcome.decision_set is not None:
+            metadata = outcome.decision_set.metadata
+            metadata["per_class_objectives"] = outcome.stats["objectives"]
+            if config.mode == "sparse":
+                metadata["lambda_cost"] = lam_to_cost(config.lam, ds.total_weight)
+    if outcome.decision_set is None:
+        raise CliTimeout(outcome)
+    return outcome.decision_set, outcome.status
 
 
 class CliTimeout(Exception):
@@ -212,7 +197,7 @@ def cmd_cv(args) -> int:
     if args.folds < 2:
         raise CliError("--folds must be >= 2")
     ds = _load_bindata(args.data, config.bins)
-    plan = kfold_split(ds, args.folds, config.seed)
+    plan = kfold_split(ds, args.folds, args.seed)
     accuracies = []
     sizes = []
     for fold in range(args.folds):
@@ -276,16 +261,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
-def _add_common(sub, learning: bool) -> None:
+def _add_flags(sub, model: bool = False, search: bool = False) -> None:
+    """The data flags, with model those that pick what to learn or encode,
+    and with search those of a search (learn and cv)."""
     sub.add_argument("--data", required=True, help="input CSV (last column is the class)")
     sub.add_argument("--bins", type=int, default=2,
                      help="quantization bins for numeric features (default 2)" + (
-                         "" if learning else "; a column whose training cuts the model "
-                                             "stores is binned with those"))
-    sub.add_argument("--seed", type=int, default=1234)
-    sub.add_argument("--verbose", action="store_true",
-                     help="line-delimited JSON progress on stderr")
-    if learning:
+                         "" if model else "; a column whose training cuts the model "
+                                          "stores is binned with those"))
+    if model:
         sub.add_argument("--mode", choices=MODES, default="opt",
                          help="opt and mopt: a smallest exact-fit decision set (learn and cv "
                               "run one search for both, by prime rules and a set cover); "
@@ -299,6 +283,9 @@ def _add_common(sub, learning: bool) -> None:
                               "decision set, else 2*(K+2); both at most min(2*(K+2), 32). A "
                               "later sparse budget, if any, follows from what the first round "
                               "proves")
+    if search:
+        sub.add_argument("--verbose", action="store_true",
+                         help="line-delimited JSON progress on stderr")
         sub.add_argument("--time-limit", type=float, default=600.0,
                          help="total seconds for the whole command, across classes and folds")
         sub.add_argument("--solve-limit", type=float, default=60.0,
@@ -311,22 +298,23 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     learn = subs.add_parser("learn", help="train a decision set from a CSV file")
-    _add_common(learn, learning=True)
+    _add_flags(learn, model=True, search=True)
     learn.add_argument("--out", default=None, help="write the model JSON here")
     learn.set_defaults(func=cmd_learn)
 
     ev = subs.add_parser("eval", help="score a saved model against a CSV file")
-    _add_common(ev, learning=False)
+    _add_flags(ev)
     ev.add_argument("--model", required=True, help="model JSON from learn")
     ev.set_defaults(func=cmd_eval)
 
     cv = subs.add_parser("cv", help="stratified k-fold cross-validation")
-    _add_common(cv, learning=True)
+    _add_flags(cv, model=True, search=True)
     cv.add_argument("--folds", type=int, default=5)
+    cv.add_argument("--seed", type=int, default=1234, help="seed of the fold assignment")
     cv.set_defaults(func=cmd_cv)
 
     enc = subs.add_parser("encode", help="write the training CNF/WCNF without solving")
-    _add_common(enc, learning=True)
+    _add_flags(enc, model=True)
     enc.add_argument("--dimacs", required=True, help="output DIMACS path")
     enc.set_defaults(func=cmd_encode)
 

@@ -171,5 +171,6 @@ def minimize_exact_fit(ds: BinDataset, scope: Scope, limits: SearchLimits | None
     _check_consistent(ds)
     limits = limits or SearchLimits()
     if scope.is_aggregated:
-        return _search_each_class(ds, partial(_cover_class, ds), "exact_fit", limits, progress)
+        return _search_each_class(ds, partial(_cover_class, ds), "exact_fit", _Clock(limits),
+                                  progress)
     return _cover_class(ds, scope, limits, progress)

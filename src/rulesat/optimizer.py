@@ -21,19 +21,20 @@ round's first model is an anytime answer within its budget.
 
 Exact fit splits by class: a class-c rule covers no example of another
 class, and some class-c rule covers each class-c example, so the
-aggregated optimum is the sum of the per-class optima.  In aggregated scope both
-drivers, and cover.minimize_exact_fit, hand their per-class search to
-_search_each_class, which runs it for each class in turn, on its share of
-one clock, and joins the rules (_join); aggregated encodings serve only
-sparse and encode.  minimize_sparse trades misclassifications against a
-per-node penalty by MaxSAT, each round on a fresh solver.  A set cheaper
-than a round's optimum C uses at most (C - 1) // lambda_cost nodes, so C
-is optimal if that bound is within the budget; else the next and last
-round runs at the bound.  The drivers share one loop (_search_budgets)
-that runs the budget each round derives, within the node cap, and keeps
-the clock, the round records and the solver totals.  Each driver's
-Encoder writes straight into its Solver; a round checks the clock before
-each node, and a sparse round runs _descend.
+aggregated optimum is the sum of the per-class optima.  _search_each_class
+is the one loop that runs a search per class, each in turn on its share
+of the caller's clock, and joins the rules (_join).  Both drivers in
+aggregated scope, cover.minimize_exact_fit and the CLI hand it their
+per-class search; aggregated encodings serve only sparse and encode.
+minimize_sparse trades misclassifications against a per-node penalty by
+MaxSAT, each round on a fresh solver.  A set cheaper than a round's
+optimum C uses at most (C - 1) // lambda_cost nodes, so C is optimal if
+that bound is within the budget; else the next and last round runs at
+the bound.  The drivers share one loop (_search_budgets) that runs the
+budget each round derives, within the node cap, and keeps the clock, the
+round records and the solver totals.  Each driver's Encoder writes
+straight into its Solver; a round checks the clock before each node, and
+a sparse round runs _descend.
 
 maxsat_solve loads a formula into a solver and runs _descend, a linear
 SAT-to-UNSAT search: solve, read the model cost c, then assume "cost <=
@@ -407,7 +408,7 @@ def _search_budgets(limits: SearchLimits, n: int, progress, solve_round) -> Solv
     return outcome
 
 
-def _join(outcomes: list[SolveOutcome], ds: BinDataset, mode: str, kind: str) -> SolveOutcome:
+def _join(outcomes: list[SolveOutcome], ds: BinDataset, mode: str) -> SolveOutcome:
     """The union of per-class outcomes in class order, sizes and objectives
     summed: "optimal" only if each one is, else "feasible", and a timeout
     with no set if one has no set."""
@@ -417,28 +418,32 @@ def _join(outcomes: list[SolveOutcome], ds: BinDataset, mode: str, kind: str) ->
     dset = DecisionSet(rules=[rule for out in outcomes for rule in out.decision_set.rules],
                        classes=list(ds.classes),
                        total_size=sum(out.decision_set.total_size for out in outcomes),
-                       metadata={"mode": mode, "scope": kind, "objective": objective})
+                       metadata={"mode": mode, "scope": "aggregated", "objective": objective})
     status = "optimal" if all(out.status == "optimal" for out in outcomes) else "feasible"
     return SolveOutcome(status=status, decision_set=dset, objective=objective)
 
 
-def _search_each_class(ds: BinDataset, search, mode: str, limits: SearchLimits,
-                       progress) -> SolveOutcome:
-    """An aggregated exact fit: search(scope, limits, progress), the
-    per-class search, for each class in class order, on its share of the
-    time left on one clock, joined and labelled mode.  No class starts
-    after one found no set.  Records carry the class and that clock's time;
-    the counts of the stats add up over the classes.
+def _search_each_class(ds: BinDataset, search, mode: str, clock: _Clock, progress,
+                       later_models: int = 0) -> SolveOutcome:
+    """search(scope, limits, progress), a per-class search, for each class
+    with examples, in class order, joined and labelled mode; none starts
+    after one found no set.  Each gets an equal share of the time left on
+    clock among the class searches to come, counting as many for each of
+    later_models more calls.  Records carry the class and read clock; the
+    stats add up the counts and map each class to its objective
+    ("objectives").  A join that is not sparse is checked class by class,
+    in any class count.
     """
-    clock = _Clock(limits)
     targets = sorted({cls for _, cls, _ in ds.examples})
-    outcomes, stats = [], {}
+    outcomes, stats = [], {"objectives": {}}
     for done, target in enumerate(targets):
         def tag(record, label=ds.classes[target], start=clock.elapsed()):
             return {**record, "class": label, "elapsed": start + record["elapsed"]}
-        out = search(Scope.per_class(target), _remaining_limits(clock, len(targets) - done),
+        out = search(Scope.per_class(target),
+                     _remaining_limits(clock, len(targets) * (1 + later_models) - done),
                      progress and (lambda record: progress(tag(record))))
         outcomes.append(out)
+        stats["objectives"][ds.classes[target]] = out.objective
         for key, value in out.stats.items():
             if key == "rounds":
                 stats.setdefault(key, []).extend(map(tag, value))
@@ -448,9 +453,10 @@ def _search_each_class(ds: BinDataset, search, mode: str, limits: SearchLimits,
                 stats[key] = stats.get(key, 0) + value
         if out.decision_set is None:
             break
-    joined = _join(outcomes, ds, mode, "aggregated")
-    if joined.decision_set is not None:
-        _verified(joined.decision_set, ds, Scope.aggregated())
+    joined = _join(outcomes, ds, mode)
+    if joined.decision_set is not None and mode != "sparse":
+        for target in targets:
+            _verified(joined.decision_set, ds, Scope.per_class(target))
     joined.stats = {**stats, "elapsed": clock.elapsed()}
     return joined
 
@@ -471,7 +477,7 @@ def _exact_search(ds: BinDataset, scope: Scope, mode: str, n0: int | None,
     if scope.is_aggregated:
         return _search_each_class(
             ds, lambda scope, limits, progress: _exact_search(ds, scope, mode, n0, limits, progress),
-            mode, limits, progress)
+            mode, _Clock(limits), progress)
     # after the checks: the greedy pass of first_budget needs consistent data
     n = 1 if perfect else first_budget(ds, scope, mode, n0, limits.max_nodes)
     solver = Solver()

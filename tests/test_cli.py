@@ -4,10 +4,13 @@ import hashlib
 import json
 import random
 import time
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from rulesat.cli import main
+from rulesat import cover, optimizer
+from rulesat.cli import MODES, SCOPES, main
 from rulesat.dataset import BinDataset
 from rulesat.encoder import Scope
 from rulesat.model import evaluate, load_model
@@ -44,6 +47,20 @@ def status_line(out: str) -> str:
 def write_model(tmp_path, doc, name="model.json") -> str:
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def mode_flags(mode: str) -> list[str]:
+    return ["--mode", mode] + (["--lambda", "0.5"] if mode == "sparse" else [])
+
+
+@pytest.fixture
+def three_class_csv(tmp_path):
+    # every vector over 4 features, labelled a, b or c by f0 + f1
+    path = tmp_path / "three.csv"
+    rows = ["%d,%d,%d,%d,%s" % (code & 1, code >> 1 & 1, code >> 2 & 1, code >> 3,
+                                "abc"[(code & 1) + (code >> 1 & 1)]) for code in range(16)]
+    path.write_text("\n".join(["f0,f1,f2,f3,y"] + rows) + "\n", encoding="utf-8")
     return str(path)
 
 
@@ -187,6 +204,50 @@ def test_step_is_not_an_option(ex1_csv, capsys, command, extra):
     assert "unrecognized arguments: --step 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["learn", "--seed", "1"], "--seed 1"),
+    (["eval", "--model", "model.json", "--verbose"], "--verbose"),
+    (["encode", "--dimacs", "out.cnf", "--time-limit", "5"], "--time-limit 5")])
+def test_each_subcommand_takes_only_the_flags_it_reads(ex1_csv, tmp_path, capsys, monkeypatch,
+                                                      argv, flag):
+    # --seed splits cv's folds; only learn and cv search, on a clock
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--data", ex1_csv]) == 1
+    assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("command", [["learn"], ["cv", "--folds", "2"]])
+def test_aggregated_scope_refuses_three_classes_and_per_class_learns_them(
+        three_class_csv, capsys, command, mode):
+    argv = command + ["--data", three_class_csv, "--verbose"] + mode_flags(mode)
+    assert main(argv + ["--scope", "aggregated"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: aggregated scope needs exactly 2 classes, dataset has 3\n")
+    assert main(argv + ["--scope", "per-class"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("mode", ["opt", "mopt"])
+def test_exact_fit_scope_changes_only_the_models_labels(ex1_csv, tmp_path, capsys, mode):
+    # both scopes run the same class searches on the same shares of time
+    model = str(tmp_path / "model.json")
+    outputs, docs = {}, {}
+    for scope in SCOPES:
+        assert main(["learn", "--data", ex1_csv, "--scope", scope, "--out", model]
+                    + mode_flags(mode)) == 0
+        assert main(["cv", "--data", ex1_csv, "--scope", scope, "--folds", "4", "--seed", "7"]
+                    + mode_flags(mode)) == 0
+        outputs[scope] = capsys.readouterr()
+        docs[scope] = json.loads(Path(model).read_text(encoding="utf-8"))
+    assert outputs["aggregated"] == outputs["per-class"]
+    metadata = {scope: docs[scope]["metadata"] for scope in SCOPES}
+    assert metadata["per-class"].pop("per_class_objectives") == {"0": 4, "1": 3}
+    assert {scope: metadata[scope].pop("scope") for scope in SCOPES} == {
+        "aggregated": "aggregated", "per-class": "per-class"}
+    assert docs["aggregated"] == docs["per-class"]
+
+
 def test_learn_bad_flag_values_exit_1(ex1_csv, capsys):
     assert main(["learn", "--data", ex1_csv, "--mode", "bogus"]) == 1
     assert "invalid choice" in capsys.readouterr().err
@@ -264,7 +325,7 @@ def test_eval_refuses_data_whose_features_differ_from_the_model(tmp_path, capsys
     assert main(["eval", "--data", str(train), "--model", model]) == 0
     assert "accuracy=100.0" in capsys.readouterr().out
     # a model saved without the names is scored as before
-    doc = json.loads(open(model, encoding="utf-8").read())
+    doc = json.loads(Path(model).read_text(encoding="utf-8"))
     del doc["metadata"]["feature_names"]
     assert main(["eval", "--data", str(test), "--model", write_model(tmp_path, doc)]) == 0
     assert "accuracy=25.0" in capsys.readouterr().out
@@ -286,7 +347,7 @@ def test_eval_bins_numeric_columns_with_the_training_cuts(tmp_path, capsys):
     assert main(["eval", "--data", str(test), "--model", model]) == 0
     assert "examples=4 misclassified=2 accuracy=50.0" in capsys.readouterr().out
     # a model saved without the bins derives them from the eval data, as before
-    doc = json.loads(open(model, encoding="utf-8").read())
+    doc = json.loads(Path(model).read_text(encoding="utf-8"))
     del doc["metadata"]["numeric_bins"]
     assert main(["eval", "--data", str(test), "--model", write_model(tmp_path, doc)]) == 0
     assert "accuracy=100.0" in capsys.readouterr().out
@@ -377,6 +438,38 @@ def test_cv_time_limit_is_shared_among_the_runs(tmp_path, capsys):
     assert len(fold_lines) == 3
 
 
+def test_cv_hands_each_class_search_the_same_share_in_both_scopes(ex1_csv, capsys,
+                                                                  monkeypatch):
+    # every class search of every fold is one run on the command's clock:
+    # fold 0's class 0 gets a quarter of 100 seconds and takes 30 of them,
+    # fold 0's class 1 then gets a third of the 70 left, and fold 1's
+    # classes get a half and the whole of what is left
+    skew = [0.0]
+    monotonic = optimizer.time.monotonic
+    monkeypatch.setattr(optimizer, "time",
+                        SimpleNamespace(monotonic=lambda: monotonic() + skew[0]))
+    cover_class = cover._cover_class
+    budgets = []
+
+    def timed(ds, scope, limits, progress):
+        budgets.append(limits.wall_time_budget)
+        out = cover_class(ds, scope, limits, progress)
+        skew[0] += 30.0 if len(budgets) == 1 else 0.0
+        return out
+
+    monkeypatch.setattr(cover, "_cover_class", timed)
+    shares = {}
+    for scope in SCOPES:
+        budgets.clear()
+        skew[0] = 0.0
+        assert main(["cv", "--data", ex1_csv, "--folds", "2", "--time-limit", "100",
+                     "--scope", scope]) == 0
+        shares[scope] = list(budgets)
+    capsys.readouterr()
+    for scope in SCOPES:
+        assert shares[scope] == pytest.approx([25.0, 70.0 / 3, 35.0, 70.0], abs=0.1), shares
+
+
 def test_cv_bad_fold_counts_exit_1(ex1_csv, capsys):
     assert main(["cv", "--data", ex1_csv, "--folds", "1"]) == 1
     assert "--folds must be >= 2" in capsys.readouterr().err
@@ -432,10 +525,10 @@ def test_encode_sparse_aggregated(ex1_csv, tmp_path, capsys):
                  "--n0", "7", "--dimacs", target])
     assert code == 0
     assert "wrote %s" % target in capsys.readouterr().out
-    header = open(target, encoding="utf-8").readline().split()
+    header = Path(target).read_text(encoding="utf-8").splitlines()[0].split()
     assert header[:2] == ["p", "wcnf"]
     assert header[4] == "37"  # 1 + total weight 8 + 7 nodes * cost 4
-    sidecar = json.load(open(target + ".map.json", encoding="utf-8"))
+    sidecar = json.loads(Path(target + ".map.json").read_text(encoding="utf-8"))
     assert sidecar["mode"] == "sparse"
     assert sidecar["lambda_cost"] == 4
     assert sidecar["target"] is None
@@ -452,8 +545,8 @@ def test_encode_per_class_emits_one_file_per_class(ex1_csv, tmp_path, capsys):
     for cls in (0, 1):
         path = str(tmp_path / ("train.class%d.cnf" % cls))
         assert "wrote %s" % path in out
-        assert open(path, encoding="utf-8").readline().startswith("p cnf ")
-        sidecar = json.load(open(path + ".map.json", encoding="utf-8"))
+        assert Path(path).read_text(encoding="utf-8").startswith("p cnf ")
+        sidecar = json.loads(Path(path + ".map.json").read_text(encoding="utf-8"))
         assert sidecar["scope"] == "per_class"
         assert sidecar["target"] == str(cls)
 
@@ -463,7 +556,7 @@ def test_encode_default_budget_from_feature_count(ex1_csv, tmp_path):
     code = main(["encode", "--data", ex1_csv, "--scope", "aggregated",
                  "--dimacs", target])
     assert code == 0
-    sidecar = json.load(open(target + ".map.json", encoding="utf-8"))
+    sidecar = json.loads(Path(target + ".map.json").read_text(encoding="utf-8"))
     assert sidecar["varmap"]["n_nodes"] == 12  # 2 * (4 features + 2)
 
 
@@ -472,8 +565,8 @@ def test_encode_mopt_default_budget_is_the_first_learn_round(ex1_csv, tmp_path):
     assert main(["encode", "--data", ex1_csv, "--mode", "mopt", "--dimacs", target]) == 0
     # the greedy budgets of ex1, where 2 * (4 features + 2) gave 12
     for cls, budget in ((0, 4), (1, 6)):
-        sidecar = json.load(open(str(tmp_path / ("mopt.class%d.cnf.map.json" % cls)),
-                                 encoding="utf-8"))
+        sidecar = json.loads((tmp_path / ("mopt.class%d.cnf.map.json" % cls)).read_text(
+            encoding="utf-8"))
         first = minimize_bounded(make_ex1(), Scope.per_class(cls)).stats["rounds"][0]
         assert sidecar["varmap"]["n_nodes"] == first["n"] == budget, cls
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from rulesat.dimacs import emit_dimacs, parse_dimacs
@@ -17,7 +19,7 @@ def test_cnf_exact_text(tmp_path):
     f.add_hard([2])
     path = str(tmp_path / "t.cnf")
     emit_dimacs(f, path)
-    text = open(path).read()
+    text = Path(path).read_text()
     assert text == "p cnf 3 2\n1 -3 0\n2 0\n"
 
 
@@ -28,7 +30,7 @@ def test_wcnf_exact_text(tmp_path):
     f.add_soft([-2], 3)
     path = str(tmp_path / "t.wcnf")
     emit_dimacs(f, path)
-    text = open(path).read()
+    text = Path(path).read_text()
     # top = 1 + 2 + 3 marks the hard clause
     assert text == "p wcnf 2 3 6\n6 1 2 0\n2 -1 0\n3 -2 0\n"
 
@@ -95,7 +97,7 @@ def test_parse_errors(tmp_path, text, fragment):
 def test_emit_empty_formula(tmp_path):
     f = Formula(num_vars=3)
     path, back = roundtrip(tmp_path, f)
-    assert open(path).read() == "p cnf 3 0\n"
+    assert Path(path).read_text() == "p cnf 3 0\n"
     assert back.num_vars == 3 and back.hard == []
 
 
@@ -106,7 +108,7 @@ def test_empty_clause_is_kept_and_makes_the_formula_unsat(tmp_path):
     assert f.num_vars == 2
     assert f.hard == [(1, 2), ()]
     out, back = roundtrip(tmp_path, f, "out.cnf")
-    assert open(out).read() == "p cnf 2 2\n1 2 0\n0\n"
+    assert Path(out).read_text() == "p cnf 2 2\n1 2 0\n0\n"
     assert back.num_vars == f.num_vars and back.hard == f.hard and back.soft == []
     solver = Solver()
     solver.add_formula(back)
@@ -121,5 +123,5 @@ def test_empty_clause_round_trips_through_wcnf(tmp_path):
     f.add_soft([1], 3)
     assert f.num_vars == 1
     out, back = roundtrip(tmp_path, f, "empty.wcnf")
-    assert open(out).read() == "p wcnf 1 3 6\n6 0\n2 0\n3 1 0\n"
+    assert Path(out).read_text() == "p wcnf 1 3 6\n6 0\n2 0\n3 1 0\n"
     assert back.hard == [()] and back.soft == [((), 2), ((1,), 3)]
