@@ -5,7 +5,7 @@ The package trains unordered rule sets whose size is counted in literals
 a CDCL SAT solver and trading accuracy against size with MaxSAT.
 """
 
-from .cardinality import TotalizerHandle, build_totalizer
+from .cardinality import build_totalizer
 from .dataset import (BinDataset, DatasetError, FoldPlan, RawDataset, SanitizeReport,
                       binarize, kfold_split, load_csv, sanitize)
 from .cover import minimize_exact_fit
@@ -45,7 +45,6 @@ __all__ = [
     "SolveBudgetExceeded",
     "SolveOutcome",
     "Solver",
-    "TotalizerHandle",
     "VarMap",
     "binarize",
     "build_bounded",

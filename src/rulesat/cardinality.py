@@ -8,29 +8,7 @@ assuming -outputs[k] enforces "at most k inputs true".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .formula import FormulaError, is_literal
-
-
-@dataclass
-class TotalizerHandle:
-    inputs: tuple[int, ...]
-    outputs: tuple[int, ...]  # outputs[t-1] <-> at least t inputs true
-
-    def count_geq(self, t: int) -> int:
-        """Literal that is true iff at least t inputs are true."""
-        if not 1 <= t <= len(self.outputs):
-            raise FormulaError("threshold %d outside 1..%d" % (t, len(self.outputs)))
-        return self.outputs[t - 1]
-
-    def at_most_assumptions(self, k: int) -> list[int]:
-        """Assumption literals enforcing that at most k inputs are true."""
-        if k < 0:
-            raise FormulaError("negative cardinality bound")
-        if k >= len(self.outputs):
-            return []
-        return [-self.outputs[k]]
 
 
 def _merge(sink, left: list[int], right: list[int]) -> list[int]:
@@ -65,13 +43,13 @@ def _build(sink, lits: list[int]) -> list[int]:
     return _merge(sink, _build(sink, lits[:mid]), _build(sink, lits[mid:]))
 
 
-def build_totalizer(sink, inputs) -> TotalizerHandle:
-    """Build a totalizer over the given literals (duplicates allowed)."""
+def build_totalizer(sink, inputs) -> tuple[int, ...]:
+    """Build a totalizer over the given literals (duplicates allowed) and
+    return its outputs: outputs[t - 1] is true iff at least t inputs are."""
     inputs = tuple(inputs)
     if not inputs:
         raise FormulaError("totalizer needs at least one input")
     for lit in inputs:
         if not is_literal(lit):
             raise FormulaError("bad literal %r" % (lit,))
-    outputs = _build(sink, list(inputs))
-    return TotalizerHandle(inputs=inputs, outputs=tuple(outputs))
+    return tuple(_build(sink, list(inputs)))

@@ -7,10 +7,13 @@ learn and cv search one class at a time, in class order, through
 optimizer._search_each_class, and report the union of the rule sets;
 classes absent from the training data contribute no rules.  Only
 aggregated sparse is one joint search, so for opt and mopt --scope
-changes only the model's labels.  --time-limit is one clock for the whole
-command: each search gets an equal share of the time left among the
-searches still to come, in this cross-validation fold and the later
-ones, so time one leaves unused goes to the later ones.
+changes only the model's labels.  The command runs the searches inside
+the drivers, cover._cover_class and optimizer._sparse_search.
+--time-limit is one clock for the whole command: each search runs on a
+share of it (optimizer._Clock.share), an equal share of the time left
+among the searches still to come, in this cross-validation fold and the
+later ones, so time one leaves unused goes to the later ones.  A share
+never ends after the command's deadline, so past it no search starts.
 """
 
 from __future__ import annotations
@@ -22,18 +25,18 @@ import sys
 from dataclasses import dataclass
 from functools import partial
 
-from .cover import minimize_exact_fit
+from .cover import _cover_class
 from .dataset import BinDataset, DatasetError, binarize, kfold_split, load_csv, sanitize
 from .dimacs import emit_dimacs
 from .encoder import (EncodingError, Scope, build_bounded, build_perfect, build_sparse,
                       lam_to_cost)
 from .formula import FormulaError
 from .model import DecisionSet, ModelError, evaluate, load_model, save_model
-# minimize_perfect and minimize_bounded are not called here; they stay
-# importable as cli.minimize_* because the benchmark's tracer patches the
-# drivers by their names in this module
+# the minimize_* drivers are not called here; they stay importable as
+# cli.minimize_* because the benchmark's tracer patches the drivers by
+# their names in this module
 from .optimizer import (ContradictionError, OptimizerError, SearchLimits, SolveOutcome,  # noqa: F401
-                        _Clock, _remaining_limits, _search_each_class, first_budget,
+                        _Clock, _search_each_class, _sparse_search, first_budget,
                         minimize_bounded, minimize_perfect, minimize_sparse)
 
 MODES = ("opt", "mopt", "sparse")
@@ -69,9 +72,9 @@ class RunConfig:
         searching = args.command != "encode"  # encode writes an encoding of --n0 nodes
         if mode != "sparse" and n0 is not None and searching:  # opt and mopt learn by set cover
             raise CliError("--n0 only applies to --mode sparse and to encode")
+        # the command's _Clock validates them
         limits = (SearchLimits(wall_time_budget=args.time_limit, per_solve_budget=args.solve_limit)
                   if searching else SearchLimits())
-        limits.validate()
         return RunConfig(mode=mode, scope=getattr(args, "scope", "per-class"), lam=lam,
                          bins=args.bins, n0=n0, limits=limits, verbose=searching and args.verbose)
 
@@ -96,25 +99,24 @@ def _learn_model(ds: BinDataset, config: RunConfig, clock: _Clock,
                  context: dict | None = None, later_models: int = 0):
     """Train per the configured scope; returns (DecisionSet, status) or
     raises CliTimeout when nothing usable was found in time.  The searches
-    (one per class, or one joint search for aggregated sparse) share the
-    command's clock with later_models more models of as many searches."""
+    (one per class, or one joint search for aggregated sparse) run on
+    shares of the command's clock, which later_models more models of as
+    many searches also share."""
     def progress(record):
         if config.verbose:
             print(json.dumps({**(context or {}), **record}, sort_keys=True), file=sys.stderr)
 
     if config.mode == "sparse" and config.scope == "aggregated":
-        start = clock.elapsed()
-        outcome = minimize_sparse(ds, Scope.aggregated(), config.lam, config.n0,
-                                  _remaining_limits(clock, 1 + later_models),
-                                  lambda r: progress({**r, "elapsed": start + r["elapsed"]}))
+        outcome = _sparse_search(ds, Scope.aggregated(), config.lam, config.n0,
+                                 clock.share(1 + later_models), progress)
     else:
         if config.scope == "aggregated":  # a two-class model, though searched per class
             Scope.aggregated().validate(len(ds.classes))
         if config.mode == "sparse":
-            def search(scope, limits, progress):
-                return minimize_sparse(ds, scope, config.lam, config.n0, limits, progress)
+            def search(scope, clock, progress):
+                return _sparse_search(ds, scope, config.lam, config.n0, clock, progress)
         else:  # an exact fit: opt and mopt run the same search
-            search = partial(minimize_exact_fit, ds)
+            search = partial(_cover_class, ds)
         outcome = _search_each_class(ds, search, config.mode, clock, progress, later_models)
         if config.scope == "per-class" and outcome.decision_set is not None:
             metadata = outcome.decision_set.metadata

@@ -29,6 +29,9 @@ descent starts from its cost.
 
 Stage 1 out of time is a timeout with no set; stage 2 out of time keeps
 its best cover, "feasible".  Every set returned passes _verified.
+minimize_exact_fit builds the call's clock; _cover_class, the search of
+one class, runs on its caller's clock, in aggregated scope and in the CLI
+a share of it (optimizer._Clock.share).
 """
 
 from __future__ import annotations
@@ -105,9 +108,9 @@ def _greedy_cover(kept, uncovered: int) -> set[int]:
     return picked
 
 
-def _cover_class(ds: BinDataset, scope: Scope, limits: SearchLimits, progress) -> SolveOutcome:
-    """Both stages for the class scope.target; see the module docstring."""
-    clock = _Clock(limits)
+def _cover_class(ds: BinDataset, scope: Scope, clock: _Clock, progress) -> SolveOutcome:
+    """Both stages for the class scope.target, on clock; see the module
+    docstring."""
     own = sorted({_mask(bits) for bits, cls, _ in ds.examples if cls == scope.target})
     others = {_mask(bits) for bits, cls, _ in ds.examples if cls != scope.target}
     stats = {"solve_calls": 0, "conflicts": 0}
@@ -167,10 +170,9 @@ def minimize_exact_fit(ds: BinDataset, scope: Scope, limits: SearchLimits | None
     listed and the rules kept after dominance), and an "event": "model"
     record each improved cover.
     """
+    clock = _Clock(limits or SearchLimits())
     scope.validate(len(ds.classes))
     _check_consistent(ds)
-    limits = limits or SearchLimits()
     if scope.is_aggregated:
-        return _search_each_class(ds, partial(_cover_class, ds), "exact_fit", _Clock(limits),
-                                  progress)
-    return _cover_class(ds, scope, limits, progress)
+        return _search_each_class(ds, partial(_cover_class, ds), "exact_fit", clock, progress)
+    return _cover_class(ds, scope, clock, progress)

@@ -46,10 +46,16 @@ clause (_falsified; in the sparse encoding: every example misclassified,
 every node used), which makes a first model cheap.  The set cover of
 cover.minimize_exact_fit gives a greedy cover, so its first model is
 that cover.
+
+Only the public drivers, maxsat_solve and the CLI commands build a
+_Clock.  Every inner search runs on its caller's clock or on a share of
+it (_Clock.share), so every record's elapsed counts from the caller's
+start, and past the caller's deadline no search starts a round.
 """
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field
 from math import inf
@@ -167,6 +173,18 @@ class _Clock:
         self.start = time.monotonic()
         self.wall_deadline = self.start + limits.wall_time_budget
 
+    def share(self, runs_left: int = 1) -> _Clock:
+        """This clock, on the same start and limits, with its deadline cut
+        to an equal share of the time left among runs_left runs, this one
+        included: a run cannot use up the time of the runs after it, and
+        the last gets all that is left.  A share never ends after this
+        clock, so past its deadline the share is expired too."""
+        now = time.monotonic()
+        share = copy.copy(self)
+        share.wall_deadline = min(self.wall_deadline,
+                                  now + (self.wall_deadline - now) / runs_left)
+        return share
+
     def expired(self) -> bool:
         return time.monotonic() >= self.wall_deadline
 
@@ -205,9 +223,8 @@ class _CostCounter:
         for weight in sorted(by_weight):
             if clock.expired():
                 raise SolveBudgetExceeded
-            handle = build_totalizer(solver, by_weight[weight])
-            nodes.append([(weight * t, handle.outputs[t - 1])
-                          for t in range(1, len(handle.outputs) + 1)])
+            outputs = build_totalizer(solver, by_weight[weight])
+            nodes.append([(weight * t, lit) for t, lit in enumerate(outputs, start=1)])
         while len(nodes) > 1:
             merged = []
             for a in range(0, len(nodes) - 1, 2):
@@ -268,10 +285,10 @@ def maxsat_solve(problem, limits: SearchLimits | None = None, progress=None) -> 
     formula: Formula = problem.formula if isinstance(problem, CnfBundle) else problem
     if not formula.soft:
         raise OptimizerError("maxsat_solve needs at least one soft clause")
-    limits = limits or SearchLimits()
+    clock = _Clock(limits or SearchLimits())
     solver = Solver()
     solver.add_formula(formula)
-    return _descend(solver, formula.soft, _falsified(formula.soft), _Clock(limits), progress)
+    return _descend(solver, formula.soft, _falsified(formula.soft), clock, progress)
 
 
 def _falsified(soft) -> list[int]:
@@ -327,21 +344,6 @@ def _check_consistent(ds: BinDataset) -> None:
             )
 
 
-def _remaining_limits(clock: _Clock, runs_left: int = 1) -> SearchLimits:
-    """The clock's limits, with the wall budget cut down to an equal share
-    of the time left among runs_left runs, this one included.
-
-    A run thus cannot use up the time of the runs after it, time it
-    leaves unused goes to them, and the last run gets all that is left.
-    Past the deadline the budget is a nanosecond, spent before the
-    receiving search checks its clock, so that search starts no round.
-    """
-    remaining = max((clock.wall_deadline - time.monotonic()) / runs_left, 1e-9)
-    return SearchLimits(wall_time_budget=remaining,
-                        per_solve_budget=clock.limits.per_solve_budget,
-                        max_nodes=clock.limits.max_nodes)
-
-
 def _verified(dset: DecisionSet, ds: BinDataset, scope: Scope) -> DecisionSet:
     ok, violation = verify_perfect(dset, ds, scope)
     if not ok:
@@ -361,7 +363,7 @@ class _Round:
     next: int | None = None  # the budget of the next round, larger than this one's
 
 
-def _search_budgets(limits: SearchLimits, n: int, progress, solve_round) -> SolveOutcome:
+def _search_budgets(clock: _Clock, n: int, progress, solve_round) -> SolveOutcome:
     """The loop the three drivers share: solve_round(n, clock) for the
     node budget n, then for the budget each round names as the next one,
     capped at limits.max_nodes, each started only while time is left.  A
@@ -372,7 +374,7 @@ def _search_budgets(limits: SearchLimits, n: int, progress, solve_round) -> Solv
     times out or runs at the cap.  The best feasible outcome found so
     far, if any, stands in for a timeout or for reaching the node cap.
     """
-    clock = _Clock(limits)
+    limits = clock.limits
     if not 1 <= n <= limits.max_nodes:
         raise OptimizerError("node budget %d is outside 1..%d (the node cap, max_nodes)"
                              % (n, limits.max_nodes))
@@ -425,22 +427,22 @@ def _join(outcomes: list[SolveOutcome], ds: BinDataset, mode: str) -> SolveOutco
 
 def _search_each_class(ds: BinDataset, search, mode: str, clock: _Clock, progress,
                        later_models: int = 0) -> SolveOutcome:
-    """search(scope, limits, progress), a per-class search, for each class
+    """search(scope, clock, progress), a per-class search, for each class
     with examples, in class order, joined and labelled mode; none starts
-    after one found no set.  Each gets an equal share of the time left on
-    clock among the class searches to come, counting as many for each of
-    later_models more calls.  Records carry the class and read clock; the
-    stats add up the counts and map each class to its objective
-    ("objectives").  A join that is not sparse is checked class by class,
-    in any class count.
+    after one found no set.  Each runs on clock.share: an equal share of
+    the time left among the class searches to come, counting as many for
+    each of later_models more calls.  Records carry the class; the stats
+    add up the counts and map each class to its objective ("objectives").
+    A join that is not sparse is checked class by class, in any class
+    count.
     """
     targets = sorted({cls for _, cls, _ in ds.examples})
     outcomes, stats = [], {"objectives": {}}
     for done, target in enumerate(targets):
-        def tag(record, label=ds.classes[target], start=clock.elapsed()):
-            return {**record, "class": label, "elapsed": start + record["elapsed"]}
+        def tag(record, label=ds.classes[target]):
+            return {**record, "class": label}
         out = search(Scope.per_class(target),
-                     _remaining_limits(clock, len(targets) * (1 + later_models) - done),
+                     clock.share(len(targets) * (1 + later_models) - done),
                      progress and (lambda record: progress(tag(record))))
         outcomes.append(out)
         stats["objectives"][ds.classes[target]] = out.objective
@@ -461,8 +463,8 @@ def _search_each_class(ds: BinDataset, search, mode: str, clock: _Clock, progres
     return joined
 
 
-def _exact_search(ds: BinDataset, scope: Scope, mode: str, n0: int | None,
-                  limits: SearchLimits | None, progress) -> SolveOutcome:
+def _exact_search(ds: BinDataset, scope: Scope, mode: str, n0: int | None, clock: _Clock,
+                  progress) -> SolveOutcome:
     """The one search of minimize_perfect (mode "perfect", which takes no
     n0) and minimize_bounded (mode "bounded"), run per class in aggregated
     scope; see the module docstring.  A timeout returns the best model so
@@ -473,13 +475,12 @@ def _exact_search(ds: BinDataset, scope: Scope, mode: str, n0: int | None,
     perfect = mode == "perfect"
     if perfect and n0 is not None:
         raise OptimizerError("a perfect search starts at one node and takes no first budget")
-    limits = limits or SearchLimits()
     if scope.is_aggregated:
         return _search_each_class(
-            ds, lambda scope, limits, progress: _exact_search(ds, scope, mode, n0, limits, progress),
-            mode, _Clock(limits), progress)
+            ds, lambda scope, clock, progress: _exact_search(ds, scope, mode, n0, clock, progress),
+            mode, clock, progress)
     # after the checks: the greedy pass of first_budget needs consistent data
-    n = 1 if perfect else first_budget(ds, scope, mode, n0, limits.max_nodes)
+    n = 1 if perfect else first_budget(ds, scope, mode, n0, clock.limits.max_nodes)
     solver = Solver()
     enc = Encoder(ds, scope, mode, solver)
     vm = enc.vm
@@ -531,7 +532,7 @@ def _exact_search(ds: BinDataset, scope: Scope, mode: str, n0: int | None,
                                          objective=cost)
         return rnd
 
-    return _search_budgets(limits, n, progress, solve_round)
+    return _search_budgets(clock, n, progress, solve_round)
 
 
 def minimize_perfect(ds: BinDataset, scope: Scope, limits: SearchLimits | None = None,
@@ -545,7 +546,7 @@ def minimize_perfect(ds: BinDataset, scope: Scope, limits: SearchLimits | None =
     by one node each, so every clause learnt on a smaller size carries
     over to the larger ones.
     """
-    return _exact_search(ds, scope, "perfect", None, limits, progress)
+    return _exact_search(ds, scope, "perfect", None, _Clock(limits or SearchLimits()), progress)
 
 
 def minimize_bounded(ds: BinDataset, scope: Scope, n0: int | None = None,
@@ -561,7 +562,7 @@ def minimize_bounded(ds: BinDataset, scope: Scope, n0: int | None = None,
     the budget, and the climb of _exact_search then proves or improves it.
     In aggregated scope n0 is each class's first budget.
     """
-    return _exact_search(ds, scope, "bounded", n0, limits, progress)
+    return _exact_search(ds, scope, "bounded", n0, _Clock(limits or SearchLimits()), progress)
 
 
 def minimize_sparse(ds: BinDataset, scope: Scope, lam, n0: int | None = None,
@@ -575,6 +576,12 @@ def minimize_sparse(ds: BinDataset, scope: Scope, lam, n0: int | None = None,
     the round's budget, C is optimal; otherwise the next round runs at B,
     capped at limits.max_nodes, and at B its optimum is certified.
     """
+    return _sparse_search(ds, scope, lam, n0, _Clock(limits or SearchLimits()), progress)
+
+
+def _sparse_search(ds: BinDataset, scope: Scope, lam, n0: int | None, clock: _Clock,
+                   progress) -> SolveOutcome:
+    """The search of minimize_sparse, on clock."""
     scope.validate(len(ds.classes))
     lam_cost = lam_to_cost(lam, ds.total_weight)
 
@@ -604,6 +611,5 @@ def minimize_sparse(ds: BinDataset, scope: Scope, lam, n0: int | None = None,
                                  objective=res.cost)
         return rnd
 
-    limits = limits or SearchLimits()
-    return _search_budgets(limits, first_budget(ds, scope, "sparse", n0, limits.max_nodes),
+    return _search_budgets(clock, first_budget(ds, scope, "sparse", n0, clock.limits.max_nodes),
                            progress, solve_round)

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from rulesat import cover, optimizer
+from rulesat import cli, optimizer
 from rulesat.cli import MODES, SCOPES, main
 from rulesat.dataset import BinDataset
 from rulesat.encoder import Scope
@@ -115,11 +115,15 @@ def test_learn_verbose_progress_is_json(ex1_csv, capsys):
 def test_verbose_records_read_the_commands_one_clock(ex1_csv, capsys):
     # a per-class or per-fold run's records count from the command's
     # start, as the classes of an aggregated run do
+    sparse = ["--mode", "sparse", "--lambda", "0.1"]
     for argv in (["learn"], ["learn", "--scope", "aggregated"],
-                 ["cv", "--folds", "4", "--seed", "7"]):
+                 ["cv", "--folds", "4", "--seed", "7"],
+                 ["cv", "--folds", "4", "--seed", "7"] + sparse,
+                 ["cv", "--folds", "4", "--seed", "7", "--scope", "aggregated"] + sparse):
         assert main(argv + ["--data", ex1_csv, "--verbose"]) == 0
         records = [json.loads(l) for l in capsys.readouterr().err.strip().splitlines()]
-        assert {r["class"] for r in records} == {"0", "1"}, argv
+        joint = "sparse" in argv and "aggregated" in argv  # one search, with no class
+        assert {r.get("class") for r in records} == ({None} if joint else {"0", "1"}), argv
         if argv[0] == "cv":
             assert [r["fold"] for r in records] == sorted(r["fold"] for r in records)
             assert {r["fold"] for r in records} == {0, 1, 2, 3}
@@ -448,16 +452,16 @@ def test_cv_hands_each_class_search_the_same_share_in_both_scopes(ex1_csv, capsy
     monotonic = optimizer.time.monotonic
     monkeypatch.setattr(optimizer, "time",
                         SimpleNamespace(monotonic=lambda: monotonic() + skew[0]))
-    cover_class = cover._cover_class
+    cover_class = cli._cover_class
     budgets = []
 
-    def timed(ds, scope, limits, progress):
-        budgets.append(limits.wall_time_budget)
-        out = cover_class(ds, scope, limits, progress)
+    def timed(ds, scope, clock, progress):
+        budgets.append(clock.wall_deadline - optimizer.time.monotonic())
+        out = cover_class(ds, scope, clock, progress)
         skew[0] += 30.0 if len(budgets) == 1 else 0.0
         return out
 
-    monkeypatch.setattr(cover, "_cover_class", timed)
+    monkeypatch.setattr(cli, "_cover_class", timed)
     shares = {}
     for scope in SCOPES:
         budgets.clear()
@@ -468,6 +472,30 @@ def test_cv_hands_each_class_search_the_same_share_in_both_scopes(ex1_csv, capsy
     capsys.readouterr()
     for scope in SCOPES:
         assert shares[scope] == pytest.approx([25.0, 70.0 / 3, 35.0, 70.0], abs=0.1), shares
+
+
+def test_cv_starts_no_search_past_its_deadline(ex1_csv, capsys, monkeypatch):
+    # time jumps 5 s past the 1 s limit as fold 0's class 0 ends and then
+    # stands still: class 1 runs on an expired share, makes no solve call
+    # and finds no set, so fold 0 has no model
+    frozen = []
+    monotonic = optimizer.time.monotonic
+    monkeypatch.setattr(optimizer, "time",
+                        SimpleNamespace(monotonic=lambda: frozen[0] if frozen else monotonic()))
+    cover_class = cli._cover_class
+    statuses = []
+
+    def timed(ds, scope, clock, progress):
+        out = cover_class(ds, scope, clock, progress)
+        statuses.append((out.status, out.stats["solve_calls"] > 0))
+        if not frozen:
+            frozen.append(clock.start + clock.limits.wall_time_budget + 5.0)
+        return out
+
+    monkeypatch.setattr(cli, "_cover_class", timed)
+    assert main(["cv", "--data", ex1_csv, "--folds", "2", "--time-limit", "1"]) == 2
+    assert "time budget exhausted" in capsys.readouterr().err
+    assert statuses == [("optimal", True), ("timeout", False)]
 
 
 def test_cv_bad_fold_counts_exit_1(ex1_csv, capsys):

@@ -2,11 +2,12 @@
 
 import itertools
 import random
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
 
-from rulesat import optimizer
+from rulesat import cover, optimizer
 from rulesat.dataset import BinDataset
 from rulesat.encoder import (EncodingError, Encoder, Scope, build_bounded, build_perfect,
                              build_sparse, lam_to_cost)
@@ -402,14 +403,40 @@ def test_no_round_starts_after_the_deadline(ex1, monkeypatch):
     monkeypatch.setattr(Solver, "solve", counting(calls, "solve", Solver.solve))
     tiny = SearchLimits(wall_time_budget=1e-9)
     # what a run started after a command's deadline is handed
-    left = optimizer._remaining_limits(optimizer._Clock(tiny))
-    for expired in (tiny, left):
-        for out in (minimize_bounded(ex1, AGG, limits=expired),
-                    minimize_sparse(ex1, AGG, lam=0.5, limits=expired),
-                    minimize_perfect(ex1, AGG, limits=expired)):
-            assert out.status == "timeout"
-            (record,) = out.stats["rounds"]
-            assert (record["status"], record["cost"]) == ("timeout", None)
+    left = optimizer._Clock(tiny).share()
+    for out in (minimize_bounded(ex1, AGG, limits=tiny),
+                minimize_sparse(ex1, AGG, lam=0.5, limits=tiny),
+                minimize_perfect(ex1, AGG, limits=tiny),
+                optimizer._exact_search(ex1, AGG, "bounded", None, left, None),
+                optimizer._sparse_search(ex1, AGG, 0.5, None, left, None),
+                optimizer._exact_search(ex1, AGG, "perfect", None, left, None)):
+        assert out.status == "timeout"
+        (record,) = out.stats["rounds"]
+        assert (record["status"], record["cost"]) == ("timeout", None)
+    assert calls == []
+
+
+def test_no_class_search_starts_past_the_deadline(monkeypatch):
+    # time stands still 5 s past a 1 s deadline: every class search runs
+    # on an expired share of the clock and makes no solve call
+    now = [100.0]
+    monkeypatch.setattr(optimizer, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    calls = []
+    monkeypatch.setattr(Solver, "solve", counting(calls, "solve", Solver.solve))
+    xor = BinDataset(num_features=2, classes=["0", "1"], feature_names=["a", "b"],
+                     examples=[((a, b), a ^ b, 1) for a in (0, 1) for b in (0, 1)])
+    searches = {
+        "perfect": lambda scope, clock, progress: optimizer._exact_search(
+            xor, scope, "perfect", None, clock, progress),
+        "exact_fit": partial(cover._cover_class, xor),
+        "sparse": lambda scope, clock, progress: optimizer._sparse_search(
+            xor, scope, 0.5, None, clock, progress),
+    }
+    for mode, search in searches.items():
+        clock = optimizer._Clock(SearchLimits(wall_time_budget=1.0))
+        now[0] += 6.0
+        out = optimizer._search_each_class(xor, search, mode, clock, None)
+        assert (out.status, out.decision_set) == ("timeout", None), mode
     assert calls == []
 
 
@@ -883,11 +910,11 @@ def test_aggregated_classes_share_one_clock(ex1, monkeypatch):
     search = optimizer._exact_search
 
     def class_0_takes(seconds):
-        def timed(ds, scope, mode, n0, limits, progress):
+        def timed(ds, scope, mode, n0, clock, progress):
             if scope.is_aggregated:
-                return search(ds, scope, mode, n0, limits, progress)
-            budgets.append((scope.target, limits.wall_time_budget))
-            out = search(ds, scope, mode, n0, limits, progress)
+                return search(ds, scope, mode, n0, clock, progress)
+            budgets.append((scope.target, clock.wall_deadline - optimizer.time.monotonic()))
+            out = search(ds, scope, mode, n0, clock, progress)
             skew[0] += seconds if scope.target == 0 else 0.0
             return out
         return timed
@@ -903,7 +930,7 @@ def test_aggregated_classes_share_one_clock(ex1, monkeypatch):
     budgets.clear()
     monkeypatch.setattr(optimizer, "_exact_search", class_0_takes(200.0))
     out = minimize_bounded(ex1, AGG, limits=limits)
-    assert [(target, budget <= 1e-9) for target, budget in budgets] == [(0, False), (1, True)]
+    assert [(target, budget <= 0) for target, budget in budgets] == [(0, False), (1, True)]
     assert (out.status, out.decision_set) == ("timeout", None)
     assert [(r["class"], r["status"]) for r in out.stats["rounds"]][-1] == ("1", "timeout")
 
@@ -917,9 +944,9 @@ def test_class_searches_share_the_clock_with_later_models(ex1, monkeypatch):
                         SimpleNamespace(monotonic=lambda: monotonic() + skew[0]))
     budgets = []
 
-    def search(scope, limits, progress):
-        budgets.append(limits.wall_time_budget)
-        out = minimize_perfect(ex1, scope, limits, progress)
+    def search(scope, clock, progress):
+        budgets.append(clock.wall_deadline - optimizer.time.monotonic())
+        out = optimizer._exact_search(ex1, scope, "perfect", None, clock, progress)
         skew[0] += 30.0
         return out
 
@@ -942,12 +969,25 @@ def test_perfect_searches_start_at_one_node(ex1):
 # ---------------------------------------------------------------- limits
 
 
-def test_remaining_limits_share_the_time_left():
+def test_clock_share_splits_the_time_left(monkeypatch):
     clock = optimizer._Clock(SearchLimits(wall_time_budget=10.0, per_solve_budget=7.0))
-    share = optimizer._remaining_limits(clock, 4)
-    assert 2.4 < share.wall_time_budget <= 2.5
-    assert (share.per_solve_budget, share.max_nodes) == (7.0, clock.limits.max_nodes)
-    assert 9.9 < optimizer._remaining_limits(clock).wall_time_budget <= 10.0
+    share = clock.share(4)
+    assert 2.4 < share.wall_deadline - optimizer.time.monotonic() <= 2.5
+    assert (share.limits, share.start) == (clock.limits, clock.start)
+    assert 9.9 < clock.share().wall_deadline - optimizer.time.monotonic() <= 10.0
+    # on any time base a share ends no later than its clock, and a share
+    # of an expired clock is expired
+    now = [0.0]
+    monkeypatch.setattr(optimizer, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    rng = random.Random(18)
+    for _ in range(200):
+        now[0] = rng.uniform(0, 1e6)
+        clock = optimizer._Clock(SearchLimits(wall_time_budget=rng.uniform(1e-6, 1e3)))
+        now[0] += rng.uniform(0, 2e3)
+        for runs_left in (1, 2, 3, 7):
+            share = clock.share(runs_left)
+            assert share.wall_deadline <= clock.wall_deadline
+            assert share.expired() or not clock.expired()
 
 
 def test_default_node_budget_caps_out():
