@@ -8,7 +8,8 @@ optimizer._search_each_class, and report the union of the rule sets;
 classes absent from the training data contribute no rules.  Only
 aggregated sparse is one joint search, so for opt and mopt --scope
 changes only the model's labels.  The command runs the searches inside
-the drivers, cover._cover_class and optimizer._sparse_search.
+the drivers, cover._cover_class and optimizer._sparse_search.  encode
+searches nothing: it has no clock, and no node cap bounds its --n0.
 --time-limit is one clock for the whole command: each search runs on a
 share of it (optimizer._Clock.share), an equal share of the time left
 among the searches still to come, in this cross-validation fold and the
@@ -35,8 +36,8 @@ from .model import DecisionSet, ModelError, evaluate, load_model, save_model
 # the minimize_* drivers are not called here; they stay importable as
 # cli.minimize_* because the benchmark's tracer patches the drivers by
 # their names in this module
-from .optimizer import (ContradictionError, OptimizerError, SearchLimits, SolveOutcome,  # noqa: F401
-                        _Clock, _search_each_class, _sparse_search, first_budget,
+from .optimizer import (MAX_NODES, ContradictionError, OptimizerError, SearchLimits,  # noqa: F401
+                        SolveOutcome, _Clock, _search_each_class, _sparse_search, first_budget,
                         minimize_bounded, minimize_perfect, minimize_sparse)
 
 MODES = ("opt", "mopt", "sparse")
@@ -55,28 +56,26 @@ class RunConfig:
     lam: float | None
     bins: int
     n0: int | None
-    limits: SearchLimits
+    limits: SearchLimits | None  # None for encode, which does not search
     verbose: bool
 
     @staticmethod
     def from_args(args) -> "RunConfig":
-        mode = getattr(args, "mode", "opt")
-        lam = getattr(args, "lam", None)
+        mode, lam, n0 = args.mode, args.lam, args.n0
         if mode == "sparse" and lam is None:
             raise CliError("--lambda is required with --mode sparse")
         if mode != "sparse" and lam is not None:
             raise CliError("--lambda only applies to --mode sparse")
         if lam is not None and lam < 0:
             raise CliError("--lambda must be >= 0")
-        n0 = getattr(args, "n0", None)
         searching = args.command != "encode"  # encode writes an encoding of --n0 nodes
         if mode != "sparse" and n0 is not None and searching:  # opt and mopt learn by set cover
             raise CliError("--n0 only applies to --mode sparse and to encode")
         # the command's _Clock validates them
         limits = (SearchLimits(wall_time_budget=args.time_limit, per_solve_budget=args.solve_limit)
-                  if searching else SearchLimits())
-        return RunConfig(mode=mode, scope=getattr(args, "scope", "per-class"), lam=lam,
-                         bins=args.bins, n0=n0, limits=limits, verbose=searching and args.verbose)
+                  if searching else None)
+        return RunConfig(mode=mode, scope=args.scope, lam=lam, bins=args.bins, n0=n0,
+                         limits=limits, verbose=searching and args.verbose)
 
 
 def _load_bindata(path: str, bins: int, numeric_bins: dict | None = None) -> BinDataset:
@@ -151,9 +150,8 @@ def cmd_learn(args) -> int:
     except CliTimeout as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    # normalize to the CLI vocabulary; the library names its modes
-    # perfect/bounded/sparse and its scopes aggregated/per_class
-    dset.metadata["mode"] = config.mode
+    # the searches were handed config.mode and record it; the library
+    # names its scopes aggregated/per_class
     dset.metadata["scope"] = config.scope
     dset.metadata["feature_names"] = list(ds.feature_names)  # for eval's check
     dset.metadata["numeric_bins"] = ds.numeric_bins  # eval bins with the training cuts
@@ -221,7 +219,7 @@ def cmd_cv(args) -> int:
 
 
 def _encode_one(ds: BinDataset, scope: Scope, config: RunConfig, path: str) -> None:
-    n = first_budget(ds, scope, ENCODINGS[config.mode], config.n0, config.limits.max_nodes)
+    n = first_budget(ds, scope, ENCODINGS[config.mode], config.n0)
     if config.mode == "opt":
         bundle = build_perfect(ds, n, scope)
     elif config.mode == "mopt":
@@ -276,15 +274,18 @@ def _add_flags(sub, model: bool = False, search: bool = False) -> None:
                          help="opt and mopt: a smallest exact-fit decision set (learn and cv "
                               "run one search for both, by prime rules and a set cover); "
                               "sparse: misclassified weight plus a per-node penalty")
-        sub.add_argument("--scope", choices=SCOPES, default="per-class")
+        sub.add_argument("--scope", choices=SCOPES, default="per-class",
+                         help="per-class (default): a rule set per class, joined; aggregated: "
+                              "one model of exactly 2 classes, which for opt and mopt changes "
+                              "only the model's labels, and for sparse is one joint search")
         sub.add_argument("--lambda", dest="lam", type=float, default=None,
                          help="per-node penalty rate (sparse mode only)")
-        sub.add_argument("--n0", type=int, default=None,
-                         help="first node budget of --mode sparse, and the node count encode "
-                              "writes; default for mopt: the size of a greedy exact-fit "
-                              "decision set, else 2*(K+2); both at most min(2*(K+2), 32). A "
-                              "later sparse budget, if any, follows from what the first round "
-                              "proves")
+        sub.add_argument("--n0", type=int, default=None, help=(
+            "first node budget of --mode sparse, 1..%d (the node cap, which also caps a later "
+            "budget that the first round proves); default 2*(K+2) for K binarized features, "
+            "at most 32" % MAX_NODES if search else
+            "node count to write, any n0 >= 1; default for mopt: the size of a greedy exact-fit "
+            "decision set, else 2*(K+2) for K binarized features; both at most min(2*(K+2), 32)"))
     if search:
         sub.add_argument("--verbose", action="store_true",
                          help="line-delimited JSON progress on stderr")

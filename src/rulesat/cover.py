@@ -29,9 +29,11 @@ descent starts from its cost.
 
 Stage 1 out of time is a timeout with no set; stage 2 out of time keeps
 its best cover, "feasible".  Every set returned passes _verified.
-minimize_exact_fit builds the call's clock; _cover_class, the search of
-one class, runs on its caller's clock, in aggregated scope and in the CLI
-a share of it (optimizer._Clock.share).
+minimize_exact_fit is one call of optimizer._exact_fit, the driver that
+also runs the node searches: it builds the call's clock, checks the
+scope and the data, and splits an aggregated fit by class.  _cover_class,
+the search of one class, runs on its caller's clock, in aggregated scope
+and in the CLI a share of it (optimizer._Clock.share).
 """
 
 from __future__ import annotations
@@ -41,8 +43,7 @@ from functools import partial
 from .dataset import BinDataset
 from .encoder import Scope
 from .model import DecisionSet, Rule
-from .optimizer import (SearchLimits, SolveOutcome, _check_consistent, _Clock, _descend,
-                        _search_each_class, _verified)
+from .optimizer import SearchLimits, SolveOutcome, _Clock, _descend, _exact_fit, _verified
 from .solver import SolveBudgetExceeded, Solver
 
 
@@ -161,8 +162,9 @@ def _cover_class(ds: BinDataset, scope: Scope, clock: _Clock, progress) -> Solve
 def minimize_exact_fit(ds: BinDataset, scope: Scope, limits: SearchLimits | None = None,
                        progress=None) -> SolveOutcome:
     """Smallest exact-fit decision set, by prime rules and a weighted set
-    cover per class (see the module docstring); in aggregated scope each
-    class's search in turn, joined (optimizer._search_each_class).
+    cover per class (see the module docstring), through the exact-fit
+    driver optimizer._exact_fit: in aggregated scope each class's search
+    in turn, joined.
 
     A per-class target with no example gets the empty set, where the node
     encodings insist on one rule that covers nothing.  A progress record
@@ -170,9 +172,4 @@ def minimize_exact_fit(ds: BinDataset, scope: Scope, limits: SearchLimits | None
     listed and the rules kept after dominance), and an "event": "model"
     record each improved cover.
     """
-    clock = _Clock(limits or SearchLimits())
-    scope.validate(len(ds.classes))
-    _check_consistent(ds)
-    if scope.is_aggregated:
-        return _search_each_class(ds, partial(_cover_class, ds), "exact_fit", clock, progress)
-    return _cover_class(ds, scope, clock, progress)
+    return _exact_fit(ds, scope, partial(_cover_class, ds), "exact_fit", limits, progress)

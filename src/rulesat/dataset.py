@@ -14,6 +14,9 @@ from itertools import repeat
 from math import ceil, isnan
 
 
+MAX_CATEGORIES = 32  # the most distinct values binarize one-hots in a text column
+
+
 class DatasetError(ValueError):
     """Malformed input data or invalid pipeline parameters."""
 
@@ -178,8 +181,7 @@ def _quantize(numbers: list[float], q: int) -> tuple[list[float], list[str]]:
     return cuts, ["bin%d" % i for i in range(len(cuts) + 1)]
 
 
-def binarize(raw: RawDataset, q: int = 2, max_categories: int = 32,
-             numeric_bins: dict | None = None) -> BinDataset:
+def binarize(raw: RawDataset, q: int = 2, numeric_bins: dict | None = None) -> BinDataset:
     """Quantize numeric columns and one-hot everything wider than one bit.
 
     Columns with exactly two values become a single bit, columns with d > 2
@@ -219,10 +221,10 @@ def binarize(raw: RawDataset, q: int = 2, max_categories: int = 32,
             raise DatasetError("column %r is binned as numeric, but holds text" % name)
         else:
             distinct = sorted(set(values))
-            if len(distinct) > max_categories:
+            if len(distinct) > MAX_CATEGORIES:
                 raise DatasetError(
                     "column %r has %d categories, over the limit of %d"
-                    % (name, len(distinct), max_categories)
+                    % (name, len(distinct), MAX_CATEGORIES)
                 )
             index = {v: i for i, v in enumerate(distinct)}
             codes, labels = [index[v] for v in values], distinct

@@ -21,20 +21,22 @@ round's first model is an anytime answer within its budget.
 
 Exact fit splits by class: a class-c rule covers no example of another
 class, and some class-c rule covers each class-c example, so the
-aggregated optimum is the sum of the per-class optima.  _search_each_class
-is the one loop that runs a search per class, each in turn on its share
-of the caller's clock, and joins the rules (_join).  Both drivers in
-aggregated scope, cover.minimize_exact_fit and the CLI hand it their
-per-class search; aggregated encodings serve only sparse and encode.
+aggregated optimum is the sum of the per-class optima.  _exact_fit, the
+one driver of minimize_perfect, minimize_bounded and
+cover.minimize_exact_fit, builds the call's clock, checks the scope and
+the data, and runs its class search; in aggregated scope it runs it per
+class through _search_each_class, the one loop (the CLI's too) that runs
+each class on its share of the clock and joins the rules (_join).
 minimize_sparse trades misclassifications against a per-node penalty by
-MaxSAT, each round on a fresh solver.  A set cheaper than a round's
-optimum C uses at most (C - 1) // lambda_cost nodes, so C is optimal if
-that bound is within the budget; else the next and last round runs at
-the bound.  The drivers share one loop (_search_budgets) that runs the
-budget each round derives, within the node cap, and keeps the clock, the
-round records and the solver totals.  Each driver's Encoder writes
-straight into its Solver; a round checks the clock before each node, and
-a sparse round runs _descend.
+MaxSAT, each round on a fresh solver; aggregated sparse is one joint
+search.  A set cheaper than a round's optimum C uses at most
+(C - 1) // lambda_cost nodes, so C is optimal if that bound is within the
+budget; else the next and last round runs at the bound.  The node
+searches share one loop (_search_budgets) that runs the budget each round
+derives, within the node cap MAX_NODES, and keeps the clock, the round
+records and the solver totals.  Each driver's Encoder writes straight
+into its Solver; a round checks the clock before each node, and a sparse
+round runs _descend.
 
 maxsat_solve loads a formula into a solver and runs _descend, a linear
 SAT-to-UNSAT search: solve, read the model cost c, then assume "cost <=
@@ -47,10 +49,11 @@ every node used), which makes a first model cheap.  The set cover of
 cover.minimize_exact_fit gives a greedy cover, so its first model is
 that cover.
 
-Only the public drivers, maxsat_solve and the CLI commands build a
-_Clock.  Every inner search runs on its caller's clock or on a share of
-it (_Clock.share), so every record's elapsed counts from the caller's
-start, and past the caller's deadline no search starts a round.
+Only _exact_fit, minimize_sparse, maxsat_solve and the CLI commands
+build a _Clock, which carries only time.  Every inner search runs on its
+caller's clock or on a share of it (_Clock.share), so every record's
+elapsed counts from the caller's start, and past the caller's deadline
+no search starts a round.
 """
 
 from __future__ import annotations
@@ -72,6 +75,9 @@ from .model import DecisionSet, Rule, decode, verify_perfect
 from .solver import SolveBudgetExceeded, Solver
 
 
+MAX_NODES = 64  # the node cap: no search round and no default budget runs above it
+
+
 class ContradictionError(ValueError):
     """Exact-fit training on contradictory data cannot succeed."""
 
@@ -84,14 +90,11 @@ class OptimizerError(ValueError):
 class SearchLimits:
     wall_time_budget: float = 600.0  # seconds for one minimize_* or maxsat_solve call
     per_solve_budget: float = 60.0   # seconds for one solver call
-    max_nodes: int = 64
 
     def validate(self) -> None:
         # NaN compares false with everything, and an infinite budget has no deadline
         if not 0 < self.wall_time_budget < inf or not 0 < self.per_solve_budget < inf:
             raise OptimizerError("time budgets must be positive and finite")
-        if self.max_nodes < 1:
-            raise OptimizerError("max_nodes must be >= 1")
 
 
 @dataclass
@@ -155,14 +158,14 @@ def _greedy_budget(ds: BinDataset, scope: Scope, cap: int) -> int:
     return max(size, 1)
 
 
-def first_budget(ds: BinDataset, scope: Scope, mode: str, n0: int | None, max_nodes: int) -> int:
+def first_budget(ds: BinDataset, scope: Scope, mode: str, n0: int | None) -> int:
     """The node budget a search or an encoding in mode ("perfect",
     "bounded" or "sparse") starts from: n0 if given, else
-    default_node_budget capped at max_nodes, or the smaller greedy budget
+    default_node_budget capped at MAX_NODES, or the smaller greedy budget
     in bounded mode."""
     if n0 is not None:
         return n0
-    cap = min(default_node_budget(ds.num_features), max_nodes)
+    cap = min(default_node_budget(ds.num_features), MAX_NODES)
     return _greedy_budget(ds, scope, cap) if mode == "bounded" else cap
 
 
@@ -364,20 +367,19 @@ class _Round:
 
 
 def _search_budgets(clock: _Clock, n: int, progress, solve_round) -> SolveOutcome:
-    """The loop the three drivers share: solve_round(n, clock) for the
+    """The loop the node searches share: solve_round(n, clock) for the
     node budget n, then for the budget each round names as the next one,
-    capped at limits.max_nodes, each started only while time is left.  A
+    capped at MAX_NODES, each started only while time is left.  A
     first budget above the cap, where no round could run, is an
-    OptimizerError; the drivers' default budgets stay within it.
+    OptimizerError; the default budgets of first_budget stay within it.
 
     The search stops at the first round that finds an optimal outcome,
     times out or runs at the cap.  The best feasible outcome found so
     far, if any, stands in for a timeout or for reaching the node cap.
     """
-    limits = clock.limits
-    if not 1 <= n <= limits.max_nodes:
-        raise OptimizerError("node budget %d is outside 1..%d (the node cap, max_nodes)"
-                             % (n, limits.max_nodes))
+    if not 1 <= n <= MAX_NODES:
+        raise OptimizerError("node budget %d is outside 1..%d (the node cap, MAX_NODES)"
+                             % (n, MAX_NODES))
     rounds = []
     solve_calls = conflicts = 0
     best = outcome = None
@@ -397,15 +399,15 @@ def _search_budgets(clock: _Clock, n: int, progress, solve_round) -> SolveOutcom
             outcome = found
         elif rnd.status == "timeout":
             outcome = best or SolveOutcome(status="timeout")
-        elif n == limits.max_nodes:
+        elif n == MAX_NODES:
             break
         else:
-            n = min(rnd.next, limits.max_nodes)
+            n = min(rnd.next, MAX_NODES)
     stats = {"solve_calls": solve_calls, "conflicts": conflicts,
              "elapsed": clock.elapsed(), "rounds": rounds}
     if outcome is None:
         outcome = best or SolveOutcome(status="timeout")
-        stats["note"] = "node cap %d reached" % limits.max_nodes
+        stats["note"] = "node cap %d reached" % MAX_NODES
     outcome.stats = stats
     return outcome
 
@@ -463,24 +465,28 @@ def _search_each_class(ds: BinDataset, search, mode: str, clock: _Clock, progres
     return joined
 
 
-def _exact_search(ds: BinDataset, scope: Scope, mode: str, n0: int | None, clock: _Clock,
-                  progress) -> SolveOutcome:
-    """The one search of minimize_perfect (mode "perfect", which takes no
-    n0) and minimize_bounded (mode "bounded"), run per class in aggregated
-    scope; see the module docstring.  A timeout returns the best model so
-    far as "feasible".
-    """
+def _exact_fit(ds: BinDataset, scope: Scope, class_search, mode: str,
+               limits: SearchLimits | None, progress) -> SolveOutcome:
+    """class_search(scope, clock, progress) on the call's clock, after
+    checking the scope and the data; in aggregated scope per class, joined."""
+    clock = _Clock(limits or SearchLimits())
     scope.validate(len(ds.classes))
     _check_consistent(ds)
+    if scope.is_aggregated:
+        return _search_each_class(ds, class_search, mode, clock, progress)
+    return class_search(scope, clock, progress)
+
+
+def _exact_search(ds: BinDataset, scope: Scope, mode: str, n0: int | None, clock: _Clock,
+                  progress) -> SolveOutcome:
+    """The node search of minimize_perfect (mode "perfect", which takes no
+    n0) and minimize_bounded (mode "bounded") in scope, over data that
+    _exact_fit checked.  A timeout returns the best model so far as
+    "feasible"."""
     perfect = mode == "perfect"
     if perfect and n0 is not None:
         raise OptimizerError("a perfect search starts at one node and takes no first budget")
-    if scope.is_aggregated:
-        return _search_each_class(
-            ds, lambda scope, clock, progress: _exact_search(ds, scope, mode, n0, clock, progress),
-            mode, clock, progress)
-    # after the checks: the greedy pass of first_budget needs consistent data
-    n = 1 if perfect else first_budget(ds, scope, mode, n0, clock.limits.max_nodes)
+    n = 1 if perfect else first_budget(ds, scope, mode, n0)
     solver = Solver()
     enc = Encoder(ds, scope, mode, solver)
     vm = enc.vm
@@ -522,7 +528,7 @@ def _exact_search(ds: BinDataset, scope: Scope, mode: str, n0: int | None, clock
         rnd = _Round(status, cost, solver.solve_calls - calls, solver.conflicts - conflicts)
         if status == unsat:
             # the optimum is above n; a bounded round at the greedy size has a model
-            rnd.next = n + 1 if perfect else _greedy_budget(ds, scope, clock.limits.max_nodes)
+            rnd.next = n + 1 if perfect else _greedy_budget(ds, scope, MAX_NODES)
         if best is not None:
             best.metadata = {"mode": mode, "scope": scope.kind, "objective": cost}
             if status == "timeout":
@@ -546,23 +552,23 @@ def minimize_perfect(ds: BinDataset, scope: Scope, limits: SearchLimits | None =
     by one node each, so every clause learnt on a smaller size carries
     over to the larger ones.
     """
-    return _exact_search(ds, scope, "perfect", None, _Clock(limits or SearchLimits()), progress)
+    return _exact_fit(ds, scope, lambda scope, clock, progress: _exact_search(
+        ds, scope, "perfect", None, clock, progress), "perfect", limits, progress)
 
 
 def minimize_bounded(ds: BinDataset, scope: Scope, n0: int | None = None,
                      limits: SearchLimits | None = None, progress=None) -> SolveOutcome:
     """Exact fit within a node budget, minimizing the used-node count.
 
-    Without n0 the budget is the size of a greedy exact-fit decision set
-    (_greedy_budget), capped at default_node_budget and at
-    limits.max_nodes: below the caps the first round has a model and ends
-    optimal.  After a budget too small for any exact fit, the next and
-    last round runs at the greedy set's size, capped only at
-    limits.max_nodes.  A round's first solve gives an anytime model within
-    the budget, and the climb of _exact_search then proves or improves it.
-    In aggregated scope n0 is each class's first budget.
+    Without n0 the budget is the greedy one of first_budget: below its
+    cap the first round has a model and ends optimal.  After a budget too
+    small for any exact fit, the last round runs at the greedy set's size,
+    capped only at MAX_NODES.  A round's first solve gives an anytime
+    model, and the climb of _exact_search proves or improves it.  In
+    aggregated scope n0 is each class's first budget.
     """
-    return _exact_search(ds, scope, "bounded", n0, _Clock(limits or SearchLimits()), progress)
+    return _exact_fit(ds, scope, lambda scope, clock, progress: _exact_search(
+        ds, scope, "bounded", n0, clock, progress), "bounded", limits, progress)
 
 
 def minimize_sparse(ds: BinDataset, scope: Scope, lam, n0: int | None = None,
@@ -574,7 +580,7 @@ def minimize_sparse(ds: BinDataset, scope: Scope, lam, n0: int | None = None,
     size.  Every node costs lambda_cost, so a set cheaper than a round's
     optimum C uses at most B = (C - 1) // lambda_cost nodes.  If B <= n,
     the round's budget, C is optimal; otherwise the next round runs at B,
-    capped at limits.max_nodes, and at B its optimum is certified.
+    capped at MAX_NODES, and at B its optimum is certified.
     """
     return _sparse_search(ds, scope, lam, n0, _Clock(limits or SearchLimits()), progress)
 
@@ -611,5 +617,4 @@ def _sparse_search(ds: BinDataset, scope: Scope, lam, n0: int | None, clock: _Cl
                                  objective=res.cost)
         return rnd
 
-    return _search_budgets(clock, first_budget(ds, scope, "sparse", n0, clock.limits.max_nodes),
-                           progress, solve_round)
+    return _search_budgets(clock, first_budget(ds, scope, "sparse", n0), progress, solve_round)

@@ -650,3 +650,21 @@ def test_encode_output_is_pinned(ex1_csv, tmp_path, capsys):
     got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
            for path in tmp_path.iterdir() if path.name != "ex1.csv"}
     assert got == ENCODE_SHA256
+
+
+@pytest.mark.parametrize("command", [[], ["learn"], ["eval"], ["cv"], ["encode"]])
+def test_help_exits_0(command, capsys):
+    # argparse formats help only when asked, so a stray % in a help text
+    # shows up here and nowhere else
+    assert main(command + ["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: rulesat")
+
+
+def test_n0_help_matches_each_command(capsys):
+    for command, says, not_says in (("learn", "1..64 (the node cap", "any n0"),
+                                    ("cv", "1..64 (the node cap", "any n0"),
+                                    ("encode", "any n0 >= 1", "node cap")):
+        assert main([command, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        n0 = text[text.index("--n0 N0 "):]
+        assert says in n0 and not_says not in n0, command

@@ -361,7 +361,7 @@ def test_minimize_bounded_rounds_match_fresh_solves(monkeypatch):
             above += n0 > optimum
             assert len(created) == 1
             rounds = out.stats["rounds"]
-            greedy = optimizer._greedy_budget(ds, scope, SearchLimits.max_nodes)
+            greedy = optimizer._greedy_budget(ds, scope, optimizer.MAX_NODES)
             assert [r["n"] for r in rounds] == ([n0] if n0 >= optimum else [n0, greedy])
             for r in rounds:
                 fresh = Solver()
@@ -613,7 +613,7 @@ def test_greedy_budget_bounds_the_optimum_and_takes_one_round():
                                  total_size=sum(rule.size for rule in rules))
             assert verify_perfect(greedy, ds, scope) == (True, None), (trial, scope, ds)
             expected = oracle_min_size(ds, scope, cap=32)
-            bound = optimizer.first_budget(ds, scope, "bounded", None, SearchLimits.max_nodes)
+            bound = optimizer.first_budget(ds, scope, "bounded", None)
             # an exact set: its size bounds the optimum, which may pass the cap
             assert expected <= greedy.total_size, (trial, scope, ds)
             assert bound == min(greedy.total_size, cap), (trial, scope)
@@ -690,32 +690,36 @@ def test_minimize_bounded_timeout_keeps_the_first_model(ex1, monkeypatch):
         ("0", "timeout", first["cost"]), ("1", "optimal", 3)]
 
 
-def test_minimize_bounded_budget_above_node_cap(ex1):
+def test_minimize_bounded_budget_above_node_cap(ex1, monkeypatch):
     # a first budget above the node cap could run no round: it is an error,
     # not a timeout
+    assert optimizer.MAX_NODES == 64
     with pytest.raises(OptimizerError, match="outside 1..64"):
-        minimize_bounded(ex1, AGG, n0=70, limits=SearchLimits(max_nodes=64))
+        minimize_bounded(ex1, AGG, n0=70)
     with pytest.raises(OptimizerError, match="node cap"):
         minimize_sparse(ex1, AGG, lam=0.5, n0=65)
     # a derived budget past the cap runs at the cap: class 1's greedy budget
     # 6 after an infeasible 1, and sparse's bound 3 after the optimum 4 at 1
-    out = minimize_bounded(ex1, Scope.per_class(1), n0=1, limits=SearchLimits(max_nodes=2))
+    monkeypatch.setattr(optimizer, "MAX_NODES", 2)
+    out = minimize_bounded(ex1, Scope.per_class(1), n0=1)
     assert ([r["n"] for r in out.stats["rounds"]], out.status, out.stats["note"]) == (
         [1, 2], "timeout", "node cap 2 reached")
     # the cap holds per class, and no class starts after one found no set
-    out = minimize_bounded(ex1, AGG, n0=1, limits=SearchLimits(max_nodes=2))
+    out = minimize_bounded(ex1, AGG, n0=1)
     assert ([(r["class"], r["n"]) for r in out.stats["rounds"]], out.status,
             out.decision_set, out.stats["note"]) == (
         [("0", 1), ("0", 2)], "timeout", None, "node cap 2 reached")
-    out = minimize_sparse(ex1, AGG, lam=0.005, n0=1, limits=SearchLimits(max_nodes=2))
+    out = minimize_sparse(ex1, AGG, lam=0.005, n0=1)
     assert ([r["n"] for r in out.stats["rounds"]], out.status, out.objective,
             out.stats["note"]) == ([1, 2], "feasible", 4, "node cap 2 reached")
     # a default budget starts at the cap when it would pass it: the greedy
     # budget of class 1 is 6 nodes, its optimum 3, and sparse's default 12
-    out = minimize_bounded(ex1, Scope.per_class(1), limits=SearchLimits(max_nodes=3))
+    monkeypatch.setattr(optimizer, "MAX_NODES", 3)
+    out = minimize_bounded(ex1, Scope.per_class(1))
     assert ([r["n"] for r in out.stats["rounds"]], out.status, out.objective) == (
         [3], "optimal", 3)
-    out = minimize_sparse(ex1, AGG, lam=0.5, limits=SearchLimits(max_nodes=2))
+    monkeypatch.setattr(optimizer, "MAX_NODES", 2)
+    out = minimize_sparse(ex1, AGG, lam=0.5)
     assert ([r["n"] for r in out.stats["rounds"]], out.status, out.objective) == (
         [2], "optimal", 7)
 
@@ -911,8 +915,6 @@ def test_aggregated_classes_share_one_clock(ex1, monkeypatch):
 
     def class_0_takes(seconds):
         def timed(ds, scope, mode, n0, clock, progress):
-            if scope.is_aggregated:
-                return search(ds, scope, mode, n0, clock, progress)
             budgets.append((scope.target, clock.wall_deadline - optimizer.time.monotonic()))
             out = search(ds, scope, mode, n0, clock, progress)
             skew[0] += seconds if scope.target == 0 else 0.0
@@ -998,8 +1000,6 @@ def test_default_node_budget_caps_out():
 def test_limit_validation(ex1):
     with pytest.raises(OptimizerError, match="positive"):
         SearchLimits(wall_time_budget=0).validate()
-    with pytest.raises(OptimizerError, match="max_nodes"):
-        SearchLimits(max_nodes=0).validate()
     with pytest.raises(OptimizerError, match="node budget"):
         minimize_sparse(ex1, AGG, lam=0.5, n0=0)
     # a NaN budget compares false with every bound and would never expire
