@@ -15,6 +15,12 @@ share of it (optimizer._Clock.share), an equal share of the time left
 among the searches still to come, in this cross-validation fold and the
 later ones, so time one leaves unused goes to the later ones.  A share
 never ends after the command's deadline, so past it no search starts.
+
+cv copies no rows per fold: dataset.fold_carriers groups the rows once
+into their distinct examples, and each fold trains on its training
+rows' carriers and is scored on its test rows', each weighted by its
+count.  opt and mopt refuse contradictory data before fold 0, on the
+whole dataset's carriers, as learn does.
 """
 
 from __future__ import annotations
@@ -27,15 +33,17 @@ from dataclasses import dataclass
 from functools import partial
 
 from .cover import _cover_class
-from .dataset import BinDataset, DatasetError, binarize, kfold_split, load_csv, sanitize
+from .dataset import (BinDataset, DatasetError, binarize, fold_carriers, kfold_split, load_csv,
+                      sanitize)
 from .dimacs import emit_dimacs
 from .encoder import (EncodingError, Scope, build_bounded, build_perfect, build_sparse,
                       lam_to_cost)
 from .formula import FormulaError
 from .model import DecisionSet, ModelError, evaluate, load_model, save_model
-# the minimize_* drivers are not called here; they stay importable as
-# cli.minimize_* because the benchmark's tracer patches the drivers by
-# their names in this module
+# the benchmark's tracer patches load_csv, binarize, sanitize,
+# kfold_split, evaluate, minimize_* and main by their names in this
+# module, so the commands call them through those names; the minimize_*
+# drivers are not called here and stay importable only for it
 from .optimizer import (MAX_NODES, ContradictionError, OptimizerError, SearchLimits,  # noqa: F401
                         SolveOutcome, _Clock, _search_each_class, _sparse_search, first_budget,
                         minimize_bounded, minimize_perfect, minimize_sparse)
@@ -197,18 +205,18 @@ def cmd_cv(args) -> int:
     if args.folds < 2:
         raise CliError("--folds must be >= 2")
     ds = _load_bindata(args.data, config.bins)
-    plan = kfold_split(ds, args.folds, args.seed)
+    whole, folds = fold_carriers(ds, kfold_split(ds, args.folds, args.seed))
+    _sanitized(whole, config)  # refuses contradictory data before fold 0, as learn does
     accuracies = []
     sizes = []
-    for fold in range(args.folds):
-        train = _sanitized(ds.subset(plan.train_indices(fold)), config)
+    for fold, (train, test) in enumerate(folds):
         try:
-            dset, status = _learn_model(train, config, clock, context={"fold": fold},
-                                        later_models=args.folds - fold - 1)
+            dset, status = _learn_model(_sanitized(train, config), config, clock,
+                                        context={"fold": fold}, later_models=args.folds - fold - 1)
         except CliTimeout as exc:
             print("error: %s" % exc, file=sys.stderr)
             return 2
-        report = evaluate(dset, ds.subset(plan.test_indices(fold)), mode="standard")
+        report = evaluate(dset, test, mode="standard")
         accuracies.append(report.accuracy)
         sizes.append(dset.total_size)
         print("fold %d: accuracy=%.1f total_size=%d status=%s"

@@ -1,16 +1,20 @@
 """CSV ingestion, quantization, one-hot binarization, and CV folds.
 
-A BinDataset checks its rows when it is constructed.  subset and
-sanitize build theirs from rows already checked and do not check them
-again, so `rulesat cv` checks each row once, in binarize.
+A BinDataset checks its rows when it is constructed.  subset, sanitize
+and fold_carriers build theirs from rows already checked and do not
+check them again, so `rulesat cv` checks each row once, in binarize.
+Its folds copy no rows: fold_carriers groups the rows once into their
+distinct examples, and each fold trains and scores on those, weighted
+by their counts in the fold.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import count, repeat
 from math import ceil, isnan
 
 
@@ -168,8 +172,9 @@ def _quantize(numbers: list[float], q: int) -> tuple[list[float], list[str]]:
     Columns with at most q distinct values pass through untouched, one
     bin per value; this keeps 0/1 data fixed under re-binarization.
     """
-    distinct = sorted(set(numbers))
+    distinct = set(numbers)
     if len(distinct) <= q:
+        distinct = sorted(distinct)
         return distinct[:-1], ["%g" % v for v in distinct]
     srt = sorted(numbers)
     m = len(srt)
@@ -306,3 +311,39 @@ def kfold_split(ds: BinDataset, k: int, seed: int) -> FoldPlan:
             assignments[i] = cursor % k
             cursor += 1
     return FoldPlan(num_folds=k, seed=seed, assignments=assignments)
+
+
+def fold_carriers(ds: BinDataset, plan: FoldPlan):
+    """ds's rows as weighted carriers: the whole dataset's, and per fold of
+    plan a (train, test) pair, with no copy of the rows.
+
+    A carrier is one of ds's distinct examples (bits, class, weight), its
+    weight multiplied by the number of its rows.  Returns the whole
+    dataset's carriers and an iterator over the folds of the carriers of
+    their training and test rows.  Each set lists its carriers in the
+    order of their first row, so sanitize gives of a fold's training set
+    the examples, in order, that it gives of
+    ds.subset(plan.train_indices(fold)), and evaluate scores its test set
+    as it scores ds.subset(plan.test_indices(fold)): both read only weight
+    sums.  The carriers come from checked rows and are not checked again.
+    """
+    first: dict = {}
+    # (the first row of a row's example, the row's fold) -> rows, in the
+    # order of each pair's first row: one pass over the rows, in C
+    groups = Counter(zip(map(first.setdefault, ds.examples, count()), plan.assignments))
+
+    def carried(counts: dict) -> BinDataset:
+        return ds._derived([(bits, cls, weight * n) for (bits, cls, weight), n
+                            in zip(map(ds.examples.__getitem__, counts), counts.values())])
+
+    def split(fold) -> tuple[BinDataset, BinDataset]:
+        # a carrier first enters train (test) with its first row out of (in) the fold
+        train: dict = {}
+        test: dict = {}
+        for (row, f), n in groups.items():
+            part = test if f == fold else train
+            part[row] = part.get(row, 0) + n
+        return carried(train), carried(test)
+
+    whole, _ = split(None)  # no row is in fold None
+    return whole, map(split, range(plan.num_folds))

@@ -505,6 +505,24 @@ def test_cv_bad_fold_counts_exit_1(ex1_csv, capsys):
     assert "cannot split 8 examples into 9 folds" in capsys.readouterr().err
 
 
+def test_cv_refuses_contradictory_data_before_fold_0(tmp_path, capsys):
+    # the vector 1,0 carries both classes: weight 2 of the whole data.  Which
+    # fold holds those rows once decided whether, and after how many fold
+    # lines, the exact-fit modes refused
+    path = tmp_path / "contradictory.csv"
+    path.write_text("a,b,y\n1,0,A\n1,0,B\n0,1,A\n0,0,B\n1,1,A\n0,1,A\n", encoding="utf-8")
+    for mode in ("opt", "mopt"):
+        for folds in ("2", "3"):
+            code = main(["cv", "--data", str(path), "--folds", folds, "--seed", "1",
+                         "--mode", mode])
+            out, err = capsys.readouterr()
+            assert (code, out) == (1, ""), (mode, folds)
+            assert "dataset has contradictory examples (weight 2 removed by sanitize)" in err
+    assert main(["cv", "--data", str(path), "--folds", "3", "--seed", "1", "--mode", "sparse",
+                 "--lambda", "0.1"]) == 0
+    assert capsys.readouterr().out.count("fold ") == 3
+
+
 def test_cv_rejects_node_budgets_opt_ignores_or_no_round_reaches(ex1_csv, capsys):
     for extra, fragment in ((["--mode", "opt", "--n0", "4"], "--n0 only applies"),
                             (["--mode", "mopt", "--n0", "4"], "--n0 only applies"),

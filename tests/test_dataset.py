@@ -7,13 +7,17 @@ import pytest
 from rulesat.dataset import (
     BinDataset,
     DatasetError,
+    FoldPlan,
     _as_numbers,
     _quantize,
     binarize,
+    fold_carriers,
     kfold_split,
     load_csv,
     sanitize,
 )
+
+from rulesat.model import DecisionSet, Rule, evaluate
 
 from conftest import EX1_CSV, EX1_ROWS, make_ex1, random_dataset
 
@@ -540,3 +544,49 @@ def test_kfold_spreads_classes_when_not_divisible():
 def test_kfold_rejects_bad_fold_counts(ex1, k, fragment):
     with pytest.raises(DatasetError, match=fragment):
         kfold_split(ex1, k, seed=0)
+
+
+# ---------------------------------------------------------------- fold_carriers
+
+
+def test_fold_carriers_train_and_score_as_the_rows_do():
+    # random data with repeated rows, weights 1-3, contradictions and 2-3
+    # classes, under random fold plans: per fold, sanitize of the training
+    # carriers equals sanitize of the training rows, and evaluate of the
+    # test carriers equals evaluate of the test rows
+    rng = random.Random(20)
+    for trial in range(200):
+        k = rng.randint(1, 3)
+        num_classes = rng.randint(2, 3)
+        pool = [(tuple(rng.randint(0, 1) for _ in range(k)), rng.randrange(num_classes),
+                 rng.randint(1, 3)) for _ in range(rng.randint(1, 5))]
+        examples = [rng.choice(pool) for _ in range(rng.randint(2, 30))]
+        ds = BinDataset(k, [str(c) for c in range(num_classes)], ["f%d" % f for f in range(k)],
+                        examples)
+        num_folds = rng.randint(2, min(5, len(examples)))
+        plan = FoldPlan(num_folds, trial, [rng.randrange(num_folds) for _ in examples])
+        rules = [Rule(tuple((f, bool(rng.getrandbits(1))) for f in rng.sample(range(k), size)),
+                      rng.randrange(num_classes))
+                 for size in (rng.randint(0, k) for _ in range(rng.randint(0, 4)))]
+        dset = DecisionSet(rules, ds.classes, sum(len(r.body) + 1 for r in rules))
+        whole, folds = fold_carriers(ds, plan)
+        for mode in ("perfect", "sparse"):
+            assert _sanitize_result(whole, mode) == _sanitize_result(ds, mode), (trial, mode)
+        for fold, (train, test) in enumerate(folds):
+            rows = ds.subset(plan.train_indices(fold))
+            for mode in ("perfect", "sparse"):
+                assert (_sanitize_result(train, mode)
+                        == _sanitize_result(rows, mode)), (trial, fold, mode)
+            carried, scored = (evaluate(dset, data, mode="separated")
+                               for data in (test, ds.subset(plan.test_indices(fold))))
+            assert ((carried.num_examples, carried.errors, carried.accuracy,
+                     carried.separated_errors)
+                    == (scored.num_examples, scored.errors, scored.accuracy,
+                        scored.separated_errors)), (trial, fold)
+        assert fold == num_folds - 1
+
+
+def _sanitize_result(ds, mode):
+    """sanitize's examples, in order, and the weight it removed."""
+    out, report = sanitize(ds, mode)
+    return out.examples, report.removed
