@@ -45,7 +45,7 @@ from .model import DecisionSet, ModelError, evaluate, load_model, save_model
 # module, so the commands call them through those names; the minimize_*
 # drivers are not called here and stay importable only for it
 from .optimizer import (MAX_NODES, ContradictionError, OptimizerError, SearchLimits,  # noqa: F401
-                        SolveOutcome, _Clock, _search_each_class, _sparse_search, first_budget,
+                        _Clock, _search_each_class, _sparse_search, first_budget,
                         minimize_bounded, minimize_perfect, minimize_sparse)
 
 MODES = ("opt", "mopt", "sparse")
@@ -131,14 +131,12 @@ def _learn_model(ds: BinDataset, config: RunConfig, clock: _Clock,
             if config.mode == "sparse":
                 metadata["lambda_cost"] = lam_to_cost(config.lam, ds.total_weight)
     if outcome.decision_set is None:
-        raise CliTimeout(outcome)
+        raise CliTimeout("time budget exhausted before a usable model was found")
     return outcome.decision_set, outcome.status
 
 
 class CliTimeout(Exception):
-    def __init__(self, outcome: SolveOutcome):
-        super().__init__("time budget exhausted before a usable model was found")
-        self.outcome = outcome
+    """No usable model was found in the command's time: exit code 2."""
 
 
 def _print_model(dset: DecisionSet, status: str, ds: BinDataset) -> None:
@@ -153,11 +151,7 @@ def cmd_learn(args) -> int:
     config = RunConfig.from_args(args)
     clock = _Clock(config.limits)
     ds = _sanitized(_load_bindata(args.data, config.bins), config)
-    try:
-        dset, status = _learn_model(ds, config, clock)
-    except CliTimeout as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    dset, status = _learn_model(ds, config, clock)
     # the searches were handed config.mode and record it; the library
     # names its scopes aggregated/per_class
     dset.metadata["scope"] = config.scope
@@ -210,12 +204,8 @@ def cmd_cv(args) -> int:
     accuracies = []
     sizes = []
     for fold, (train, test) in enumerate(folds):
-        try:
-            dset, status = _learn_model(_sanitized(train, config), config, clock,
-                                        context={"fold": fold}, later_models=args.folds - fold - 1)
-        except CliTimeout as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
+        dset, status = _learn_model(_sanitized(train, config), config, clock,
+                                    context={"fold": fold}, later_models=args.folds - fold - 1)
         report = evaluate(dset, test, mode="standard")
         accuracies.append(report.accuracy)
         sizes.append(dset.total_size)
@@ -340,6 +330,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
+    except CliTimeout as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     except (CliError, DatasetError, EncodingError, ModelError, FormulaError,
             OptimizerError, ContradictionError, OSError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -56,9 +56,9 @@ def _variables(features: int) -> list[int]:
     return [f + 1 for f in range(features.bit_length()) if features >> f & 1]
 
 
-def _prime_rules(own, others, clock: _Clock, stats: dict) -> list[tuple[int, int]]:
+def _prime_rules(own, others, clock: _Clock) -> list[tuple[int, int]]:
     """Stage 1: every prime rule, as (features, values) masks, of the
-    vectors own against the vectors others; stats adds up the solves."""
+    vectors own against the vectors others."""
     primes: dict[tuple[int, int], None] = {}  # in the order found
     for v in own:
         if clock.expired():
@@ -70,18 +70,14 @@ def _prime_rules(own, others, clock: _Clock, stats: dict) -> list[tuple[int, int
         for features, values in primes:
             if v & features == values:
                 solver.add_clause([-x for x in _variables(features)])
-        try:
-            while clock.solve(solver, ()):
-                body = sum(1 << (x - 1) for x in solver.model.true_vars())
-                for f in range(body.bit_length()):  # one pass leaves a minimal set
-                    bit = 1 << f
-                    if body & bit and all(body & ~bit & d for d in disagree):
-                        body ^= bit
-                primes[(body, v & body)] = None
-                solver.add_clause([-x for x in _variables(body)])
-        finally:
-            stats["solve_calls"] += solver.solve_calls
-            stats["conflicts"] += solver.conflicts
+        while clock.solve(solver, ()):
+            body = sum(1 << (x - 1) for x in solver.model.true_vars())
+            for f in range(body.bit_length()):  # one pass leaves a minimal set
+                bit = 1 << f
+                if body & bit and all(body & ~bit & d for d in disagree):
+                    body ^= bit
+            primes[(body, v & body)] = None
+            solver.add_clause([-x for x in _variables(body)])
     return list(primes)
 
 
@@ -114,10 +110,11 @@ def _cover_class(ds: BinDataset, scope: Scope, clock: _Clock, progress) -> Solve
     docstring."""
     own = sorted({_mask(bits) for bits, cls, _ in ds.examples if cls == scope.target})
     others = {_mask(bits) for bits, cls, _ in ds.examples if cls != scope.target}
-    stats = {"solve_calls": 0, "conflicts": 0}
+    mark = clock.counts()
+    stage_stats = {}
 
     def outcome(status, rules=None, cost=None):
-        stats["elapsed"] = clock.elapsed()
+        stats = {**clock.counts(since=mark), **stage_stats, "elapsed": clock.elapsed()}
         if rules is None:
             return SolveOutcome(status=status, stats=stats)
         dset = DecisionSet(rules=rules, classes=list(ds.classes), total_size=cost,
@@ -126,7 +123,7 @@ def _cover_class(ds: BinDataset, scope: Scope, clock: _Clock, progress) -> Solve
                             objective=cost, stats=stats)
 
     try:
-        primes = _prime_rules(own, others, clock, stats)
+        primes = _prime_rules(own, others, clock)
     except SolveBudgetExceeded:
         return outcome("timeout")
     rules = []
@@ -136,7 +133,7 @@ def _cover_class(ds: BinDataset, scope: Scope, clock: _Clock, progress) -> Solve
                      if features >> f & 1)
         rules.append((cover, len(body) + 1, Rule(body, scope.target)))
     kept = _undominated(rules)
-    stats.update(primes=len(primes), kept=len(kept))
+    stage_stats.update(primes=len(primes), kept=len(kept))
     if progress is not None:
         progress({"event": "primes", "primes": len(primes), "kept": len(kept),
                   "elapsed": clock.elapsed()})
@@ -150,9 +147,7 @@ def _cover_class(ds: BinDataset, scope: Scope, clock: _Clock, progress) -> Solve
     res = _descend(solver, [([-(x + 1)], cost) for x, (_, cost, _) in enumerate(kept)],
                    [x + 1 if x in picked else -(x + 1) for x in range(len(kept))],
                    clock, progress)
-    stats["solve_calls"] += res.stats["solve_calls"]
-    stats["conflicts"] += res.stats["conflicts"]
-    stats["models"] = res.stats["models"]
+    stage_stats["models"] = res.stats["models"]
     if res.assignment is None:
         return outcome(res.status)
     chosen = [rule for x, (_, _, rule) in enumerate(kept) if res.assignment.value(x + 1)]

@@ -156,13 +156,10 @@ def load_csv(path: str) -> RawDataset:
 
 
 def _as_numbers(values: list[str]) -> list[float] | None:
-    out = []
-    for v in values:
-        try:
-            out.append(float(v))
-        except ValueError:
-            return None
-    return out
+    try:
+        return list(map(float, values))
+    except ValueError:
+        return None
 
 
 def _quantize(numbers: list[float], q: int) -> tuple[list[float], list[str]]:

@@ -33,16 +33,20 @@ search.  A set cheaper than a round's optimum C uses at most
 (C - 1) // lambda_cost nodes, so C is optimal if that bound is within the
 budget; else the next and last round runs at the bound.  The node
 searches share one loop (_search_budgets) that runs the budget each round
-derives, within the node cap MAX_NODES, and keeps the clock, the round
-records and the solver totals.  Each driver's Encoder writes straight
-into its Solver; a round checks the clock before each node, and a sparse
-round runs _descend.
+derives, within the node cap MAX_NODES, and keeps the clock and the
+round records.  A round reports only its decision (_Round): its status,
+its best outcome and the next budget.  Each driver's Encoder writes
+straight into its Solver; a round checks the clock before each node,
+and a sparse round runs _descend.
 
 maxsat_solve loads a formula into a solver and runs _descend, a linear
 SAT-to-UNSAT search: solve, read the model cost c, then assume "cost <=
-c - 1" through totalizer outputs (one totalizer per distinct soft
-weight, merged by weighted sums) and repeat until UNSAT; the last model
-is optimal.  The first solve tries the phase its caller gives.
+c - 1" and repeat until UNSAT; the last model is optimal.  The cost
+bound is a level list (_cost_levels): one totalizer per distinct soft
+weight, their outputs merged pairwise by weighted sums into ascending
+(value, literal) levels, and "cost <= c - 1" assumes the negation of
+each level of value c or more.  The first solve tries the phase its
+caller gives.
 maxsat_solve and a sparse round give the phase that falsifies every soft
 clause (_falsified; in the sparse encoding: every example misclassified,
 every node used), which makes a first model cheap.  The set cover of
@@ -50,10 +54,13 @@ cover.minimize_exact_fit gives a greedy cover, so its first model is
 that cover.
 
 Only _exact_fit, minimize_sparse, maxsat_solve and the CLI commands
-build a _Clock, which carries only time.  Every inner search runs on its
-caller's clock or on a share of it (_Clock.share), so every record's
-elapsed counts from the caller's start, and past the caller's deadline
-no search starts a round.
+build a _Clock, which carries time and the solves made on it.  Every
+inner search runs on its caller's clock or on a share of it
+(_Clock.share), so every record's elapsed counts from the caller's
+start, and past the caller's deadline no search starts a round.  Every
+search solves through _Clock.solve, which counts each call and its
+conflicts in a tally that the clock's shares share; the solve_calls and
+conflicts of a stats record are what the tally gained over its search.
 """
 
 from __future__ import annotations
@@ -175,6 +182,8 @@ class _Clock:
         self.limits = limits
         self.start = time.monotonic()
         self.wall_deadline = self.start + limits.wall_time_budget
+        # the solves made on this clock and on its shares, which share it
+        self.tally = {"solve_calls": 0, "conflicts": 0}
 
     def share(self, runs_left: int = 1) -> _Clock:
         """This clock, on the same start and limits, with its deadline cut
@@ -195,82 +204,72 @@ class _Clock:
         return time.monotonic() - self.start
 
     def solve(self, solver: Solver, assumptions) -> bool:
-        """solver.solve within the per-solve budget and the time left."""
+        """solver.solve within the per-solve budget and the time left,
+        counted in the tally; a solve cut off mid-search counts too."""
         if self.expired():
             raise SolveBudgetExceeded
-        return solver.solve(assumptions=assumptions, deadline=min(
-            time.monotonic() + self.limits.per_solve_budget, self.wall_deadline))
+        self.tally["solve_calls"] += 1
+        before = solver.conflicts
+        try:
+            return solver.solve(assumptions=assumptions, deadline=min(
+                time.monotonic() + self.limits.per_solve_budget, self.wall_deadline))
+        finally:
+            self.tally["conflicts"] += solver.conflicts - before
+
+    def counts(self, since: dict | None = None) -> dict:
+        """The tally, or what it gained after an earlier counts()."""
+        return {key: value - (since[key] if since else 0) for key, value in self.tally.items()}
 
 
-class _CostCounter:
-    """Unary view of the total falsified soft weight.
+def _cost_levels(solver: Solver, soft, clock: _Clock) -> list[tuple[int, int]]:
+    """A unary view of the total falsified soft weight: the ascending
+    (value, literal) levels, each literal true once the weight reaches
+    its value, so assuming the negation of each level at or above a cost
+    excludes every model that costly.
 
     One totalizer per distinct weight; their outputs, scaled by the
-    weight, are merged into sum-valued literals.  Assuming the negation
-    of every literal above a bound excludes all costlier models.  Once
-    the clock has expired the build stops with SolveBudgetExceeded; it
-    checks before each totalizer and each merge.
+    weight, are merged pairwise into sum-valued literals.  Once the clock
+    has expired the build stops with SolveBudgetExceeded; it checks
+    before each totalizer and each merge.
     """
-
-    def __init__(self, solver: Solver, soft, clock: _Clock):
-        by_weight: dict[int, list[int]] = {}
-        for clause, weight in soft:
-            if len(clause) == 1:
-                indicator = -clause[0]
-            else:
-                relax = solver.new_var()
-                solver.add_clause(list(clause) + [relax])
-                indicator = relax
-            by_weight.setdefault(weight, []).append(indicator)
-        nodes = []
-        for weight in sorted(by_weight):
+    by_weight: dict[int, list[int]] = {}
+    for clause, weight in soft:
+        if len(clause) == 1:
+            indicator = -clause[0]
+        else:
+            relax = solver.new_var()
+            solver.add_clause(list(clause) + [relax])
+            indicator = relax
+        by_weight.setdefault(weight, []).append(indicator)
+    nodes = []
+    for weight in sorted(by_weight):
+        if clock.expired():
+            raise SolveBudgetExceeded
+        outputs = build_totalizer(solver, by_weight[weight])
+        nodes.append([(weight * t, lit) for t, lit in enumerate(outputs, start=1)])
+    while len(nodes) > 1:
+        merged = []
+        for a in range(0, len(nodes) - 1, 2):
             if clock.expired():
                 raise SolveBudgetExceeded
-            outputs = build_totalizer(solver, by_weight[weight])
-            nodes.append([(weight * t, lit) for t, lit in enumerate(outputs, start=1)])
-        while len(nodes) > 1:
-            merged = []
-            for a in range(0, len(nodes) - 1, 2):
-                if clock.expired():
-                    raise SolveBudgetExceeded
-                merged.append(self._merge(solver, nodes[a], nodes[a + 1]))
-            if len(nodes) % 2:
-                merged.append(nodes[-1])
-            nodes = merged
-        self.levels = nodes[0]  # ascending (weighted count, literal)
+            merged.append(_merge(solver, nodes[a], nodes[a + 1]))
+        if len(nodes) % 2:
+            merged.append(nodes[-1])
+        nodes = merged
+    return nodes[0]
 
-    @staticmethod
-    def _merge(solver: Solver, left, right):
-        sums: dict[int, int] = {}
-        for value, _ in left:
-            sums.setdefault(value, 0)
-        for value, _ in right:
-            sums.setdefault(value, 0)
-        for lv, _ in left:
-            for rv, _ in right:
-                sums.setdefault(lv + rv, 0)
-        for value in sums:
-            sums[value] = solver.new_var()
-        lit_of = dict(left)
-        lit_of.update({0: None})
-        rlit = dict(right)
-        rlit[0] = None
-        for lv, llit in list(lit_of.items()):
-            for rv, rl in rlit.items():
-                value = lv + rv
-                if value == 0:
-                    continue
-                clause = [sums[value]]
-                if llit is not None:
-                    clause.append(-llit)
-                if rl is not None:
-                    clause.append(-rl)
-                solver.add_clause(clause)
-        return sorted(sums.items())
 
-    def bound_assumptions(self, bound: int) -> list[int]:
-        """Assumptions forcing total falsified weight <= bound."""
-        return [-lit for value, lit in self.levels if value > bound]
+def _merge(solver: Solver, left, right) -> list[tuple[int, int]]:
+    """The levels of the sum of two level lists: a level per sum of a
+    value of each, 0 standing for none, implied by the pair's literals."""
+    pairs = [(lv + rv, [-lit for lit in (ll, rl) if lit is not None])
+             for lv, ll in left + [(0, None)] for rv, rl in right + [(0, None)]][:-1]
+    # the one-sided sums get the first variables, in pair order
+    sums = dict.fromkeys(value for value, lits in sorted(pairs, key=lambda pair: len(pair[1])))
+    sums = {value: solver.new_var() for value in sums}
+    for value, lits in pairs:
+        solver.add_clause([sums[value]] + lits)
+    return sorted(sums.items())
 
 
 def _model_cost(soft, assignment) -> int:
@@ -308,15 +307,14 @@ def _descend(solver: Solver, soft, phase, clock: _Clock, progress, **tags) -> Ma
     best_assignment = None
     best_cost = None
     models = 0
+    mark = clock.counts()
     try:
-        if clock.expired():  # no search can start: build no counter
+        if clock.expired():  # no search can start: build no levels
             raise SolveBudgetExceeded
-        counter = _CostCounter(solver, soft, clock)
+        levels = _cost_levels(solver, soft, clock)
         while True:
-            if best_cost is None:
-                assumptions = []
-            else:
-                assumptions = counter.bound_assumptions(best_cost - 1)
+            assumptions = ([] if best_cost is None else
+                           [-lit for value, lit in levels if value >= best_cost])
             if not clock.solve(solver, assumptions):
                 break
             models += 1
@@ -333,8 +331,8 @@ def _descend(solver: Solver, soft, phase, clock: _Clock, progress, **tags) -> Ma
     except SolveBudgetExceeded:
         status = "timeout"
     return MaxsatResult(status=status, assignment=best_assignment, cost=best_cost,
-                        stats={"solve_calls": solver.solve_calls, "conflicts": solver.conflicts,
-                               "elapsed": clock.elapsed(), "models": models})
+                        stats={**clock.counts(since=mark), "elapsed": clock.elapsed(),
+                               "models": models})
 
 
 def _check_consistent(ds: BinDataset) -> None:
@@ -359,10 +357,7 @@ class _Round:
     """The search at one node budget, as reported to _search_budgets."""
 
     status: str  # status of the round's progress record
-    cost: int | None
-    solve_calls: int
-    conflicts: int
-    found: SolveOutcome | None = None  # an "optimal" one ends the search
+    found: SolveOutcome | None = None  # the round's best; an "optimal" one ends the search
     next: int | None = None  # the budget of the next round, larger than this one's
 
 
@@ -381,18 +376,17 @@ def _search_budgets(clock: _Clock, n: int, progress, solve_round) -> SolveOutcom
         raise OptimizerError("node budget %d is outside 1..%d (the node cap, MAX_NODES)"
                              % (n, MAX_NODES))
     rounds = []
-    solve_calls = conflicts = 0
+    mark = clock.counts()
     best = outcome = None
     while outcome is None:
         # past the deadline a round would only build its encoding and time out
-        rnd = _Round("timeout", None, 0, 0) if clock.expired() else solve_round(n, clock)
-        solve_calls += rnd.solve_calls
-        conflicts += rnd.conflicts
-        record = {"n": n, "status": rnd.status, "cost": rnd.cost, "elapsed": clock.elapsed()}
+        rnd = _Round("timeout") if clock.expired() else solve_round(n, clock)
+        found = rnd.found
+        record = {"n": n, "status": rnd.status, "cost": None if found is None else found.objective,
+                  "elapsed": clock.elapsed()}
         rounds.append(record)
         if progress is not None:
             progress(record)
-        found = rnd.found
         if found is not None and (best is None or found.objective < best.objective):
             best = found
         if found is not None and found.status == "optimal":
@@ -403,8 +397,7 @@ def _search_budgets(clock: _Clock, n: int, progress, solve_round) -> SolveOutcom
             break
         else:
             n = min(rnd.next, MAX_NODES)
-    stats = {"solve_calls": solve_calls, "conflicts": conflicts,
-             "elapsed": clock.elapsed(), "rounds": rounds}
+    stats = {**clock.counts(since=mark), "elapsed": clock.elapsed(), "rounds": rounds}
     if outcome is None:
         outcome = best or SolveOutcome(status="timeout")
         stats["note"] = "node cap %d reached" % MAX_NODES
@@ -496,7 +489,6 @@ def _exact_search(ds: BinDataset, scope: Scope, mode: str, n0: int | None, clock
 
     def solve_round(n, clock):
         nonlocal guard, floor
-        calls, conflicts = solver.solve_calls, solver.conflicts
         best = None
 
         def improved(model):
@@ -524,12 +516,12 @@ def _exact_search(ds: BinDataset, scope: Scope, mode: str, n0: int | None, clock
                 floor = n
         except SolveBudgetExceeded:
             status = "timeout"
-        cost = None if best is None else best.total_size
-        rnd = _Round(status, cost, solver.solve_calls - calls, solver.conflicts - conflicts)
+        rnd = _Round(status)
         if status == unsat:
             # the optimum is above n; a bounded round at the greedy size has a model
             rnd.next = n + 1 if perfect else _greedy_budget(ds, scope, MAX_NODES)
         if best is not None:
+            cost = best.total_size
             best.metadata = {"mode": mode, "scope": scope.kind, "objective": cost}
             if status == "timeout":
                 rnd.found = SolveOutcome(status="feasible", decision_set=best, objective=cost)
@@ -595,10 +587,10 @@ def _sparse_search(ds: BinDataset, scope: Scope, lam, n0: int | None, clock: _Cl
         solver = Solver()
         enc = Encoder(ds, scope, "sparse", solver, lam_cost)
         if not enc.build(n, clock.expired):
-            return _Round("timeout", None, 0, 0)
+            return _Round("timeout")
         soft = enc.soft()
         res = _descend(solver, soft, _falsified(soft), clock, progress, n=n)
-        rnd = _Round(res.status, res.cost, res.stats["solve_calls"], res.stats["conflicts"])
+        rnd = _Round(res.status)
         if res.assignment is None:
             return rnd
         vm = enc.vm

@@ -29,7 +29,7 @@ def listed_primes(ds, target):
     own = sorted({cover._mask(bits) for bits, cls, _ in ds.examples if cls == target})
     others = {cover._mask(bits) for bits, cls, _ in ds.examples if cls != target}
     clock = optimizer._Clock(SearchLimits())
-    rules = cover._prime_rules(own, others, clock, {"solve_calls": 0, "conflicts": 0})
+    rules = cover._prime_rules(own, others, clock)
     assert len(set(rules)) == len(rules)
     return {frozenset((f, values >> f & 1) for f in range(ds.num_features) if features >> f & 1)
             for features, values in rules}

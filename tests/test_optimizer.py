@@ -3,6 +3,7 @@
 import itertools
 import random
 from functools import partial
+from math import inf
 from types import SimpleNamespace
 
 import pytest
@@ -124,8 +125,8 @@ def counting(calls, name, fn):
 
 def test_maxsat_builds_no_counter_past_the_deadline(ex1, monkeypatch):
     calls = []
-    monkeypatch.setattr(optimizer, "_CostCounter",
-                        counting(calls, "_CostCounter", optimizer._CostCounter))
+    monkeypatch.setattr(optimizer, "_cost_levels",
+                        counting(calls, "_cost_levels", optimizer._cost_levels))
     res = maxsat_solve(build_sparse(ex1, 3, 4, AGG), SearchLimits(wall_time_budget=1e-9))
     assert res.status == "timeout"
     assert res.assignment is None
@@ -143,6 +144,83 @@ def test_maxsat_counter_stops_between_totalizers_past_the_deadline(ex1, monkeypa
     assert res.status == "timeout"
     assert res.assignment is None
     assert calls == ["build_totalizer"]
+
+
+def test_cost_levels_are_exact_at_every_bound():
+    # no hard clauses: a bound b admits a model exactly when some
+    # assignment falsifies at most weight b, and every model it admits does
+    rng = random.Random(2110)
+    for trial in range(300):
+        num_vars = rng.randint(1, 6)
+        soft = [([rng.choice([-1, 1]) * v for v in rng.sample(range(1, num_vars + 1),
+                                                              rng.randint(1, min(2, num_vars)))],
+                 rng.randint(1, 7))
+                for _ in range(rng.randint(1, 8))]
+        solver = Solver()
+        solver.ensure_vars(num_vars)
+        levels = optimizer._cost_levels(solver, soft, optimizer._Clock(SearchLimits()))
+        assert [value for value, _ in levels] == sorted({value for value, _ in levels}), trial
+        least = brute_min_cost(num_vars, [], soft)
+        for bound in range(sum(w for _, w in soft) + 1):
+            sat = solver.solve([-lit for value, lit in levels if value > bound])
+            assert sat == (least <= bound), (trial, bound, soft)
+            if sat:
+                assert optimizer._model_cost(soft, solver.model) <= bound, (trial, bound, soft)
+
+
+def recorded_solves(monkeypatch, late_after=None):
+    """Totals of every Solver.solve call and the conflicts it added, also
+    of a call that raises.  With late_after, a solve's deadline passes
+    once it has added that many conflicts, so it times out mid-search."""
+    totals = {"solve_calls": 0, "conflicts": 0}
+    solve = Solver.solve
+    current = []
+
+    def recorded(solver, *args, **kwargs):
+        totals["solve_calls"] += 1
+        current[:] = [solver, solver.conflicts]
+        try:
+            return solve(solver, *args, **kwargs)
+        finally:
+            totals["conflicts"] += solver.conflicts - current[1]
+
+    monkeypatch.setattr(Solver, "solve", recorded)
+    if late_after is not None:
+        def monotonic():
+            solver, before = current
+            return inf if solver.conflicts - before >= late_after else 0.0
+        monkeypatch.setattr("rulesat.solver._DEADLINE_CHECK", 1)
+        monkeypatch.setattr("rulesat.solver.time", SimpleNamespace(monotonic=monotonic))
+    return totals
+
+
+def test_stats_count_every_solve_and_its_conflicts(ex1, monkeypatch):
+    totals = recorded_solves(monkeypatch)
+    searches = [
+        lambda scope: minimize_perfect(ex1, scope),
+        lambda scope: minimize_bounded(ex1, scope),
+        lambda scope: cover.minimize_exact_fit(ex1, scope),
+        lambda scope: minimize_sparse(ex1, scope, lam=0.05),
+        lambda scope: maxsat_solve(build_sparse(ex1, 3, 4, scope)),
+    ]
+    for search in searches:
+        for scope in (AGG, Scope.per_class(0), Scope.per_class(1)):
+            totals.update(solve_calls=0, conflicts=0)
+            stats = search(scope).stats
+            assert totals["conflicts"] > 0, scope
+            assert {key: stats[key] for key in totals} == totals, scope
+
+
+def test_stats_count_a_solve_cut_off_mid_search(ex1, monkeypatch):
+    totals = recorded_solves(monkeypatch, late_after=2)
+    for search in (lambda: minimize_perfect(ex1, AGG),
+                   lambda: minimize_sparse(ex1, AGG, lam=0.05),
+                   lambda: maxsat_solve(build_sparse(ex1, 3, 4, AGG))):
+        totals.update(solve_calls=0, conflicts=0)
+        out = search()
+        # a solve raised: a search that ran out of time keeps its best model
+        assert out.status in ("timeout", "feasible")
+        assert {key: out.stats[key] for key in totals} == totals
 
 
 def planted_8(seed=11):
@@ -396,8 +474,8 @@ def test_model_events_share_the_rounds_time_base(ex1):
 
 def test_no_round_starts_after_the_deadline(ex1, monkeypatch):
     calls = []
-    monkeypatch.setattr(optimizer, "_CostCounter",
-                        counting(calls, "_CostCounter", optimizer._CostCounter))
+    monkeypatch.setattr(optimizer, "_cost_levels",
+                        counting(calls, "_cost_levels", optimizer._cost_levels))
     monkeypatch.setattr(Encoder, "append_node",
                         counting(calls, "append_node", Encoder.append_node))
     monkeypatch.setattr(Solver, "solve", counting(calls, "solve", Solver.solve))
@@ -634,7 +712,7 @@ def test_greedy_budget_bounds_the_optimum_and_takes_one_round():
 
 def test_minimize_bounded_climbs_without_a_cost_counter(monkeypatch):
     calls = []
-    for name in ("build_totalizer", "_CostCounter"):
+    for name in ("build_totalizer", "_cost_levels"):
         monkeypatch.setattr(optimizer, name, counting(calls, name, getattr(optimizer, name)))
     rng = random.Random(405)
     datasets = [make_ex1()] + [random_dataset(rng, max_m=5, max_k=3) for _ in range(20)]
