@@ -10,10 +10,11 @@ aggregated sparse is one joint search, so for opt and mopt --scope
 changes only the model's labels.  The command runs the searches inside
 the drivers, cover._cover_class and optimizer._sparse_search.  encode
 searches nothing: it has no clock, and no node cap bounds its --n0.
---time-limit is one clock for the whole command: each search runs on a
-share of it (optimizer._Clock.share), an equal share of the time left
-among the searches still to come, in this cross-validation fold and the
-later ones, so time one leaves unused goes to the later ones.  A share
+--time-limit is one clock for the whole command.  cv hands each fold an
+equal share of the time left among the folds to come
+(optimizer._Clock.share), and the class loop hands each class search an
+equal share of its model's time left among the classes to come, so time
+a search leaves unused goes to the rest of its own fold first.  A share
 never ends after the command's deadline, so past it no search starts.
 
 cv copies no rows per fold: dataset.fold_carriers groups the rows once
@@ -29,7 +30,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from functools import partial
 
 from .cover import _cover_class
@@ -57,42 +57,33 @@ class CliError(ValueError):
     """Configuration problem detected after argument parsing."""
 
 
-@dataclass
-class RunConfig:
-    mode: str
-    scope: str
-    lam: float | None
-    bins: int
-    n0: int | None
-    limits: SearchLimits | None  # None for encode, which does not search
-    verbose: bool
+def _check_flags(args) -> None:
+    """The --lambda and --n0 combinations the mode allows."""
+    if args.mode == "sparse" and args.lam is None:
+        raise CliError("--lambda is required with --mode sparse")
+    if args.mode != "sparse" and args.lam is not None:
+        raise CliError("--lambda only applies to --mode sparse")
+    if args.lam is not None and args.lam < 0:
+        raise CliError("--lambda must be >= 0")
+    # encode writes an encoding of --n0 nodes; opt and mopt learn by set cover
+    if args.mode != "sparse" and args.n0 is not None and args.command != "encode":
+        raise CliError("--n0 only applies to --mode sparse and to encode")
 
-    @staticmethod
-    def from_args(args) -> "RunConfig":
-        mode, lam, n0 = args.mode, args.lam, args.n0
-        if mode == "sparse" and lam is None:
-            raise CliError("--lambda is required with --mode sparse")
-        if mode != "sparse" and lam is not None:
-            raise CliError("--lambda only applies to --mode sparse")
-        if lam is not None and lam < 0:
-            raise CliError("--lambda must be >= 0")
-        searching = args.command != "encode"  # encode writes an encoding of --n0 nodes
-        if mode != "sparse" and n0 is not None and searching:  # opt and mopt learn by set cover
-            raise CliError("--n0 only applies to --mode sparse and to encode")
-        # the command's _Clock validates them
-        limits = (SearchLimits(wall_time_budget=args.time_limit, per_solve_budget=args.solve_limit)
-                  if searching else None)
-        return RunConfig(mode=mode, scope=args.scope, lam=lam, bins=args.bins, n0=n0,
-                         limits=limits, verbose=searching and args.verbose)
+
+def _command_clock(args) -> _Clock:
+    """The one clock of a learn or cv command, after its flags check out."""
+    _check_flags(args)
+    return _Clock(SearchLimits(wall_time_budget=args.time_limit,
+                               per_solve_budget=args.solve_limit))
 
 
 def _load_bindata(path: str, bins: int, numeric_bins: dict | None = None) -> BinDataset:
     return binarize(load_csv(path), q=bins, numeric_bins=numeric_bins)
 
 
-def _sanitized(ds: BinDataset, config: RunConfig) -> BinDataset:
+def _sanitized(ds: BinDataset, mode: str) -> BinDataset:
     """Deduplicate for training; exact-fit modes refuse contradictory data."""
-    kind = "sparse" if config.mode == "sparse" else "perfect"
+    kind = "sparse" if mode == "sparse" else "perfect"
     clean, report = sanitize(ds, kind)
     if kind == "perfect" and report.removed > 0:
         raise CliError(
@@ -102,34 +93,31 @@ def _sanitized(ds: BinDataset, config: RunConfig) -> BinDataset:
     return clean
 
 
-def _learn_model(ds: BinDataset, config: RunConfig, clock: _Clock,
-                 context: dict | None = None, later_models: int = 0):
-    """Train per the configured scope; returns (DecisionSet, status) or
-    raises CliTimeout when nothing usable was found in time.  The searches
-    (one per class, or one joint search for aggregated sparse) run on
-    shares of the command's clock, which later_models more models of as
-    many searches also share."""
+def _learn_model(ds: BinDataset, args, clock: _Clock, context: dict | None = None):
+    """Train per --scope; returns (DecisionSet, status) or raises
+    CliTimeout when nothing usable was found in time.  The searches (one
+    per class, or one joint search for aggregated sparse) run on clock,
+    the model's share of the command's clock."""
     def progress(record):
-        if config.verbose:
+        if args.verbose:
             print(json.dumps({**(context or {}), **record}, sort_keys=True), file=sys.stderr)
 
-    if config.mode == "sparse" and config.scope == "aggregated":
-        outcome = _sparse_search(ds, Scope.aggregated(), config.lam, config.n0,
-                                 clock.share(1 + later_models), progress)
+    if args.mode == "sparse" and args.scope == "aggregated":
+        outcome = _sparse_search(ds, Scope.aggregated(), args.lam, args.n0, clock, progress)
     else:
-        if config.scope == "aggregated":  # a two-class model, though searched per class
+        if args.scope == "aggregated":  # a two-class model, though searched per class
             Scope.aggregated().validate(len(ds.classes))
-        if config.mode == "sparse":
+        if args.mode == "sparse":
             def search(scope, clock, progress):
-                return _sparse_search(ds, scope, config.lam, config.n0, clock, progress)
+                return _sparse_search(ds, scope, args.lam, args.n0, clock, progress)
         else:  # an exact fit: opt and mopt run the same search
             search = partial(_cover_class, ds)
-        outcome = _search_each_class(ds, search, config.mode, clock, progress, later_models)
-        if config.scope == "per-class" and outcome.decision_set is not None:
+        outcome = _search_each_class(ds, search, args.mode, clock, progress)
+        if args.scope == "per-class" and outcome.decision_set is not None:
             metadata = outcome.decision_set.metadata
             metadata["per_class_objectives"] = outcome.stats["objectives"]
-            if config.mode == "sparse":
-                metadata["lambda_cost"] = lam_to_cost(config.lam, ds.total_weight)
+            if args.mode == "sparse":
+                metadata["lambda_cost"] = lam_to_cost(args.lam, ds.total_weight)
     if outcome.decision_set is None:
         raise CliTimeout("time budget exhausted before a usable model was found")
     return outcome.decision_set, outcome.status
@@ -148,13 +136,12 @@ def _print_model(dset: DecisionSet, status: str, ds: BinDataset) -> None:
 
 
 def cmd_learn(args) -> int:
-    config = RunConfig.from_args(args)
-    clock = _Clock(config.limits)
-    ds = _sanitized(_load_bindata(args.data, config.bins), config)
-    dset, status = _learn_model(ds, config, clock)
-    # the searches were handed config.mode and record it; the library
-    # names its scopes aggregated/per_class
-    dset.metadata["scope"] = config.scope
+    clock = _command_clock(args)
+    ds = _sanitized(_load_bindata(args.data, args.bins), args.mode)
+    dset, status = _learn_model(ds, args, clock)
+    # the searches were handed --mode and record it; the library names
+    # its scopes aggregated/per_class
+    dset.metadata["scope"] = args.scope
     dset.metadata["feature_names"] = list(ds.feature_names)  # for eval's check
     dset.metadata["numeric_bins"] = ds.numeric_bins  # eval bins with the training cuts
     _print_model(dset, status, ds)
@@ -194,18 +181,17 @@ def cmd_eval(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    config = RunConfig.from_args(args)
-    clock = _Clock(config.limits)
+    clock = _command_clock(args)
     if args.folds < 2:
         raise CliError("--folds must be >= 2")
-    ds = _load_bindata(args.data, config.bins)
+    ds = _load_bindata(args.data, args.bins)
     whole, folds = fold_carriers(ds, kfold_split(ds, args.folds, args.seed))
-    _sanitized(whole, config)  # refuses contradictory data before fold 0, as learn does
+    _sanitized(whole, args.mode)  # refuses contradictory data before fold 0, as learn does
     accuracies = []
     sizes = []
     for fold, (train, test) in enumerate(folds):
-        dset, status = _learn_model(_sanitized(train, config), config, clock,
-                                    context={"fold": fold}, later_models=args.folds - fold - 1)
+        dset, status = _learn_model(_sanitized(train, args.mode), args,
+                                    clock.share(args.folds - fold), context={"fold": fold})
         report = evaluate(dset, test, mode="standard")
         accuracies.append(report.accuracy)
         sizes.append(dset.total_size)
@@ -216,14 +202,14 @@ def cmd_cv(args) -> int:
     return 0
 
 
-def _encode_one(ds: BinDataset, scope: Scope, config: RunConfig, path: str) -> None:
-    n = first_budget(ds, scope, ENCODINGS[config.mode], config.n0)
-    if config.mode == "opt":
+def _encode_one(ds: BinDataset, scope: Scope, args, path: str) -> None:
+    n = first_budget(ds, scope, ENCODINGS[args.mode], args.n0)
+    if args.mode == "opt":
         bundle = build_perfect(ds, n, scope)
-    elif config.mode == "mopt":
+    elif args.mode == "mopt":
         bundle = build_bounded(ds, n, scope)
     else:
-        bundle = build_sparse(ds, n, lam_to_cost(config.lam, ds.total_weight), scope)
+        bundle = build_sparse(ds, n, lam_to_cost(args.lam, ds.total_weight), scope)
     emit_dimacs(bundle.formula, path)
     sidecar = {
         "varmap": bundle.varmap.to_json_dict(),
@@ -241,15 +227,15 @@ def _encode_one(ds: BinDataset, scope: Scope, config: RunConfig, path: str) -> N
 
 
 def cmd_encode(args) -> int:
-    config = RunConfig.from_args(args)
-    ds = _sanitized(_load_bindata(args.data, config.bins), config)
-    if config.scope == "aggregated":
-        _encode_one(ds, Scope.aggregated(), config, args.dimacs)
+    _check_flags(args)
+    ds = _sanitized(_load_bindata(args.data, args.bins), args.mode)
+    if args.scope == "aggregated":
+        _encode_one(ds, Scope.aggregated(), args, args.dimacs)
         return 0
     root, ext = os.path.splitext(args.dimacs)
     for target in range(len(ds.classes)):
         path = "%s.class%d%s" % (root, target, ext)
-        _encode_one(ds, Scope.per_class(target), config, path)
+        _encode_one(ds, Scope.per_class(target), args, path)
     return 0
 
 

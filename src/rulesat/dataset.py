@@ -111,13 +111,17 @@ class FoldPlan:
 
 
 def load_csv(path: str) -> RawDataset:
-    """Parse a comma-separated UTF-8 file with a header row.
+    """Parse a comma-separated UTF-8 file with a header row, after a
+    byte-order mark if it has one.
 
     The last column is the class label.  Fields may not be quoted;
     ragged rows and empty cells are rejected with their position.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            lines = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise DatasetError("%s is not UTF-8 text: %s" % (path, exc)) from None
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:

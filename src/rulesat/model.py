@@ -327,4 +327,6 @@ def load_model(path: str) -> DecisionSet:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ModelError("invalid JSON: %s" % exc) from None
+        except UnicodeDecodeError as exc:
+            raise ModelError("%s is not UTF-8 text: %s" % (path, exc)) from None
     return deserialize(doc)

@@ -420,24 +420,23 @@ def _join(outcomes: list[SolveOutcome], ds: BinDataset, mode: str) -> SolveOutco
     return SolveOutcome(status=status, decision_set=dset, objective=objective)
 
 
-def _search_each_class(ds: BinDataset, search, mode: str, clock: _Clock, progress,
-                       later_models: int = 0) -> SolveOutcome:
+def _search_each_class(ds: BinDataset, search, mode: str, clock: _Clock,
+                       progress) -> SolveOutcome:
     """search(scope, clock, progress), a per-class search, for each class
     with examples, in class order, joined and labelled mode; none starts
     after one found no set.  Each runs on clock.share: an equal share of
-    the time left among the class searches to come, counting as many for
-    each of later_models more calls.  Records carry the class; the stats
-    add up the counts and map each class to its objective ("objectives").
-    A join that is not sparse is checked class by class, in any class
-    count.
+    the time left on clock among the class searches to come, so time one
+    leaves unused goes to the ones after it.  Records carry the class;
+    the stats add up the counts and map each class to its objective
+    ("objectives").  A join that is not sparse is checked class by class,
+    in any class count.
     """
     targets = sorted({cls for _, cls, _ in ds.examples})
     outcomes, stats = [], {"objectives": {}}
     for done, target in enumerate(targets):
         def tag(record, label=ds.classes[target]):
             return {**record, "class": label}
-        out = search(Scope.per_class(target),
-                     clock.share(len(targets) * (1 + later_models) - done),
+        out = search(Scope.per_class(target), clock.share(len(targets) - done),
                      progress and (lambda record: progress(tag(record))))
         outcomes.append(out)
         stats["objectives"][ds.classes[target]] = out.objective

@@ -180,9 +180,16 @@ def test_learn_timeout_exits_2(ex1_csv, capsys):
         (["--mode", "sparse", "--lambda", "0.5", "--n0", "65"], "outside 1..64 (the node cap"),
     ],
 )
-def test_learn_config_errors_exit_1(ex1_csv, capsys, extra, fragment):
-    assert main(["learn", "--data", ex1_csv] + extra) == 1
-    assert fragment in capsys.readouterr().err
+def test_learn_config_errors_exit_1(ex1_csv, tmp_path, capsys, extra, fragment):
+    # every command checks its flags alike; encode has no clock, and any
+    # --n0 is a node count it can write
+    commands = [["learn"], ["cv", "--folds", "2"]]
+    if not {"--time-limit", "--solve-limit", "--n0"} & set(extra):
+        commands.append(["encode", "--dimacs", str(tmp_path / "out.cnf")])
+    for command in commands:
+        assert main(command + ["--data", ex1_csv] + extra) == 1, command
+        assert fragment in capsys.readouterr().err, command
+    assert not (tmp_path / "out.cnf").exists()
 
 
 def test_sparse_certifies_its_optimum_past_a_small_first_budget(tmp_path, capsys):
@@ -272,6 +279,29 @@ def test_learn_missing_file_exit_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_learn_reads_a_csv_past_its_byte_order_mark(tmp_path, capsys):
+    # a BOM is not part of the first column's name, so a model learnt on a
+    # CSV saved with one scores the same rows saved without it
+    text = "a,b,y\n1,0,p\n1,1,p\n0,0,n\n0,1,n\n"
+    bom, plain, model = tmp_path / "bom.csv", tmp_path / "plain.csv", tmp_path / "model.json"
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    plain.write_text(text, encoding="utf-8")
+    assert main(["learn", "--data", str(bom), "--out", str(model)]) == 0
+    out = capsys.readouterr().out
+    assert "rule: a => p" in out and "rule: not a => n" in out
+    assert main(["eval", "--data", str(plain), "--model", str(model)]) == 0
+    assert "examples=4 misclassified=0 accuracy=100.0" in capsys.readouterr().out
+
+
+def test_learn_refuses_a_csv_that_is_not_utf8_exit_1(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"x,y\ncaf\xe9,a\ntea,b\n")
+    assert main(["learn", "--data", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: %s is not UTF-8 text: " % path) and err.count("\n") == 1, err
+
+
 # ---------------------------------------------------------------- eval
 
 
@@ -297,6 +327,15 @@ def test_eval_malformed_model_exit_1(ex1_csv, tmp_path, capsys):
     model = write_model(tmp_path, {"classes": ["0"], "rules": []})
     assert main(["eval", "--data", ex1_csv, "--model", model]) == 1
     assert "missing" in capsys.readouterr().err
+
+
+def test_eval_refuses_a_model_that_is_not_utf8_exit_1(ex1_csv, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["eval", "--data", ex1_csv, "--model", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: %s is not UTF-8 text: " % path) and err.count("\n") == 1, err
 
 
 def test_eval_rejects_boolean_ints_and_repeated_classes_exit_1(ex1_csv, tmp_path, capsys):
@@ -444,34 +483,40 @@ def test_cv_time_limit_is_shared_among_the_runs(tmp_path, capsys):
 
 def test_cv_hands_each_class_search_the_same_share_in_both_scopes(ex1_csv, capsys,
                                                                   monkeypatch):
-    # every class search of every fold is one run on the command's clock:
-    # fold 0's class 0 gets a quarter of 100 seconds and takes 30 of them,
-    # fold 0's class 1 then gets a third of the 70 left, and fold 1's
-    # classes get a half and the whole of what is left
+    # every fold of a 2-fold cv on 100 seconds is a share of the command's
+    # clock, and every class search a share of its fold's; the i-th class
+    # search takes takes[i] seconds
     skew = [0.0]
     monotonic = optimizer.time.monotonic
     monkeypatch.setattr(optimizer, "time",
                         SimpleNamespace(monotonic=lambda: monotonic() + skew[0]))
     cover_class = cli._cover_class
-    budgets = []
+    budgets, takes = [], []
 
     def timed(ds, scope, clock, progress):
         budgets.append(clock.wall_deadline - optimizer.time.monotonic())
         out = cover_class(ds, scope, clock, progress)
-        skew[0] += 30.0 if len(budgets) == 1 else 0.0
+        skew[0] += takes[len(budgets) - 1]
         return out
 
     monkeypatch.setattr(cli, "_cover_class", timed)
-    shares = {}
-    for scope in SCOPES:
-        budgets.clear()
-        skew[0] = 0.0
-        assert main(["cv", "--data", ex1_csv, "--folds", "2", "--time-limit", "100",
-                     "--scope", scope]) == 0
-        shares[scope] = list(budgets)
+    for durations, expected in (
+            # fold 0 gets half of the 100 seconds and its class 0 half of
+            # that; class 0 takes 30 seconds, so class 1 gets the 20 left
+            # of fold 0's half, and fold 1's classes get a half and the
+            # whole of the 70 left
+            ([30.0, 0.0, 0.0, 0.0], [25.0, 20.0, 35.0, 70.0]),
+            # class 0 returns at once, so class 1 gets the rest of fold 0's
+            # half; it takes 10 seconds, and fold 1 starts on all that is left
+            ([0.0, 10.0, 0.0, 0.0], [25.0, 50.0, 45.0, 90.0])):
+        takes[:] = durations
+        for scope in SCOPES:
+            budgets.clear()
+            skew[0] = 0.0
+            assert main(["cv", "--data", ex1_csv, "--folds", "2", "--time-limit", "100",
+                         "--scope", scope]) == 0
+            assert budgets == pytest.approx(expected, abs=0.1), (scope, takes, budgets)
     capsys.readouterr()
-    for scope in SCOPES:
-        assert shares[scope] == pytest.approx([25.0, 70.0 / 3, 35.0, 70.0], abs=0.1), shares
 
 
 def test_cv_starts_no_search_past_its_deadline(ex1_csv, capsys, monkeypatch):

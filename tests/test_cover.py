@@ -102,7 +102,7 @@ def test_reproduces_every_opt_agg_reference_objective(monkeypatch):
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up there
     spec.loader.exec_module(workloads)
-    reference = json.loads((BENCHMARK / "reference.json").read_text())["opt-agg"]
+    reference = json.loads((BENCHMARK / "reference.json").read_text(encoding="utf-8"))["opt-agg"]
     assert len(reference) == 24
     for base, expected in reference.items():
         out = minimize_exact_fit(workloads.dataset(workloads.opt_base(int(base))), AGG)

@@ -1015,9 +1015,9 @@ def test_aggregated_classes_share_one_clock(ex1, monkeypatch):
     assert [(r["class"], r["status"]) for r in out.stats["rounds"]][-1] == ("1", "timeout")
 
 
-def test_class_searches_share_the_clock_with_later_models(ex1, monkeypatch):
-    # two later models of two class searches each: class 0 gets a sixth
-    # of the 120 seconds, and class 1, 30 seconds later, a fifth of the rest
+def test_class_searches_share_the_clock_they_are_handed(ex1, monkeypatch):
+    # two class searches on 120 seconds: class 0 gets half of them, and
+    # class 1, 30 seconds later, all of the 90 left
     skew = [0.0]
     monotonic = optimizer.time.monotonic
     monkeypatch.setattr(optimizer, "time",
@@ -1031,8 +1031,8 @@ def test_class_searches_share_the_clock_with_later_models(ex1, monkeypatch):
         return out
 
     clock = optimizer._Clock(SearchLimits(wall_time_budget=120.0))
-    out = optimizer._search_each_class(ex1, search, "perfect", clock, None, later_models=2)
-    assert budgets == pytest.approx([120.0 / 6, 90.0 / 5], abs=0.01)
+    out = optimizer._search_each_class(ex1, search, "perfect", clock, None)
+    assert budgets == pytest.approx([60.0, 90.0], abs=0.01)
     assert (out.status, out.objective) == ("optimal", 7)
     assert out.stats["objectives"] == {"0": 4, "1": 3}
     assert out.stats["elapsed"] >= 60.0
