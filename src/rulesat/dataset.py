@@ -1,11 +1,20 @@
 """CSV ingestion, quantization, one-hot binarization, and CV folds.
 
-A BinDataset checks its rows when it is constructed.  subset, sanitize
-and fold_carriers build theirs from rows already checked and do not
-check them again, so `rulesat cv` checks each row once, in binarize.
-Its folds copy no rows: fold_carriers groups the rows once into their
-distinct examples, and each fold trains and scores on those, weighted
-by their counts in the fold.
+The path from a CSV file to a BinDataset works by column and by
+distinct value, in C-level operations.  load_csv splits the whole body
+at once and slices its columns; only when a bulk check finds a ragged
+row, an empty cell or a quote does it walk the lines, to name the first
+bad cell.  binarize codes each column's distinct values once and gives
+each row one int key over its codes and its class; the rows then share
+one example tuple per distinct key.
+
+A BinDataset checks its examples when it is constructed.  binarize
+constructs one on its distinct examples, so each is checked once, and
+derives the rows from it; subset, sanitize and fold_carriers build
+theirs from rows already checked and do not check them again.  Folds
+copy no rows: fold_carriers groups the rows once into their distinct
+examples, and each fold trains and scores on those, weighted by their
+counts in the fold.
 """
 
 from __future__ import annotations
@@ -14,8 +23,9 @@ import random
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import count, repeat
+from itertools import chain, count, repeat
 from math import ceil, isnan
+from operator import add, mul
 
 
 MAX_CATEGORIES = 32  # the most distinct values binarize one-hots in a text column
@@ -31,12 +41,12 @@ class RawDataset:
 
     feature_names: list[str]
     class_name: str
-    rows: list[list[str]]  # feature values only
+    columns: list[list[str]]  # one list of values per feature
     labels: list[str]
 
     @property
     def num_examples(self) -> int:
-        return len(self.rows)
+        return len(self.labels)
 
 
 @dataclass
@@ -133,9 +143,24 @@ def load_csv(path: str) -> RawDataset:
         if name in header[:col]:
             raise DatasetError("header row repeats the column name %r" % name)
     width = len(header)
-    rows: list[list[str]] = []
-    labels: list[str] = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    body = lines[1:]
+    text = ",".join(body)
+    cells = list(map(str.strip, text.split(","))) if body else []
+    # three bulk checks; only when one fails is each line looked at
+    if body and (set(map(str.count, body, repeat(","))) != {width - 1}
+                 or "" in cells or '"' in text):
+        _find_bad_cell(body, header)
+    return RawDataset(feature_names=header[:-1], class_name=header[-1],
+                      columns=[cells[c::width] for c in range(width - 1)],
+                      labels=cells[width - 1::width])
+
+
+def _find_bad_cell(body: list[str], header: list[str]) -> None:
+    """Raise the error of the first bad cell of body, the lines after the
+    header, if it has one: a ragged row, an empty cell, or a cell that
+    starts or ends with a quote."""
+    width = len(header)
+    for lineno, line in enumerate(body, start=2):
         cells = list(map(str.strip, line.split(",")))
         if len(cells) != width:
             raise DatasetError(
@@ -152,11 +177,6 @@ def load_csv(path: str) -> RawDataset:
                         "row %d, column %r: quoted fields are not supported"
                         % (lineno, header[col])
                     )
-        rows.append(cells[:-1])
-        labels.append(cells[-1])
-    return RawDataset(
-        feature_names=header[:-1], class_name=header[-1], rows=rows, labels=labels
-    )
 
 
 def _as_numbers(values: list[str]) -> list[float] | None:
@@ -207,55 +227,68 @@ def binarize(raw: RawDataset, q: int = 2, numeric_bins: dict | None = None) -> B
     fixed = numeric_bins or {}
     bins: dict = {}
     feature_names: list[str] = []
-    columns: list[list[int]] = []  # one 0/1 column per emitted feature
-    for ci, name in enumerate(raw.feature_names):
-        values = [row[ci] for row in raw.rows]
-        numbers = _as_numbers(values)
+    classes = sorted(set(raw.labels))
+    class_index = {c: i for i, c in enumerate(classes)}
+    # each row's key: its class, then its code in each column, in mixed radix
+    keys = list(map(class_index.__getitem__, raw.labels))
+    pieces: list[tuple] = []  # per column: the bits of each of its codes
+    for name, values in zip(raw.feature_names, raw.columns):
+        distinct = list(dict.fromkeys(values))
+        numbers = _as_numbers(distinct)
         if numbers is not None:
-            if isnan(sum(numbers)):  # some cell is NaN, or the column holds both infinities
-                for row, x in enumerate(numbers, start=2):
-                    if isnan(x):
+            if isnan(sum(numbers)):  # some value is NaN, or the column holds both infinities
+                nans = {v for v, x in zip(distinct, numbers) if isnan(x)}
+                for row, v in enumerate(values, start=2):
+                    if v in nans:
                         raise DatasetError("row %d, column %r: NaN cannot be binned"
                                            % (row, name))
             if name in fixed:
                 cuts, labels = fixed[name]["cuts"], fixed[name]["labels"]
+                if len(labels) != len(cuts) + 1:  # a bin without a label has no code
+                    raise DatasetError("numeric_bins[%r] needs one label per bin: %d cuts, "
+                                       "%d labels" % (name, len(cuts), len(labels)))
             else:
-                cuts, labels = _quantize(numbers, q)
+                number_of = dict(zip(distinct, numbers))
+                cuts, labels = _quantize(list(map(number_of.__getitem__, values)), q)
             bins[name] = {"cuts": list(cuts), "labels": list(labels)}
-            codes = [bisect_left(cuts, v) for v in numbers]
+            code_of = dict(zip(distinct, map(bisect_left, repeat(cuts), numbers)))
         elif name in fixed:
             raise DatasetError("column %r is binned as numeric, but holds text" % name)
         else:
-            distinct = sorted(set(values))
-            if len(distinct) > MAX_CATEGORIES:
+            labels = sorted(distinct)
+            if len(labels) > MAX_CATEGORIES:
                 raise DatasetError(
                     "column %r has %d categories, over the limit of %d"
-                    % (name, len(distinct), MAX_CATEGORIES)
+                    % (name, len(labels), MAX_CATEGORIES)
                 )
-            index = {v: i for i, v in enumerate(distinct)}
-            codes, labels = [index[v] for v in values], distinct
+            code_of = {v: i for i, v in enumerate(labels)}
         d = len(labels)
-        if d == 1:
+        if d <= 2:  # one bit, 0 in a constant column
             feature_names.append(name)
-            columns.append([0] * len(codes))
-        elif d == 2:
-            feature_names.append(name)
-            columns.append(codes)
+            pieces.append(((0,), (1,))[:d])
         else:
-            for level in range(d):
-                feature_names.append("%s=%s" % (name, labels[level]))
-                columns.append([1 if c == level else 0 for c in codes])
-    classes = sorted(set(raw.labels))
-    class_index = {c: i for i, c in enumerate(classes)}
-    vectors = zip(*columns) if columns else repeat((), raw.num_examples)
-    examples = [(bits, class_index[label], 1) for bits, label in zip(vectors, raw.labels)]
-    return BinDataset(
+            feature_names.extend("%s=%s" % (name, label) for label in labels)
+            pieces.append(tuple(tuple(int(code == level) for level in range(d))
+                                for code in range(d)))
+        keys = list(map(add, map(mul, keys, repeat(d)), map(code_of.__getitem__, values)))
+
+    def example(key: int) -> tuple[tuple[int, ...], int, int]:
+        parts = []
+        for piece in reversed(pieces):
+            key, code = divmod(key, len(piece))
+            parts.append(piece[code])
+        return tuple(chain.from_iterable(reversed(parts))), key, 1
+
+    # one example per distinct key, checked once; rows share them
+    example_of = {key: example(key) for key in dict.fromkeys(keys)}
+    distinct_examples = BinDataset(
         num_features=len(feature_names),
         classes=classes,
         feature_names=feature_names,
-        examples=examples,
+        examples=list(example_of.values()),
         numeric_bins=bins,
     )
+    return distinct_examples._derived(list(map(example_of.__getitem__, keys)))
 
 
 def sanitize(ds: BinDataset, mode: str) -> tuple[BinDataset, SanitizeReport]:

@@ -61,7 +61,6 @@ class in every scope and join the rules (optimizer._join).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import ceil
 
 from .dataset import BinDataset
@@ -261,6 +260,8 @@ def lam_to_cost(lam, m_effective: int) -> int:
     Floats are read at decimal precision (0.1 means one tenth), so
     lam_to_cost(0.1, 30) is exactly 3.
     """
+    from fractions import Fraction  # only sparse charges a penalty: import on use
+
     if m_effective < 1:
         raise EncodingError("m_effective must be >= 1")
     try:

@@ -322,7 +322,7 @@ def save_model(dset: DecisionSet, path: str) -> None:
 
 
 def load_model(path: str) -> DecisionSet:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:

@@ -338,6 +338,19 @@ def test_eval_refuses_a_model_that_is_not_utf8_exit_1(ex1_csv, tmp_path, capsys)
     assert err.startswith("error: %s is not UTF-8 text: " % path) and err.count("\n") == 1, err
 
 
+def test_eval_reads_a_model_past_its_byte_order_mark(ex1_csv, tmp_path, capsys):
+    # an editor may save the model JSON with a BOM; eval reads it as without
+    model = tmp_path / "model.json"
+    assert main(["learn", "--data", ex1_csv, "--out", str(model)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--data", ex1_csv, "--model", str(model)]) == 0
+    plain = capsys.readouterr()
+    model.write_bytes(b"\xef\xbb\xbf" + model.read_bytes())
+    assert main(["eval", "--data", ex1_csv, "--model", str(model)]) == 0
+    assert capsys.readouterr() == plain
+    assert "accuracy=100.0" in plain.out
+
+
 def test_eval_rejects_boolean_ints_and_repeated_classes_exit_1(ex1_csv, tmp_path, capsys):
     bool_feature = json.loads(json.dumps(PERFECT_MODEL))
     bool_feature["rules"][0]["body"][0]["feature"] = True

@@ -36,7 +36,7 @@ def test_load_csv_happy_path(ex1_csv):
     assert raw.feature_names == ["L", "C", "E", "S"]
     assert raw.class_name == "H"
     assert raw.num_examples == 8
-    assert raw.rows[0] == ["1", "0", "1", "0"]
+    assert [column[0] for column in raw.columns] == ["1", "0", "1", "0"]
     assert raw.labels == ["0", "0", "1", "0", "1", "0", "0", "1"]
 
 
@@ -45,7 +45,7 @@ def test_load_csv_strips_whitespace_and_trailing_blanks(tmp_path):
     raw = load_csv(write_csv(tmp_path, text))
     assert raw.feature_names == ["a", "b"]
     assert raw.class_name == "y"
-    assert raw.rows == [["1", "x"]]
+    assert raw.columns == [["1"], ["x"]]
     assert raw.labels == ["0"]
 
 
@@ -83,7 +83,7 @@ def test_load_csv_rejects_a_repeated_column_name(tmp_path):
 
 def test_load_csv_accepts_a_quote_inside_a_cell(tmp_path):
     raw = load_csv(write_csv(tmp_path, 'a,b,y\n1,a"b,0\n2,c,1\n'))
-    assert raw.rows == [["1", 'a"b'], ["2", "c"]]
+    assert raw.columns == [["1", "2"], ['a"b', "c"]]
     assert raw.labels == ["0", "1"]
 
 
@@ -105,6 +105,75 @@ def test_load_csv_names_a_bad_cell_on_the_last_of_many_rows(tmp_path, last, mess
     with pytest.raises(DatasetError) as err:
         load_csv(write_csv(tmp_path, text))
     assert str(err.value) == message
+
+
+def rowwise_csv(text):
+    """load_csv's (columns, labels), or its error message, from a parse
+    of one line at a time."""
+    lines = text.splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
+    header = [name.strip() for name in lines[0].split(",")]
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        cells = [cell.strip() for cell in line.split(",")]
+        if len(cells) != len(header):
+            return "row %d: expected %d fields, got %d" % (lineno, len(header), len(cells))
+        for name, cell in zip(header, cells):
+            if not cell:
+                return "row %d, column %r: empty value" % (lineno, name)
+            if cell[0] == '"' or cell[-1] == '"':
+                return "row %d, column %r: quoted fields are not supported" % (lineno, name)
+        rows.append(cells)
+    columns = [[row[c] for row in rows] for c in range(len(header))]
+    return columns[:-1], columns[-1]
+
+
+def test_load_csv_equals_a_line_by_line_parse(tmp_path):
+    rng = random.Random(2311)
+    faults = 0
+    for case in range(400):
+        width = rng.randint(1, 4)
+        values = ["0", "1", "2.5", "-3", "red", "x y"] + (['a"b'] if rng.random() < 0.3 else [])
+
+        def pad():
+            return rng.choice(["", "", " ", "  ", "\t"])
+
+        def cell():
+            return pad() + rng.choice(values) + pad()
+
+        rows = [[cell() for _ in range(width)] for _ in range(rng.randint(1, 30))]
+        fault = rng.choice([None, "ragged", "empty", "blank", "quote"])
+        if fault:
+            row, col = rng.choice(rows), rng.randrange(width)
+            if fault == "ragged":
+                if width > 1 and rng.random() < 0.5:
+                    del row[col]
+                else:
+                    row.insert(col, cell())
+            elif fault == "empty":
+                row[col] = ""
+            elif fault == "blank":
+                row[col] = rng.choice([" ", "  ", "\t"])
+            else:
+                row[col] = rng.choice(['"%s', '%s"', '"%s"', ' "%s ']) % rng.choice(values)
+        newline = rng.choice(["\n", "\r\n"])
+        header = ",".join(pad() + "c%d" % c + pad() for c in range(width))
+        text = newline.join([header] + [",".join(row) for row in rows])
+        text += newline * rng.randint(0, 2) + rng.choice(["", " ", " " + newline])
+        path = tmp_path / ("c%d.csv" % case)
+        path.write_bytes(text.encode("utf-8"))
+        want = rowwise_csv(text)
+        try:
+            raw = load_csv(str(path))
+        except DatasetError as err:
+            assert str(err) == want, (case, text)
+            faults += 1
+        else:
+            assert (raw.columns, raw.labels) == want, (case, text)
+            assert raw.feature_names == ["c%d" % c for c in range(width - 1)]
+            assert raw.class_name == "c%d" % (width - 1)
+    assert 200 < faults < 360  # both outcomes are well exercised
 
 
 # ---------------------------------------------------------------- binarize
@@ -230,7 +299,7 @@ def rowwise_examples(raw, q):
     """binarize's examples built one row at a time from per-column codes."""
     columns = []
     for ci in range(len(raw.feature_names)):
-        values = [row[ci] for row in raw.rows]
+        values = raw.columns[ci]
         numbers = _as_numbers(values)
         if numbers is not None:
             cuts, labels = _quantize(numbers, q)
@@ -256,11 +325,11 @@ def rowwise_examples(raw, q):
 
 def test_binarize_examples_equal_the_row_by_row_construction(tmp_path):
     rng = random.Random(4401)
-    for case in range(40):
+    for case in range(43):  # the last three of a few thousand rows, values repeated
         width = rng.randint(0, 4)
         kinds = [rng.choice(["wide", "narrow", "category", "constant"]) for _ in range(width)]
         lines = [",".join(["c%d" % c for c in range(width)] + ["y"])]
-        for _ in range(rng.randint(1, 80)):
+        for _ in range(rng.randint(1, 80) if case < 40 else rng.randint(2000, 4000)):
             cells = []
             for kind in kinds:
                 if kind == "wide":
@@ -275,6 +344,29 @@ def test_binarize_examples_equal_the_row_by_row_construction(tmp_path):
         raw = load_csv(write_csv(tmp_path, "\n".join(lines) + "\n", "r%d.csv" % case))
         q = rng.choice([2, 3, 4])
         assert binarize(raw, q=q).examples == rowwise_examples(raw, q)
+
+
+def test_binarize_checks_each_distinct_example_once(tmp_path, monkeypatch):
+    # 12,000 rows shaped like the cv benchmark's CSV: a numeric distractor,
+    # a 3-level colour and a flag, the class set by colour and flag
+    rng = random.Random(23)
+    lines = ["x,color,flag,label"]
+    for _ in range(12000):
+        color, flag = rng.choice(["red", "green", "blue"]), rng.randrange(2)
+        label = {"red": "A", "green": "B"}.get(color, "C" if flag else "A")
+        lines.append("%.3f,%s,%d,%s" % (rng.uniform(0, 10), color, flag, label))
+    raw = load_csv(write_csv(tmp_path, "\n".join(lines) + "\n"))
+    checked = []
+    check = BinDataset.__post_init__
+
+    def record(ds):
+        checked.append(len(ds.examples))
+        check(ds)
+
+    monkeypatch.setattr(BinDataset, "__post_init__", record)
+    ds = binarize(raw)
+    assert ds.num_examples == 12000
+    assert checked == [len({(bits, cls) for bits, cls, _ in ds.examples})] == [12]
 
 
 def test_binarize_reuses_given_numeric_bins(tmp_path):
@@ -300,6 +392,10 @@ def test_binarize_reuses_given_numeric_bins(tmp_path):
     assert [bits for bits, _, _ in ds.examples] == [(1, 0, 0), (0, 0, 1), (0, 0, 1)]
     with pytest.raises(DatasetError, match="'x' is binned as numeric, but holds text"):
         binarize(load_csv(write_csv(tmp_path, "x,y\nlow,A\n")), numeric_bins=three)
+    unlabelled = {"x": {"cuts": [1.0, 2.0], "labels": ["low", "high"]}}
+    with pytest.raises(DatasetError) as err:
+        binarize(load_csv(write_csv(tmp_path, "x,y\n0,A\n2.5,B\n")), numeric_bins=unlabelled)
+    assert str(err.value) == "numeric_bins['x'] needs one label per bin: 2 cuts, 2 labels"
 
 
 def test_binarize_label_only_csv_gives_empty_vectors(tmp_path):

@@ -1,11 +1,16 @@
 """CNF builder semantics, variable layout, and cardinality helpers."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
+import rulesat
 from rulesat.encoder import (
     Encoder,
     EncodingError,
@@ -225,6 +230,16 @@ def test_lam_to_cost_rejects_bad_inputs():
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(EncodingError, match="finite"):
             lam_to_cost(bad, 10)
+
+
+def test_the_cli_imports_fractions_only_for_a_penalty():
+    # only sparse calls lam_to_cost: learn, cv and eval for opt and mopt
+    # start without fractions (and the decimal and numbers it imports)
+    env = dict(os.environ, PYTHONPATH=str(Path(rulesat.__file__).parent.parent))
+    probe = "import sys, rulesat.cli; print('fractions' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         encoding="utf-8", check=True).stdout
+    assert out == "False\n"
 
 
 # ---------------------------------------------------------------- builders
