@@ -124,8 +124,8 @@ def load_csv(path: str) -> RawDataset:
     """Parse a comma-separated UTF-8 file with a header row, after a
     byte-order mark if it has one.
 
-    The last column is the class label.  Fields may not be quoted;
-    ragged rows and empty cells are rejected with their position.
+    The last column is the class label.  Fields and names may not be
+    quoted; ragged rows and empty cells are rejected with their position.
     """
     with open(path, encoding="utf-8-sig") as fh:
         try:
@@ -140,6 +140,8 @@ def load_csv(path: str) -> RawDataset:
     if len(header) < 1 or any(not h for h in header):
         raise DatasetError("header row has an empty column name")
     for col, name in enumerate(header):
+        if name.startswith('"') or name.endswith('"'):
+            raise DatasetError("row 1, column %d: quoted fields are not supported" % (col + 1))
         if name in header[:col]:
             raise DatasetError("header row repeats the column name %r" % name)
     width = len(header)
@@ -360,11 +362,18 @@ def fold_carriers(ds: BinDataset, plan: FoldPlan):
     ds.subset(plan.train_indices(fold)), and evaluate scores its test set
     as it scores ds.subset(plan.test_indices(fold)): both read only weight
     sums.  The carriers come from checked rows and are not checked again.
+    Each row's fold must be in range(plan.num_folds), as kfold_split's are.
     """
+    by_id: dict = {}
     first: dict = {}
-    # (the first row of a row's example, the row's fold) -> rows, in the
-    # order of each pair's first row: one pass over the rows, in C
-    groups = Counter(zip(map(first.setdefault, ds.examples, count()), plan.assignments))
+    k = plan.num_folds
+    # one pass over the rows, in C, that hashes no example tuple: a row's
+    # code is its example object's first row * k + its fold
+    codes = Counter(map(add, map(by_id.setdefault, map(id, ds.examples), count(0, k)),
+                        plan.assignments))
+    # equal examples in distinct objects share their value's first row; the
+    # codes come in order of first row, so a value's first code holds it
+    value_row = {code: first.setdefault(ds.examples[code // k], code // k) for code in codes}
 
     def carried(counts: dict) -> BinDataset:
         return ds._derived([(bits, cls, weight * n) for (bits, cls, weight), n
@@ -374,8 +383,9 @@ def fold_carriers(ds: BinDataset, plan: FoldPlan):
         # a carrier first enters train (test) with its first row out of (in) the fold
         train: dict = {}
         test: dict = {}
-        for (row, f), n in groups.items():
-            part = test if f == fold else train
+        for code, n in codes.items():
+            part = test if code % k == fold else train
+            row = value_row[code]
             part[row] = part.get(row, 0) + n
         return carried(train), carried(test)
 

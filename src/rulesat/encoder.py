@@ -283,16 +283,18 @@ class Encoder:
     order (aggregated).  The class order admits exactly the sequences that
     list every class-0 rule before every class-1 rule; each decision set
     has such a listing, and a rule's coverage and size do not depend on
-    its place, so the order changes no optimum.  Each clause is sorted by
-    variable id, as normalize_clause sorts it, since a Solver watches its
-    first two literals; only a guard goes first.  build() grows the
+    its place, so the order changes no optimum.  build() grows the
     encoding and then writes the clauses that end the sequence at the
     last node, as another node would void them.
 
-    A Solver sink takes the clauses through add_trusted, which checks no
-    literal: they hold no repeated variable, and every id, auxiliaries
-    included, is reserved with sink.ensure_vars before a clause names it.
-    Other sinks take them through add_clause.
+    Each clause is in id order, as normalize_clause sorts it, since a
+    Solver watches its first two literals; only a guard goes first.  The
+    VarMap layout gives that order: misclassification flags, then node j's
+    selectors, truth t, validities (example i's is t + i), unused flag and
+    auxiliaries, then node j + 1; only exactly_one's clauses are sorted.
+    Each part of a node, and the ending, goes to the sink as one list: to
+    a Solver's add_trusted, which checks no literal (so every id is
+    reserved with sink.ensure_vars first), or else per clause to add_clause.
     """
 
     def __init__(self, ds: BinDataset, scope: Scope, mode: str, sink,
@@ -317,7 +319,7 @@ class Encoder:
             has_misclass=mode == "sparse",
         )
         self.sink = sink
-        self._put = getattr(sink, "add_trusted", sink.add_clause)
+        self._put = getattr(sink, "add_trusted", None) or self._put_each
         if scope.is_aggregated:
             self.bits = [cls for _, cls, _ in ds.examples]
         else:
@@ -330,18 +332,15 @@ class Encoder:
         self._hits: list[list[int]] = [[] for _ in self.covered]
         self._order = 0  # s of the last node, in aggregated scope (see _class_order)
 
-    def _add(self, clause) -> None:
-        self._put(sorted(clause, key=abs))
+    def _put_each(self, clauses) -> None:
+        for clause in clauses:
+            self.sink.add_clause(clause)
 
     def _aux(self, count: int) -> list[int]:
         """count fresh auxiliary ids, reserved in the sink."""
         ids = [self.vm.new_aux() for _ in range(count)]
         self.sink.ensure_vars(self.vm.num_vars)
         return ids
-
-    def _truth_lit(self, j: int, bit: int) -> int:
-        t = self.vm.truth_var(j)
-        return t if bit else -t
 
     def append_node(self) -> None:
         """Lay out node n + 1 and emit its clauses."""
@@ -350,8 +349,8 @@ class Encoder:
         self.sink.ensure_vars(vm.num_vars)
         self._node_choice(j)
         if j == 1:
-            for i in range(1, self.m + 1):
-                self._add([vm.valid_var(i, 1)])
+            t = vm.truth_var(1)
+            self._put([[t + i] for i in range(1, self.m + 1)])
         else:
             self._link(j - 1)
         self._class_agreement(j)
@@ -359,20 +358,17 @@ class Encoder:
         if self.scope.is_aggregated:
             self._class_order(j)
         else:
-            self._add([-vm.class_sel_var(j), vm.truth_var(j)])
+            self._put([[-vm.class_sel_var(j), vm.truth_var(j)]])
 
     def _class_order(self, j: int) -> None:
         """Node j's clauses of the class order.  Its auxiliary s_j says a
         class-1 leaf occurs at or before node j: a class-1 leaf sets it, it
         stays set, and once s_{j-1} is set a leaf at node j is class 1."""
-        vm, add = self.vm, self._add
+        vm = self.vm
         leaf, t = vm.class_sel_var(j), vm.truth_var(j)
         prev, (s,) = self._order, self._aux(1)
         self._order = s
-        add([-leaf, -t, s])
-        if prev:
-            add([-prev, s])
-            add([-prev, -leaf, t])
+        self._put([[-leaf, -t, s], [-prev, s], [-prev, -leaf, t]] if prev else [[-leaf, -t, s]])
 
     def _node_choice(self, j: int) -> None:
         vm = self.vm
@@ -381,53 +377,51 @@ class Encoder:
             row = [vm.unused_var(j)] + row
         clauses = exactly_one(row, new_var=vm.new_aux)
         self.sink.ensure_vars(vm.num_vars)  # the ladder's auxiliaries
-        for clause in clauses:
-            self._add(clause)
+        self._put([sorted(clause, key=abs) for clause in clauses])
 
     def _link(self, j: int) -> None:
         """Clauses tying node j + 1 to node j.  Per example i they encode
 
             v(i, j+1) <-> leaf_j or (v(i, j) and node j's literal matches i)
 
-        as [-leaf, v_next] and [-v_next, leaf, v_cur], plus per feature r
-        [-v_cur, -sel_r, -tau_r, v_next] and [-v_next, -sel_r, tau_r],
+        as [-leaf, v_next] and [leaf, v_cur, -v_next], plus per feature r
+        [-sel_r, -tau_r, -v_cur, v_next] and [-sel_r, tau_r, -v_next],
         where tau_r is the polarity that matches example i on feature r.
         Exactly one of node j's selectors is true, so sel_r excludes the
         leaf, and a used node's validities follow from the selectors and
         truths: 2k + 2 clauses per example and node, and no auxiliary."""
-        vm, add = self.vm, self._add
+        vm = self.vm
+        leaf, t, t_next = vm.class_sel_var(j), vm.truth_var(j), vm.truth_var(j + 1)
+        clauses = []
         if vm.has_unused:
             # unused nodes form a suffix, entered only right after a leaf
-            add([-vm.unused_var(j), vm.unused_var(j + 1)])
-            add([-vm.unused_var(j + 1), vm.unused_var(j), vm.class_sel_var(j)])
-        leaf, t = vm.class_sel_var(j), vm.truth_var(j)
-        sels = [vm.select_var(j, r) for r in range(1, self.k + 1)]
+            u, u_next = vm.unused_var(j), vm.unused_var(j + 1)
+            clauses += [[-u, u_next], [leaf, u, -u_next]]
+        sels = range(vm.select_var(j, 1), leaf)
         for i, (bits, _, _) in enumerate(self.ds.examples, start=1):
-            v_next = vm.valid_var(i, j + 1)
-            v_cur = vm.valid_var(i, j)
+            v_cur, v_next = t + i, t_next + i
             for sel, bit in zip(sels, bits):
                 tau = t if bit else -t
-                add([-v_cur, -sel, -tau, v_next])  # a matching literal keeps validity
-                add([-v_next, -sel, tau])  # validity past a literal needs its match
-            add([-leaf, v_next])  # a leaf resets validity for the next rule
-            add([-v_next, leaf, v_cur])
+                clauses.append([-sel, -tau, -v_cur, v_next])  # a matching literal keeps validity
+                clauses.append([-sel, tau, -v_next])  # validity past a literal needs its match
+            clauses.append([-leaf, v_next])  # a leaf resets validity for the next rule
+            clauses.append([leaf, v_cur, -v_next])
+        self._put(clauses)
 
     def _class_agreement(self, j: int) -> None:
-        vm, add = self.vm, self._add
-        for i in range(1, self.m + 1):
-            clause = [-vm.class_sel_var(j), -vm.valid_var(i, j),
-                      self._truth_lit(j, self.bits[i - 1])]
-            if self.mode == "sparse":
-                clause.append(vm.misclass_var(i))
-            add(clause)
+        leaf, t = self.vm.class_sel_var(j), self.vm.truth_var(j)
+        clauses = [[-leaf, t if bit else -t, -t - i] for i, bit in enumerate(self.bits, start=1)]
+        if self.mode == "sparse":  # example i's misclassification flag, id i, goes first
+            clauses = [[i] + clause for i, clause in enumerate(clauses, start=1)]
+        self._put(clauses)
 
     def _coverage_aux(self, j: int) -> None:
-        vm, add = self.vm, self._add
+        leaf, t = self.vm.class_sel_var(j), self.vm.truth_var(j)
+        clauses = []
         for i, hits, aux in zip(self.covered, self._hits, self._aux(len(self.covered))):
-            add([-aux, vm.class_sel_var(j)])
-            add([-aux, vm.valid_var(i, j)])
-            add([-vm.class_sel_var(j), -vm.valid_var(i, j), aux])
+            clauses += ([leaf, -aux], [t + i, -aux], [-leaf, -t - i, aux])
             hits.append(aux)
+        self._put(clauses)
 
     def build(self, n_nodes: int, stop=lambda: False, guarded: bool = False):
         """Grow the encoding to n_nodes nodes and end the sequence at the
@@ -445,13 +439,15 @@ class Encoder:
                 return False
             self.append_node()
         n = vm.n_nodes
-        clauses = [[vm.unused_var(n), vm.class_sel_var(n)] if vm.has_unused
-                   else [vm.class_sel_var(n)]]
-        for i, hits in zip(self.covered, self._hits):
-            clauses.append(hits + [vm.misclass_var(i)] if self.mode == "sparse" else hits)
+        leaf = vm.class_sel_var(n)
+        clauses = [[leaf, vm.unused_var(n)] if vm.has_unused else [leaf]]
+        if self.mode == "sparse":
+            clauses += [[vm.misclass_var(i)] + hits for i, hits in zip(self.covered, self._hits)]
+        else:
+            clauses += self._hits
         guard = [-self._aux(1)[0]] if guarded else []
-        for clause in clauses:
-            self._put(guard + sorted(clause, key=abs))
+        # fresh lists: a Solver keeps the lists it is given, and hits grow
+        self._put([guard + clause for clause in clauses])
         return -guard[0] if guarded else True
 
     def soft(self) -> list[tuple[tuple[int, ...], int]]:

@@ -10,8 +10,8 @@ activity-driven branching with phase saving, Luby restarts, and a simple
 size-based reduction of the learnt clause store.
 
 add_clause checks every literal it is given.  add_trusted skips those
-checks for a caller that emits clauses in canonical form over variables
-it has reserved, as Encoder does; both then apply the root-level
+checks for a caller that emits batches of canonical clauses over
+variables it has reserved, as Encoder does; both apply the root-level
 assignments the same way (_add_root).
 
 Propagation makes one pass over a watch list and writes nothing back for
@@ -142,14 +142,31 @@ class Solver:
             clause.append(lit)
         self._add_root(clause)
 
-    def add_trusted(self, clause: list[int]) -> None:
-        """add_clause for a caller that guarantees what add_clause checks:
-        it is not searching, and clause is a list of distinct nonzero int
-        literals, no tautology, over variables already reserved with
-        ensure_vars.
+    def add_trusted(self, clauses) -> None:
+        """add_clause per clause, for a caller that guarantees what
+        add_clause checks: it is not searching, and each clause is a list
+        of distinct nonzero int literals, no tautology, over ids reserved
+        with ensure_vars.  A clause with no literal assigned at the root is
+        attached as it is, list and all.  Once UNSAT, the rest are ignored.
         """
-        if self.ok:
+        if not self.ok:
+            return
+        assigns, watches = self._assigns, self._watches
+        attached = 0
+        for clause in clauses:
+            for lit in clause:
+                if assigns[abs(lit)]:
+                    break
+            else:
+                if len(clause) > 1:
+                    watches[clause[0]].append(clause)
+                    watches[clause[1]].append(clause)
+                    attached += 1
+                    continue
             self._add_root(clause)
+            if not self.ok:
+                break
+        self._n_problem_clauses += attached
 
     def _add_root(self, clause: list[int]) -> None:
         """Apply the root-level assignments to a checked clause and keep

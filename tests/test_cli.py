@@ -293,6 +293,15 @@ def test_learn_reads_a_csv_past_its_byte_order_mark(tmp_path, capsys):
     assert "examples=4 misclassified=0 accuracy=100.0" in capsys.readouterr().out
 
 
+def test_learn_refuses_a_quoted_header_name_exit_1(tmp_path, capsys):
+    # a quoted name would name a feature with its quotes, as in 'rule: "a" => p'
+    path = tmp_path / "quoted.csv"
+    path.write_text('"a",b,y\n1,0,p\n0,0,q\n', encoding="utf-8")
+    assert main(["learn", "--data", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: row 1, column 1: quoted fields are not supported\n")
+
+
 def test_learn_refuses_a_csv_that_is_not_utf8_exit_1(tmp_path, capsys):
     path = tmp_path / "latin1.csv"
     path.write_bytes(b"x,y\ncaf\xe9,a\ntea,b\n")

@@ -81,6 +81,24 @@ def test_load_csv_rejects_a_repeated_column_name(tmp_path):
         assert str(err.value) == "header row repeats the column name 'a'"
 
 
+@pytest.mark.parametrize("header,message", [
+    ('"a",b,y', "row 1, column 1: quoted fields are not supported"),
+    ('a, "b ,y', "row 1, column 2: quoted fields are not supported"),
+    ('a,b,y"', "row 1, column 3: quoted fields are not supported"),
+    ('"a","a",y', "row 1, column 1: quoted fields are not supported"),
+])
+def test_load_csv_refuses_a_quoted_header_name(tmp_path, header, message):
+    # as in a data row: a name may not start or end with a quote
+    with pytest.raises(DatasetError) as err:
+        load_csv(write_csv(tmp_path, header + "\n1,0,p\n0,0,q\n"))
+    assert str(err.value) == message
+
+
+def test_load_csv_accepts_a_quote_inside_a_header_name(tmp_path):
+    raw = load_csv(write_csv(tmp_path, 'a"b,c,y\n1,0,p\n'))
+    assert (raw.feature_names, raw.class_name) == (['a"b', "c"], "y")
+
+
 def test_load_csv_accepts_a_quote_inside_a_cell(tmp_path):
     raw = load_csv(write_csv(tmp_path, 'a,b,y\n1,a"b,0\n2,c,1\n'))
     assert raw.columns == [["1", "2"], ['a"b', "c"]]
@@ -114,6 +132,9 @@ def rowwise_csv(text):
     while lines and not lines[-1].strip():
         lines.pop()
     header = [name.strip() for name in lines[0].split(",")]
+    for col, name in enumerate(header, start=1):
+        if name[0] == '"' or name[-1] == '"':
+            return "row 1, column %d: quoted fields are not supported" % col
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         cells = [cell.strip() for cell in line.split(",")]
@@ -143,7 +164,8 @@ def test_load_csv_equals_a_line_by_line_parse(tmp_path):
             return pad() + rng.choice(values) + pad()
 
         rows = [[cell() for _ in range(width)] for _ in range(rng.randint(1, 30))]
-        fault = rng.choice([None, "ragged", "empty", "blank", "quote"])
+        names = [("c%d" if rng.random() < 0.8 else 'c"%d') % c for c in range(width)]
+        fault = rng.choice([None, "ragged", "empty", "blank", "quote", "header"])
         if fault:
             row, col = rng.choice(rows), rng.randrange(width)
             if fault == "ragged":
@@ -155,10 +177,12 @@ def test_load_csv_equals_a_line_by_line_parse(tmp_path):
                 row[col] = ""
             elif fault == "blank":
                 row[col] = rng.choice([" ", "  ", "\t"])
+            elif fault == "header":
+                names[col] = rng.choice(['"%s', '%s"', '"%s"', ' "%s ']) % names[col]
             else:
                 row[col] = rng.choice(['"%s', '%s"', '"%s"', ' "%s ']) % rng.choice(values)
         newline = rng.choice(["\n", "\r\n"])
-        header = ",".join(pad() + "c%d" % c + pad() for c in range(width))
+        header = ",".join(pad() + name + pad() for name in names)
         text = newline.join([header] + [",".join(row) for row in rows])
         text += newline * rng.randint(0, 2) + rng.choice(["", " ", " " + newline])
         path = tmp_path / ("c%d.csv" % case)
@@ -171,8 +195,7 @@ def test_load_csv_equals_a_line_by_line_parse(tmp_path):
             faults += 1
         else:
             assert (raw.columns, raw.labels) == want, (case, text)
-            assert raw.feature_names == ["c%d" % c for c in range(width - 1)]
-            assert raw.class_name == "c%d" % (width - 1)
+            assert raw.feature_names + [raw.class_name] == names, (case, text)
     assert 200 < faults < 360  # both outcomes are well exercised
 
 
@@ -679,6 +702,49 @@ def test_fold_carriers_train_and_score_as_the_rows_do():
                      carried.separated_errors)
                     == (scored.num_examples, scored.errors, scored.accuracy,
                         scored.separated_errors)), (trial, fold)
+        assert fold == num_folds - 1
+
+
+def by_value_carriers(ds, plan, fold):
+    """fold_carriers' (train, test) examples of fold, or the whole dataset's
+    when fold is None, grouped row by row by the example's value."""
+    parts = ({}, {})
+    for example, f in zip(ds.examples, plan.assignments):
+        part = parts[f == fold]
+        part[example] = part.get(example, 0) + 1
+    return [[(bits, cls, weight * n) for (bits, cls, weight), n in part.items()]
+            for part in parts]
+
+
+def test_fold_carriers_group_rows_as_grouping_by_value_does():
+    # fold_carriers keys the rows by their example object; rows holding
+    # equal examples must still share one carrier, at the first of their
+    # rows, whether they share the tuple (as binarize's rows do), hold
+    # equal copies, or mix both, also on subset and _derived rows
+    rng = random.Random(2324)
+    for trial in range(150):
+        k = rng.randint(1, 3)
+        pool = list(dict.fromkeys((tuple(rng.randint(0, 1) for _ in range(k)), rng.randrange(2),
+                                   rng.randint(1, 3)) for _ in range(rng.randint(1, 6))))
+        sharing = trial % 3  # 0: shared tuples, 1: equal copies, 2: both
+        examples = []
+        for _ in range(rng.randint(1, 40)):
+            example = rng.choice(pool)
+            copy = sharing == 1 or (sharing == 2 and rng.random() < 0.5)
+            examples.append((tuple(list(example[0])), *example[1:]) if copy else example)
+        objects = len(set(map(id, examples)))
+        assert objects == (len(set(examples)) if sharing == 0 else
+                           len(examples) if sharing == 1 else objects)
+        ds = BinDataset(k, ["0", "1"], ["f%d" % f for f in range(k)], examples)
+        if trial % 2:
+            ds = ds.subset([rng.randrange(len(examples)) for _ in range(rng.randint(1, 40))])
+        num_folds = rng.randint(1, 4)
+        plan = FoldPlan(num_folds, trial, [rng.randrange(num_folds) for _ in ds.examples])
+        whole, folds = fold_carriers(ds, plan)
+        assert whole.examples == by_value_carriers(ds, plan, None)[0], trial
+        assert len(whole.examples) == len(set(ds.examples))
+        for fold, (train, test) in enumerate(folds):
+            assert [train.examples, test.examples] == by_value_carriers(ds, plan, fold), trial
         assert fold == num_folds - 1
 
 

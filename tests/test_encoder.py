@@ -332,26 +332,47 @@ class RecordingSink:
         self.num_vars = max(self.num_vars, n)
 
 
+def _dataset(rng, k, m):
+    """m distinct random rows over k features, both classes, weights 1-3."""
+    return BinDataset(k, ["0", "1"], ["f%d" % f for f in range(k)],
+                      [(tuple((v >> f) & 1 for f in range(k)), rng.randrange(2), rng.randint(1, 3))
+                       for v in rng.sample(range(1 << k), m)])
+
+
 def test_encoder_emits_canonical_clauses_in_build_order():
     # a search's clauses go from the Encoder straight into its Solver, whose
     # add_trusted checks no literal; so every clause must already be what
     # normalize_clause makes of it, and the sequence must be the one a
-    # built Formula holds
+    # built Formula holds; beside small random data, two datasets of 20
+    # and more features, whose node choices take exactly_one's ladder, and
+    # two of 16 and 40 rows; sparse mode puts each misclassification flag
+    # first.  A guarded build emits the same clauses, the guard first in
+    # each clause of the ending
     rng = random.Random(606)
+    cases = []
     for trial in range(15):
         ds = random_dataset(rng, max_m=5, max_k=3, weighted=True)
-        n = rng.randint(1, 4)
+        cases.append((ds, rng.randint(1, 4)))
+    cases += [(_dataset(rng, k, m), n) for k, m, n in ((20, 4, 3), (23, 3, 2), (4, 16, 3),
+                                                         (6, 40, 2))]
+    for trial, (ds, n) in enumerate(cases):
         for scope in (Scope.aggregated(), Scope.per_class(0), Scope.per_class(1)):
             for mode, bundle in (("perfect", build_perfect(ds, n, scope)),
                                  ("bounded", build_bounded(ds, n, scope)),
                                  ("sparse", build_sparse(ds, n, 2, scope))):
-                sink = RecordingSink()
-                enc = Encoder(ds, scope, mode, sink, 2 if mode == "sparse" else None)
-                assert enc.build(n)
+                sinks = sink, guarded = RecordingSink(), RecordingSink()
+                encs = [Encoder(ds, scope, mode, s, 2 if mode == "sparse" else None)
+                        for s in sinks]
+                assert encs[0].build(n)
                 assert all(normalize_clause(c) == c for c in sink.clauses), (trial, mode)
                 assert sink.clauses == bundle.formula.hard, (trial, scope, mode)
                 assert sink.num_vars == bundle.formula.num_vars
-                assert enc.soft() == bundle.formula.soft
+                assert encs[0].soft() == bundle.formula.soft
+                g = encs[1].build(n, guarded=True)
+                assert [c[1:] if c[0] == -g else c for c in guarded.clauses] == sink.clauses
+                assert sum(c[0] == -g for c in guarded.clauses) == 1 + len(encs[1].covered)
+    assert max(ds.num_features for ds, _ in cases) > 20
+    assert max(ds.num_examples for ds, _ in cases) == 40
 
 
 class CheckedSink:

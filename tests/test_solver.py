@@ -250,6 +250,53 @@ def test_watch_lists_stay_intact_across_incremental_calls(seed=606, trials=20):
     assert conflicts > 10 * trials
 
 
+def test_a_trusted_batch_builds_what_add_clause_builds(seed=2424, trials=200):
+    # one add_trusted call per batch must leave the solver as add_clause per
+    # clause leaves it: with units mid-batch, literals fixed at the root by
+    # earlier units and solves, clauses of a retired guard, and a clause the
+    # root empties mid-batch, after which the rest of the batch is ignored
+    rng = random.Random(seed)
+    seen = dict.fromkeys(("unit mid-batch", "root-fixed literal", "retired guard",
+                          "emptied mid-batch", "attached"), 0)
+
+    def state(s):
+        return s._watches, s._trail, s.num_vars, s._n_problem_clauses, s.ok
+
+    for _ in range(trials):
+        nv = rng.randint(3, 12)
+        guard = nv + 1
+        trusted, checked = Solver(), Solver()
+        for s in (trusted, checked):
+            s.ensure_vars(guard)
+        for _ in range(rng.randint(1, 5)):
+            batch = []
+            for _ in range(rng.randint(0, 2 * nv)):
+                width = min(rng.choice([1, 2, 2, 3, 3, 3, 4]), nv)
+                lits = [rng.choice([-1, 1]) * v for v in rng.sample(range(1, nv + 1), width)]
+                if rng.random() < 0.2:
+                    lits.insert(0, -guard)  # binds only while the guard is assumed
+                batch.append(lits)
+            trusted.add_trusted([list(c) for c in batch])
+            for pos, c in enumerate(batch):  # checked is in trusted's state before c
+                if not checked.ok:
+                    break
+                assigned = [lit for lit in c if checked._assigns[abs(lit)]]
+                seen["unit mid-batch"] += len(c) == 1 and pos < len(batch) - 1
+                seen["root-fixed literal"] += bool(assigned)
+                seen["retired guard"] += -guard in assigned
+                seen["attached"] += len(c) > 1 and not assigned
+                checked.add_clause(c)
+                seen["emptied mid-batch"] += not checked.ok and pos < len(batch) - 1
+            assert state(trusted) == state(checked)
+            assumptions = [guard] if rng.random() < 0.5 else []
+            assert trusted.solve(assumptions) == checked.solve(assumptions)
+            if rng.random() < 0.3:
+                for s in (trusted, checked):
+                    s.add_clause([-guard])
+            assert state(trusted) == state(checked)
+    assert min(seen.values()) >= 20, seen
+
+
 def assert_heap_intact(s):
     # each unassigned variable has one heap entry at its current activity,
     # and _queued names the newest entry of each variable, if any
