@@ -250,7 +250,7 @@ def _add_flags(sub, model: bool = False, search: bool = False) -> None:
     and with search those of a search (learn and cv)."""
     sub.add_argument("--data", required=True, help="input CSV (last column is the class)")
     sub.add_argument("--bins", type=int, default=2,
-                     help="quantization bins for numeric features (default 2)" + (
+                     help="quantization bins for numeric features: 2, 3 or 4 (default 2)" + (
                          "" if model else "; a column whose training cuts the model "
                                           "stores is binned with those"))
     if model:

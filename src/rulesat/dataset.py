@@ -22,7 +22,6 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import chain, count, repeat
 from math import ceil, isnan
 from operator import add, mul
@@ -35,33 +34,36 @@ class DatasetError(ValueError):
     """Malformed input data or invalid pipeline parameters."""
 
 
-@dataclass
 class RawDataset:
     """Header-labelled string table; the last CSV column is the class."""
 
-    feature_names: list[str]
-    class_name: str
-    columns: list[list[str]]  # one list of values per feature
-    labels: list[str]
+    def __init__(self, feature_names: list[str], class_name: str, columns: list[list[str]],
+                 labels: list[str]):
+        self.feature_names = feature_names
+        self.class_name = class_name
+        self.columns = columns  # one list of values per feature
+        self.labels = labels
 
     @property
     def num_examples(self) -> int:
         return len(self.labels)
 
 
-@dataclass
 class BinDataset:
-    """Fully binarized dataset: examples are 0/1 feature vectors."""
+    """Fully binarized dataset: examples are 0/1 feature vectors.
 
-    num_features: int
-    classes: list[str]
-    feature_names: list[str]
-    examples: list[tuple[tuple[int, ...], int, int]]  # (bits, class index, weight)
-    # numeric column name -> {"cuts": [...], "labels": [...]}: how binarize
-    # binned it, so that other data can be binned the same way
-    numeric_bins: dict = field(default_factory=dict, compare=False, repr=False)
+    Two datasets are equal when all but their numeric_bins are."""
 
-    def __post_init__(self):
+    def __init__(self, num_features: int, classes: list[str], feature_names: list[str],
+                 examples: list[tuple[tuple[int, ...], int, int]],
+                 numeric_bins: dict | None = None):
+        self.num_features = num_features
+        self.classes = classes
+        self.feature_names = feature_names
+        self.examples = examples  # (bits, class index, weight)
+        # numeric column name -> {"cuts": [...], "labels": [...]}: how binarize
+        # binned it, so that other data can be binned the same way
+        self.numeric_bins = {} if numeric_bins is None else numeric_bins
         if len(self.feature_names) != self.num_features:
             raise DatasetError("feature name count does not match width")
         width = self.num_features
@@ -77,6 +79,12 @@ class BinDataset:
                 raise DatasetError("class index %d out of range" % cls)
             if weight < 1:
                 raise DatasetError("example weight must be >= 1")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.num_features, self.classes, self.feature_names, self.examples) == (
+            other.num_features, other.classes, other.feature_names, other.examples)
 
     @property
     def num_examples(self) -> int:
@@ -101,17 +109,17 @@ class BinDataset:
         return out
 
 
-@dataclass
 class SanitizeReport:
-    merged: int = 0   # weight units folded into duplicate carriers
-    removed: int = 0  # weight units dropped with contradictory groups
+    def __init__(self, merged: int = 0, removed: int = 0):
+        self.merged = merged    # weight units folded into duplicate carriers
+        self.removed = removed  # weight units dropped with contradictory groups
 
 
-@dataclass
 class FoldPlan:
-    num_folds: int
-    seed: int
-    assignments: list[int]  # example index -> fold index
+    def __init__(self, num_folds: int, seed: int, assignments: list[int]):
+        self.num_folds = num_folds
+        self.seed = seed
+        self.assignments = assignments  # example index -> fold index
 
     def test_indices(self, fold: int) -> list[int]:
         return [i for i, f in enumerate(self.assignments) if f == fold]

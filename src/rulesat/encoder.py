@@ -60,7 +60,6 @@ class in every scope and join the rules (optimizer._join).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import ceil
 
 from .dataset import BinDataset
@@ -73,7 +72,6 @@ class EncodingError(ValueError):
     """Invalid scope, node count, or penalty for an encoding request."""
 
 
-@dataclass(frozen=True)
 class Scope:
     """Which examples a training model must classify.
 
@@ -81,10 +79,24 @@ class Scope:
     node truth value at a leaf picks the class.  per_class: the model
     only predicts the target class, leaves are forced positive, and
     examples of other classes must simply stay uncovered.
+
+    A scope is an immutable value: equal kind and target, equal scope.
     """
 
-    kind: str
-    target: int | None = None
+    def __init__(self, kind: str, target: int | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "target", target)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r of a Scope" % name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.target) == (other.kind, other.target)
+
+    def __hash__(self):
+        return hash((self.kind, self.target))
 
     @staticmethod
     def aggregated() -> "Scope":
@@ -113,7 +125,6 @@ class Scope:
             raise EncodingError("unknown scope kind %r" % (self.kind,))
 
 
-@dataclass
 class VarMap:
     """Variable ids for one encoding instance, laid out node by node.
 
@@ -125,18 +136,16 @@ class VarMap:
     node never renumbers the earlier ones.
     """
 
-    n_nodes: int
-    n_features: int
-    n_examples: int
-    has_unused: bool = False
-    has_misclass: bool = False
-    num_vars: int = field(default=0, init=False)
-    _first: list[int] = field(default_factory=list, init=False, repr=False)
-
-    def __post_init__(self):
-        nodes, self.n_nodes = self.n_nodes, 0
-        self.num_vars = self.n_examples if self.has_misclass else 0
-        for _ in range(nodes):
+    def __init__(self, n_nodes: int, n_features: int, n_examples: int,
+                 has_unused: bool = False, has_misclass: bool = False):
+        self.n_nodes = 0  # add_node counts up to n_nodes
+        self.n_features = n_features
+        self.n_examples = n_examples
+        self.has_unused = has_unused
+        self.has_misclass = has_misclass
+        self.num_vars = n_examples if has_misclass else 0
+        self._first: list[int] = []
+        for _ in range(n_nodes):
             self.add_node()
 
     @property
@@ -212,14 +221,15 @@ class VarMap:
         return doc
 
 
-@dataclass
 class CnfBundle:
-    formula: Formula
-    varmap: VarMap
-    scope: Scope
-    mode: str  # "perfect" | "bounded" | "sparse"
-    classes: list[str]
-    lambda_cost: int | None = None
+    def __init__(self, formula: Formula, varmap: VarMap, scope: Scope, mode: str,
+                 classes: list[str], lambda_cost: int | None = None):
+        self.formula = formula
+        self.varmap = varmap
+        self.scope = scope
+        self.mode = mode  # "perfect" | "bounded" | "sparse"
+        self.classes = classes
+        self.lambda_cost = lambda_cost
 
 
 def exactly_one(lits, new_var=None, pairwise_limit: int = PAIRWISE_LIMIT) -> list[list[int]]:

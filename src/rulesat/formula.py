@@ -6,8 +6,6 @@ Literals are nonzero ints: +v is the positive literal of variable v,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 
 class FormulaError(ValueError):
     """Malformed clause, literal, weight, or assignment."""
@@ -37,13 +35,14 @@ def normalize_clause(lits) -> tuple[int, ...] | None:
     return tuple(sorted(seen, key=lambda l: (abs(l), l < 0)))
 
 
-@dataclass
 class Formula:
     """A CNF formula with hard and weighted soft clauses; a clause sink like a Solver."""
 
-    num_vars: int = 0
-    hard: list[tuple[int, ...]] = field(default_factory=list)
-    soft: list[tuple[tuple[int, ...], int]] = field(default_factory=list)
+    def __init__(self, num_vars: int = 0, hard: list[tuple[int, ...]] | None = None,
+                 soft: list[tuple[tuple[int, ...], int]] | None = None):
+        self.num_vars = num_vars
+        self.hard = [] if hard is None else hard
+        self.soft = [] if soft is None else soft
 
     def add_hard(self, lits) -> None:
         clause = normalize_clause(lits)

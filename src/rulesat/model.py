@@ -9,7 +9,6 @@ plus one for the head, mirroring the node count that produced it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import repeat
 from math import isnan
 from operator import eq, itemgetter, mul, or_
@@ -23,18 +22,16 @@ class ModelError(ValueError):
     """Inconsistent decision set, assignment, or serialized document."""
 
 
-@dataclass(frozen=True)
 class Rule:
-    body: tuple[tuple[int, bool], ...]  # (feature index, required polarity)
-    head: int  # class index
-    # the coverage test, built once: a getter over the body's features
-    # and the value it must return on a covered tuple of bits
-    _pick: itemgetter = field(init=False, repr=False, compare=False)
-    _want: int | tuple[int, ...] = field(init=False, repr=False, compare=False)
+    """An immutable value: equal body and head, equal rule."""
 
-    def __post_init__(self):
-        features = [f for f, _ in self.body]
-        want = tuple(1 if positive else 0 for _, positive in self.body)
+    def __init__(self, body: tuple[tuple[int, bool], ...], head: int):
+        object.__setattr__(self, "body", body)  # (feature index, required polarity)
+        object.__setattr__(self, "head", head)  # class index
+        # the coverage test, built once: a getter over the body's features
+        # and the value it must return on a covered tuple of bits
+        features = [f for f, _ in body]
+        want = tuple(1 if positive else 0 for _, positive in body)
         if len(features) == 1:  # a one-item getter returns the bit, not a tuple
             pick, want = itemgetter(features[0]), want[0]
         elif features:
@@ -43,6 +40,17 @@ class Rule:
             pick = itemgetter(slice(0, 0))  # () for every tuple
         object.__setattr__(self, "_pick", pick)
         object.__setattr__(self, "_want", want)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r of a Rule" % name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.body, self.head) == (other.body, other.head)
+
+    def __hash__(self):
+        return hash((self.body, self.head))
 
     @property
     def size(self) -> int:
@@ -63,25 +71,27 @@ class Rule:
         return "%s => %s" % (lhs, classes[self.head])
 
 
-@dataclass
 class DecisionSet:
-    rules: list[Rule]
-    classes: list[str]
-    total_size: int
-    metadata: dict = field(default_factory=dict)
+    def __init__(self, rules: list[Rule], classes: list[str], total_size: int,
+                 metadata: dict | None = None):
+        self.rules = rules
+        self.classes = classes
+        self.total_size = total_size
+        self.metadata = {} if metadata is None else metadata
 
     @property
     def num_rules(self) -> int:
         return len(self.rules)
 
 
-@dataclass
 class EvalReport:
-    num_examples: int  # weighted count of evaluated examples
-    errors: int        # weighted count of misclassified examples
-    accuracy: float
-    per_example: list[str]
-    separated_errors: int | None = None
+    def __init__(self, num_examples: int, errors: int, accuracy: float, per_example: list[str],
+                 separated_errors: int | None = None):
+        self.num_examples = num_examples  # weighted count of evaluated examples
+        self.errors = errors              # weighted count of misclassified examples
+        self.accuracy = accuracy
+        self.per_example = per_example
+        self.separated_errors = separated_errors
 
     def to_json_dict(self) -> dict:
         doc = {
@@ -287,7 +297,7 @@ def deserialize(doc: dict) -> DecisionSet:
     if not isinstance(rules_doc, list):
         raise ModelError("rules must be a list")
     rules = []
-    for rd in rules_doc:
+    for index, rd in enumerate(rules_doc):
         if not isinstance(rd, dict) or "body" not in rd or "head" not in rd:
             raise ModelError("each rule needs body and head")
         head = rd["head"]
@@ -302,7 +312,10 @@ def deserialize(doc: dict) -> DecisionSet:
                 or not isinstance(ld.get("neg"), bool)
             ):
                 raise ModelError("bad body literal %r" % (ld,))
-            body.append((ld["feature"], not ld["neg"]))
+            literal = (ld["feature"], not ld["neg"])
+            if literal in body:  # it would count twice in the rule's size
+                raise ModelError("rule %d repeats the body literal %r" % (index, ld))
+            body.append(literal)
         rules.append(Rule(body=tuple(body), head=head))
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):

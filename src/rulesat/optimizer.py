@@ -65,9 +65,7 @@ conflicts of a stats record are what the tally gained over its search.
 
 from __future__ import annotations
 
-import copy
 import time
-from dataclasses import dataclass, field
 from math import inf
 
 from .cardinality import build_totalizer
@@ -93,10 +91,10 @@ class OptimizerError(ValueError):
     """Invalid optimizer request."""
 
 
-@dataclass
 class SearchLimits:
-    wall_time_budget: float = 600.0  # seconds for one minimize_* or maxsat_solve call
-    per_solve_budget: float = 60.0   # seconds for one solver call
+    def __init__(self, wall_time_budget: float = 600.0, per_solve_budget: float = 60.0):
+        self.wall_time_budget = wall_time_budget  # seconds for one minimize_* or maxsat_solve call
+        self.per_solve_budget = per_solve_budget  # seconds for one solver call
 
     def validate(self) -> None:
         # NaN compares false with everything, and an infinite budget has no deadline
@@ -104,20 +102,22 @@ class SearchLimits:
             raise OptimizerError("time budgets must be positive and finite")
 
 
-@dataclass
 class SolveOutcome:
-    status: str  # "optimal" | "feasible" | "infeasible" | "timeout"
-    decision_set: DecisionSet | None = None
-    objective: int | None = None
-    stats: dict = field(default_factory=dict)
+    def __init__(self, status: str, decision_set: DecisionSet | None = None,
+                 objective: int | None = None, stats: dict | None = None):
+        self.status = status  # "optimal" | "feasible" | "infeasible" | "timeout"
+        self.decision_set = decision_set
+        self.objective = objective
+        self.stats = {} if stats is None else stats
 
 
-@dataclass
 class MaxsatResult:
-    status: str  # "optimal" | "infeasible" | "timeout"
-    assignment: Assignment | None = None
-    cost: int | None = None
-    stats: dict = field(default_factory=dict)
+    def __init__(self, status: str, assignment: Assignment | None = None,
+                 cost: int | None = None, stats: dict | None = None):
+        self.status = status  # "optimal" | "infeasible" | "timeout"
+        self.assignment = assignment
+        self.cost = cost
+        self.stats = {} if stats is None else stats
 
 
 def default_node_budget(num_features: int) -> int:
@@ -192,7 +192,8 @@ class _Clock:
         the last gets all that is left.  A share never ends after this
         clock, so past its deadline the share is expired too."""
         now = time.monotonic()
-        share = copy.copy(self)
+        share = object.__new__(_Clock)
+        share.limits, share.start, share.tally = self.limits, self.start, self.tally
         share.wall_deadline = min(self.wall_deadline,
                                   now + (self.wall_deadline - now) / runs_left)
         return share
@@ -352,13 +353,13 @@ def _verified(dset: DecisionSet, ds: BinDataset, scope: Scope) -> DecisionSet:
     return dset
 
 
-@dataclass
 class _Round:
     """The search at one node budget, as reported to _search_budgets."""
 
-    status: str  # status of the round's progress record
-    found: SolveOutcome | None = None  # the round's best; an "optimal" one ends the search
-    next: int | None = None  # the budget of the next round, larger than this one's
+    def __init__(self, status: str, found: SolveOutcome | None = None, next: int | None = None):
+        self.status = status  # status of the round's progress record
+        self.found = found  # the round's best; an "optimal" one ends the search
+        self.next = next  # the budget of the next round, larger than this one's
 
 
 def _search_budgets(clock: _Clock, n: int, progress, solve_round) -> SolveOutcome:

@@ -101,8 +101,28 @@ class Solver:
         return self.num_vars
 
     def ensure_vars(self, n: int) -> None:
-        while self.num_vars < n:
-            self.new_var()
+        """Grow to n variables, as one new_var per missing id would.
+
+        The new heap entries (0.0, v) go on the end in id order, with no
+        sift: every key already in the heap is -activity <= 0.0 with a
+        lower id, so each is where heappush would leave it."""
+        old = self.num_vars
+        if n <= old:
+            return
+        grow = n - old
+        self.num_vars = n
+        self._assigns += [0] * grow
+        self._level += [0] * grow
+        self._reason += [None] * grow
+        self._saved += [False] * grow
+        self._activity += [0.0] * grow
+        self._queued += [0.0] * grow
+        self._seen += bytes(grow)
+        watches = self._watches
+        for v in range(old + 1, n + 1):
+            watches[v] = []
+            watches[-v] = []
+        self._heap += [(0.0, v) for v in range(old + 1, n + 1)]
 
     def set_phase(self, lit: int) -> None:
         """Make the first decision on lit's variable try lit.

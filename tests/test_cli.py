@@ -442,8 +442,9 @@ def test_cv_checks_each_row_once(ex1_csv, capsys, monkeypatch):
     # binarize checks the rows; each fold's subsets and sanitize output
     # come from checked rows and are not checked again
     calls = []
-    check = BinDataset.__post_init__
-    monkeypatch.setattr(BinDataset, "__post_init__", lambda ds: calls.append(check(ds)))
+    check = BinDataset.__init__  # every constructor call checks its examples
+    monkeypatch.setattr(BinDataset, "__init__",
+                        lambda ds, *args, **kwargs: calls.append(check(ds, *args, **kwargs)))
     run_cv(ex1_csv, capsys, "--folds", "3", "--mode", "mopt")
     assert len(calls) <= 1
 
@@ -743,6 +744,15 @@ def test_help_exits_0(command, capsys):
     # shows up here and nowhere else
     assert main(command + ["--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: rulesat")
+
+
+def test_bins_help_names_the_levels_binarize_takes(ex1_csv, capsys):
+    for command in ("learn", "eval", "cv", "encode"):
+        assert main([command, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "quantization bins for numeric features: 2, 3 or 4 (default 2)" in text, command
+    assert main(["learn", "--data", ex1_csv, "--bins", "5"]) == 1
+    assert "quantization level must be 2, 3, or 4, got 5" in capsys.readouterr().err
 
 
 def test_n0_help_matches_each_command(capsys):

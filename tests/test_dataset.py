@@ -380,13 +380,13 @@ def test_binarize_checks_each_distinct_example_once(tmp_path, monkeypatch):
         lines.append("%.3f,%s,%d,%s" % (rng.uniform(0, 10), color, flag, label))
     raw = load_csv(write_csv(tmp_path, "\n".join(lines) + "\n"))
     checked = []
-    check = BinDataset.__post_init__
+    check = BinDataset.__init__  # every constructor call checks its examples
 
-    def record(ds):
+    def record(ds, *args, **kwargs):
+        check(ds, *args, **kwargs)
         checked.append(len(ds.examples))
-        check(ds)
 
-    monkeypatch.setattr(BinDataset, "__post_init__", record)
+    monkeypatch.setattr(BinDataset, "__init__", record)
     ds = binarize(raw)
     assert ds.num_examples == 12000
     assert checked == [len({(bits, cls) for bits, cls, _ in ds.examples})] == [12]

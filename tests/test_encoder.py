@@ -242,6 +242,17 @@ def test_the_cli_imports_fractions_only_for_a_penalty():
     assert out == "False\n"
 
 
+def test_the_cli_imports_no_dataclasses():
+    # every CLI process would pay for dataclasses' own imports (inspect,
+    # ast, dis, ...) and for each decorator's generated methods
+    env = dict(os.environ, PYTHONPATH=str(Path(rulesat.__file__).parent.parent))
+    probe = ("import sys, rulesat.cli; print(sorted("
+             "{'dataclasses', 'inspect', 'ast', 'dis', 'copy'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         encoding="utf-8", check=True).stdout
+    assert out == "[]\n"
+
+
 # ---------------------------------------------------------------- builders
 
 

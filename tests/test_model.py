@@ -1,7 +1,6 @@
 """Rule coverage, decoding, scoring, and model (de)serialization."""
 
 import random
-from dataclasses import asdict
 
 import pytest
 
@@ -260,7 +259,10 @@ def test_evaluate_matches_the_row_by_row_reference():
         model = DecisionSet(rules=rules, classes=model_classes, total_size=0)
         for mode in ("standard", "separated"):
             report = evaluate(model, ds, mode=mode)
-            assert asdict(report) == evaluate_rows(
+            fields = {"num_examples": report.num_examples, "errors": report.errors,
+                      "accuracy": report.accuracy, "per_example": report.per_example,
+                      "separated_errors": report.separated_errors}
+            assert fields == evaluate_rows(
                 rules, model_classes, ds, separated=mode == "separated")
         outcomes |= set(report.per_example)
     assert kinds == {"empty", "contradictory", "repeated"}
@@ -360,11 +362,29 @@ def test_save_and_load_model(tmp_path):
                       {"cuts": [2, 2], "labels": ["a", "b", "c"]},
                       {"cuts": [4.0], "labels": ["a"]},
                       {"cuts": [4.0], "labels": ["a", 1]})
+    ] + [
+        # a repeated literal would count twice in the rule's size
+        ({"classes": ["a"], "rules": [{"body": [], "head": 0},
+                                      {"body": [{"feature": 0, "neg": False},
+                                                {"feature": 1, "neg": True},
+                                                {"feature": 0, "neg": False}], "head": 0}],
+          "total_size": 0},
+         "^rule 1 repeats the body literal {'feature': 0, 'neg': False}$"),
     ],
 )
 def test_deserialize_rejects_malformed_documents(doc, fragment):
     with pytest.raises(ModelError, match=fragment):
         deserialize(doc)
+
+
+def test_deserialize_keeps_a_body_that_holds_a_feature_and_its_negation():
+    # a feasible node-search model may hold one; it covers nothing
+    doc = {"classes": ["a", "b"], "total_size": 3,
+           "rules": [{"body": [{"feature": 0, "neg": False}, {"feature": 0, "neg": True}],
+                      "head": 1}]}
+    rule, = deserialize(doc).rules
+    assert rule == Rule(((0, True), (0, False)), 1) and rule.size == 3
+    assert not rule.covers((0,)) and not rule.covers((1,))
 
 
 def test_load_model_rejects_invalid_json(tmp_path):

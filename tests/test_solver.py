@@ -338,6 +338,47 @@ def test_heap_keeps_one_live_entry_per_variable(monkeypatch, cap, seed=707, tria
     assert bool(rescales) == (cap is not None)
 
 
+class OneVarAtATime(Solver):
+    def ensure_vars(self, n):
+        while self.num_vars < n:
+            self.new_var()
+
+
+def solver_state(s):
+    return (s.num_vars, s._heap, s._assigns, s._queued, s._watches, s._level, s._reason,
+            s._saved, s._activity, bytes(s._seen), s.conflicts)
+
+
+def test_ensure_vars_grows_as_one_new_var_per_id_does(seed=2525, trials=40):
+    # ensure_vars, and add_clause through it, appends to a heap that
+    # earlier solves filled with bumped (negative) keys
+    rng = random.Random(seed)
+    grown_over_bumps = conflicts = 0
+    for _ in range(trials):
+        solvers = (Solver(), OneVarAtATime())
+        for _ in range(24):
+            nv = solvers[0].num_vars
+            kind = rng.choice(["ensure_vars", "new_var", "add_clause", "solve"])
+            if kind == "ensure_vars":
+                calls = [(kind, rng.randint(0, nv + 15))]
+                grown_over_bumps += calls[0][1] > nv and any(k < 0 for k, _ in solvers[0]._heap)
+            elif kind == "new_var":
+                calls = [(kind,)]
+            elif kind == "add_clause":
+                top = nv + rng.randint(1, 4)  # add_clause grows to its largest variable
+                calls = [(kind, [rng.choice([-1, 1]) * rng.randint(1, top) for _ in range(3)])
+                         for _ in range(top)]
+            else:
+                calls = [(kind, [rng.choice([-1, 1]) * v
+                                 for v in rng.sample(range(1, nv + 1), min(nv, 2))])]
+            for s in solvers:
+                for name, *args in calls:
+                    getattr(s, name)(*args)
+            assert solver_state(solvers[0]) == solver_state(solvers[1])
+        conflicts += solvers[0].conflicts
+    assert grown_over_bumps and conflicts
+
+
 def test_search_counts_are_pinned(monkeypatch):
     # the solver has no randomness, so conflict counts are an exact
     # fingerprint of its decisions, propagation order and learnt clauses;
