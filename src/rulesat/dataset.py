@@ -370,11 +370,17 @@ def fold_carriers(ds: BinDataset, plan: FoldPlan):
     ds.subset(plan.train_indices(fold)), and evaluate scores its test set
     as it scores ds.subset(plan.test_indices(fold)): both read only weight
     sums.  The carriers come from checked rows and are not checked again.
-    Each row's fold must be in range(plan.num_folds), as kfold_split's are.
+    Raises DatasetError unless plan has one fold per row, each in
+    range(plan.num_folds), as kfold_split's plans have.
     """
+    k = plan.num_folds
+    if len(plan.assignments) != ds.num_examples:
+        raise DatasetError("the fold plan has %d rows, the dataset %d"
+                           % (len(plan.assignments), ds.num_examples))
+    if not set(plan.assignments) <= set(range(k)):
+        raise DatasetError("the fold plan has a fold outside 0..%d" % (k - 1))
     by_id: dict = {}
     first: dict = {}
-    k = plan.num_folds
     # one pass over the rows, in C, that hashes no example tuple: a row's
     # code is its example object's first row * k + its fold
     codes = Counter(map(add, map(by_id.setdefault, map(id, ds.examples), count(0, k)),

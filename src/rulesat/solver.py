@@ -6,8 +6,8 @@ subset of the assumptions sufficient for unsatisfiability (empty when
 the formula is unconditionally UNSAT).
 
 Internals: two-watched-literal propagation, first-UIP clause learning,
-activity-driven branching with phase saving, Luby restarts, and a simple
-size-based reduction of the learnt clause store.
+activity-driven branching with phase saving, a restart every 256
+conflicts, and a simple size-based reduction of the learnt clause store.
 
 add_clause checks every literal it is given.  add_trusted skips those
 checks for a caller that emits batches of canonical clauses over
@@ -33,7 +33,7 @@ from heapq import heapify, heappop, heappush
 
 from .formula import Assignment, FormulaError, is_literal
 
-_RESTART_UNIT = 128
+_RESTART_CONFLICTS = 256
 _ACTIVITY_CAP = 1e100
 _DECAY = 1 / 0.95
 _DEADLINE_CHECK = 128
@@ -42,19 +42,6 @@ _HEAP_SLACK = 4  # stale heap entries allowed per variable before a rebuild
 
 class SolveBudgetExceeded(Exception):
     """A solve() call ran past its deadline."""
-
-
-def _luby(i: int) -> int:
-    # Luby restart sequence 1 1 2 1 1 2 4 ...
-    k = 1
-    while (1 << (k + 1)) <= i + 1:
-        k += 1
-    while (1 << k) - 1 != i + 1:
-        i = i - (1 << k) + 1
-        k = 1
-        while (1 << (k + 1)) <= i + 1:
-            k += 1
-    return 1 << k
 
 
 class Solver:
@@ -134,10 +121,6 @@ class Solver:
         self.ensure_vars(abs(lit))
         self._saved[abs(lit)] = lit > 0
 
-    def _value(self, lit: int) -> int:
-        v = self._assigns[lit] if lit > 0 else -self._assigns[-lit]
-        return v
-
     def add_clause(self, lits) -> None:
         """Add a clause; must be called between solve() calls.
 
@@ -206,8 +189,7 @@ class Solver:
             self.ok = False
             return
         if len(clause) == 1:
-            if not self._enqueue(clause[0], None):
-                self.ok = False
+            self._enqueue(clause[0], None)
             return
         self._attach(clause)
         self._n_problem_clauses += 1
@@ -224,16 +206,13 @@ class Solver:
     # ------------------------------------------------------------------
     # trail maintenance
 
-    def _enqueue(self, lit: int, reason) -> bool:
-        val = self._value(lit)
-        if val != 0:
-            return val == 1
+    def _enqueue(self, lit: int, reason) -> None:
+        """Assign lit, which every caller hands over unassigned."""
         v = abs(lit)
         self._assigns[v] = 1 if lit > 0 else -1
         self._level[v] = len(self._trail_lim)
         self._reason[v] = reason
         self._trail.append(lit)
-        return True
 
     def _cancel_until(self, level: int) -> None:
         if len(self._trail_lim) <= level:
@@ -487,21 +466,20 @@ class Solver:
                 raise FormulaError("bad assumption literal %r" % (lit,))
             self.ensure_vars(abs(lit))
         self._cancel_until(0)
-        restart_round = 0
-        budget = _RESTART_UNIT * _luby(restart_round)
         conflicts_here = 0
         since_check = 0
         while True:
+            # one step: a conflict, a restart or a decision
+            since_check += 1
+            if since_check >= _DEADLINE_CHECK:
+                since_check = 0
+                if deadline is not None and time.monotonic() > deadline:
+                    self._cancel_until(0)
+                    raise SolveBudgetExceeded
             confl = self._propagate()
             if confl is not None:
                 self.conflicts += 1
                 conflicts_here += 1
-                since_check += 1
-                if since_check >= _DEADLINE_CHECK:
-                    since_check = 0
-                    if deadline is not None and time.monotonic() > deadline:
-                        self._cancel_until(0)
-                        raise SolveBudgetExceeded
                 if not self._trail_lim:
                     self.ok = False
                     self.core = []
@@ -509,35 +487,24 @@ class Solver:
                 learnt, back = self._analyze(confl)
                 self._cancel_until(back)
                 if len(learnt) == 1:
-                    if not self._enqueue(learnt[0], None):
-                        self.ok = False
-                        self.core = []
-                        return False
+                    self._enqueue(learnt[0], None)
                 else:
                     self._learnts.append(learnt)
                     self._attach(learnt)
                     self._enqueue(learnt[0], learnt)
                 self._var_inc *= _DECAY
                 continue
-            if conflicts_here >= budget:
+            if conflicts_here >= _RESTART_CONFLICTS:
                 conflicts_here = 0
-                restart_round += 1
-                budget = _RESTART_UNIT * _luby(restart_round)
                 self._cancel_until(0)
                 if len(self._learnts) > max(self._max_learnts, 3 * self._n_problem_clauses):
                     self._reduce_learnts()
                 continue
-            since_check += 1
-            if since_check >= _DEADLINE_CHECK:
-                since_check = 0
-                if deadline is not None and time.monotonic() > deadline:
-                    self._cancel_until(0)
-                    raise SolveBudgetExceeded
             lit = 0
             level = len(self._trail_lim)
             while level < len(assumptions):
                 a = assumptions[level]
-                val = self._value(a)
+                val = self._assigns[a] if a > 0 else -self._assigns[-a]
                 if val == 1:
                     self._trail_lim.append(len(self._trail))  # placeholder level
                     level += 1

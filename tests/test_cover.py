@@ -148,6 +148,21 @@ def test_stage_one_out_of_time_is_a_timeout_with_no_set(ex1):
         assert (out.status, out.decision_set, out.objective) == ("timeout", None, None)
 
 
+def test_stage_two_out_of_time_before_its_first_cover_is_a_timeout(monkeypatch):
+    def no_solve(solver, soft, phase, clock, progress, **tags):
+        def out_of_time(solver, assumptions):
+            raise SolveBudgetExceeded
+        clock.solve = out_of_time
+        return optimizer._descend(solver, soft, phase, clock, progress, **tags)
+
+    monkeypatch.setattr(cover, "_descend", no_solve)
+    ds = planted_probe(80, 0)
+    for scope in (Scope.per_class(0), AGG):
+        out = minimize_exact_fit(ds, scope)
+        assert (out.status, out.decision_set, out.objective) == ("timeout", None, None)
+        assert out.stats["primes"] > 0 and out.stats["models"] == 0
+
+
 def test_stage_two_out_of_time_keeps_its_best_cover(monkeypatch):
     def first_solve_only(solver, soft, phase, clock, progress, **tags):
         solve = clock.solve

@@ -318,6 +318,12 @@ def test_binarize_rejects_bad_quantization(tmp_path, q):
         binarize(load_csv(path), q=q)
 
 
+def test_quantize_drops_a_cut_at_the_largest_value():
+    # the median is the maximum, so no value lies above the only cut:
+    # the column is a single bin
+    assert _quantize([1, 2, 3, 3, 3, 3, 3, 3], 2) == ([], ["bin0"])
+
+
 def rowwise_examples(raw, q):
     """binarize's examples built one row at a time from per-column codes."""
     columns = []
@@ -703,6 +709,22 @@ def test_fold_carriers_train_and_score_as_the_rows_do():
                     == (scored.num_examples, scored.errors, scored.accuracy,
                         scored.separated_errors)), (trial, fold)
         assert fold == num_folds - 1
+
+
+def test_fold_carriers_refuse_a_plan_that_does_not_fit():
+    # a row's carrier code is its first row * num_folds + its fold, so a
+    # fold out of range would pass one row off as another's
+    ds = BinDataset(2, ["0", "1"], ["a", "b"],
+                    [((1, 0), 0, 1), ((0, 1), 1, 1), ((1, 1), 1, 1), ((0, 0), 0, 1)])
+    for assignments, message in (([0, 2, 1, 0], "fold outside 0..1"),
+                                 ([0, -1, 1, 0], "fold outside 0..1"),
+                                 ([0, 1], "2 rows, the dataset 4"),
+                                 ([0, 1, 0, 1, 0], "5 rows, the dataset 4")):
+        with pytest.raises(DatasetError, match=message):
+            fold_carriers(ds, FoldPlan(2, 0, assignments))
+    whole, folds = fold_carriers(ds, kfold_split(ds, 2, seed=0))
+    assert whole.examples == ds.examples
+    assert sorted(ex for _, test in folds for ex in test.examples) == sorted(ds.examples)
 
 
 def by_value_carriers(ds, plan, fold):

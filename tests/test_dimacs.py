@@ -81,6 +81,9 @@ def test_wcnf_weight_at_top_becomes_hard(tmp_path):
 @pytest.mark.parametrize("text,fragment", [
     ("1 2 0\n", "problem line"),
     ("p cnf 2\n1 0\n", "malformed"),
+    ("p cnf x 3\n", "malformed"),  # a count that is not an int
+    ("p cnf -1 2\n", "negative counts"),
+    ("c comments\nc only\n", "missing problem line"),
     ("p cnf 2 1\np cnf 2 1\n1 0\n", "duplicate"),
     ("p cnf 2 1\n1 3 0\n", "exceeds"),
     ("p cnf 2 1\n1 2\n", "not terminated"),

@@ -42,6 +42,13 @@ def test_add_hard_tracks_num_vars_and_skips_tautologies():
     assert len(f.hard) == 1
 
 
+def test_tautologies_keep_nothing():
+    f = Formula()
+    f.add_hard([1, -1])
+    f.add_soft([3, -3, 4], 2)
+    assert (f.num_vars, f.hard, f.soft) == (0, [], [])
+
+
 def test_add_soft_weight_validation():
     f = Formula()
     f.add_soft([1], 3)

@@ -146,6 +146,20 @@ def test_maxsat_counter_stops_between_totalizers_past_the_deadline(ex1, monkeypa
     assert calls == ["build_totalizer"]
 
 
+def test_maxsat_counter_stops_between_merges_past_the_deadline(ex1, monkeypatch):
+    # the same two totalizers, both built before the clock runs out: the
+    # merge of their levels is not started
+    calls = []
+    monkeypatch.setattr(optimizer, "build_totalizer",
+                        counting(calls, "build_totalizer", optimizer.build_totalizer))
+    monkeypatch.setattr(optimizer, "_merge", counting(calls, "_merge", optimizer._merge))
+    monkeypatch.setattr(optimizer._Clock, "expired", lambda self: len(calls) == 2)
+    res = maxsat_solve(build_sparse(ex1, 3, 4, AGG))
+    assert res.status == "timeout"
+    assert res.assignment is None
+    assert calls == ["build_totalizer", "build_totalizer"]
+
+
 def test_cost_levels_are_exact_at_every_bound():
     # no hard clauses: a bound b admits a model exactly when some
     # assignment falsifies at most weight b, and every model it admits does

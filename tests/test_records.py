@@ -121,6 +121,7 @@ def test_bin_datasets_compare_without_their_numeric_bins():
     assert plain == binned
     assert plain != BinDataset(2, ["n", "p"], ["a", "b"], examples[:1])
     assert plain != BinDataset(2, ["n", "p"], ["a", "c"], examples)
+    assert plain != (2, ["n", "p"], ["a", "b"], examples)
 
 
 @pytest.mark.parametrize("args, message", [

@@ -29,8 +29,8 @@ def random_cnf(rng, max_vars=10, max_len=4):
     return nv, clauses
 
 
-def build_solver(nv, clauses):
-    s = Solver()
+def build_solver(nv, clauses, cls=Solver):
+    s = cls()
     s.ensure_vars(nv)
     for c in clauses:
         s.add_clause(c)
@@ -468,6 +468,97 @@ def test_search_counts_are_pinned(monkeypatch):
     out = optimizer.minimize_sparse(make_ex1(), Scope.per_class(0), lam=0.1, n0=2)
     assert (out.objective, [r["n"] for r in out.stats["rounds"]], per_call) == (
         3, [2], [0, 0, 3, 0, 0, 5, 2])
+
+    # a search that restarts, every 256 conflicts
+    s = build_solver(*php_clauses(7, 6), cls=Audited)
+    assert s.solve() is False
+    assert (s.conflicts, s.restarts) == (780, [256, 513, 771])
+
+
+class Audited(Solver):
+    """A Solver that records its restarts and audits its learnt store.
+
+    restarts lists the conflict count at each restart: a jump to the root
+    right after a propagation without conflict, where a decision or the
+    end of the search would come next.  Each reduction of the learnt
+    store is checked, and recorded in reductions as (learnts, dropped,
+    locked): locked counts the learnts longer than 2 in the longer half,
+    the droppable one, that are the reason of an assignment.  Every
+    literal handed to _enqueue must be unassigned."""
+
+    def __init__(self):
+        super().__init__()
+        self.restarts = []
+        self.reductions = []
+        self._quiet = False  # the last step propagated without conflict
+
+    def _propagate(self):
+        confl = super()._propagate()
+        self._quiet = confl is None
+        return confl
+
+    def _pick_branch(self):
+        self._quiet = False
+        return super()._pick_branch()
+
+    def _analyze_final(self, failed):
+        self._quiet = False
+        return super()._analyze_final(failed)
+
+    def _cancel_until(self, level):
+        if self._quiet:
+            self.restarts.append(self.conflicts)
+        super()._cancel_until(level)
+
+    def _enqueue(self, lit, reason):
+        assert self._assigns[abs(lit)] == 0, lit
+        return super()._enqueue(lit, reason)
+
+    def _reduce_learnts(self):
+        before = sorted(self._learnts, key=len)
+        reasons = {id(self._reason[abs(lit)]) for lit in self._trail}
+        super()._reduce_learnts()
+        kept = {id(c) for c in self._learnts}
+        dropped = [c for c in before if id(c) not in kept]
+        assert not [c for c in dropped if id(c) in reasons], "a locked learnt was dropped"
+        watched = {id(c) for ws in self._watches.values() for c in ws}
+        assert not [c for c in dropped if id(c) in watched], "a dropped learnt is watched"
+        assert_watches_intact(self)
+        locked = [c for c in before[len(before) // 2:] if len(c) > 2 and id(c) in reasons]
+        self.reductions.append((len(before), len(dropped), len(locked)))
+
+
+def test_learnt_store_reduction_keeps_locked_clauses_and_watches():
+    # PHP(7,6) with a small store: each reduction halves the learnts it
+    # finds and keeps the watches of the rest (Audited checks them)
+    s = build_solver(*php_clauses(7, 6), cls=Audited)
+    s._max_learnts = 50
+    assert s.solve() is False
+    assert s.conflicts == 791
+    assert [dropped for _, dropped, _ in s.reductions] == [256, 256]
+
+    # a learnt made a reason at the root: under the assumptions a_1..a_k,
+    # deciding -v conflicts through y, so the solver learns
+    # (v | -a_1 | ... | -a_k); with the a_i added as units it implies v at
+    # the root, and stays that reason while the pigeonhole search below
+    # restarts and reduces its store.  At k = 40 it is longer than most
+    # pigeonhole learnts, so it sits in the half a reduction may drop
+    nv, clauses = php_clauses(7, 6)
+    k = 40
+    gadget = list(range(nv + 1, nv + k + 1))
+    v, y = nv + k + 1, nv + k + 2
+    s = Audited()
+    s._max_learnts = 50
+    for lit in (y, -y):
+        s.add_clause([-a for a in gadget] + [v, lit])
+    assert s.solve(assumptions=gadget) is True
+    assert [sorted(c) for c in s._learnts] == [sorted([-a for a in gadget] + [v])]
+    for c in clauses:
+        s.add_clause(c)
+    for a in gadget:
+        s.add_clause([a])
+    assert s.solve() is False
+    assert s.reductions and all(locked >= 1 for _, _, locked in s.reductions), s.reductions
 
 
 def test_pigeonhole_unsat():
