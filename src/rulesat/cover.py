@@ -43,12 +43,9 @@ from functools import partial
 from .dataset import BinDataset
 from .encoder import Scope
 from .model import DecisionSet, Rule
-from .optimizer import SearchLimits, SolveOutcome, _Clock, _descend, _exact_fit, _verified
+from .optimizer import (SearchLimits, SolveOutcome, _Clock, _descend, _exact_fit, _mask,
+                        _verified)
 from .solver import SolveBudgetExceeded, Solver
-
-
-def _mask(bits) -> int:
-    return sum(bit << f for f, bit in enumerate(bits))
 
 
 def _variables(features: int) -> list[int]:

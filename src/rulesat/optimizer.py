@@ -4,20 +4,25 @@ minimize_perfect and minimize_bounded run one exact search
 (_exact_search) that grows one encoding on one solver through its node
 budgets.  A round solves under the guard of the ending Encoder.build
 writes at its budget, and the next round retires it, so the clauses
-learnt on the smaller budgets carry over.  The used count u of a round's
+learnt on the smaller budgets carry over.  Before any round, a lower
+bound that calls no solver (_lower_bound, by the prime rules of cover)
+proves every budget below it infeasible.  The used count u of a round's
 first model bounds the optimum from above.  The unused flags form a
 suffix, so "at most c used nodes" is the single assumption unused_{c+1},
 and the round climbs c from floor + 1 to u - 1, where floor is the
-largest budget an earlier round proved infeasible: the first satisfiable
-c is the optimum, with no cost counter.  minimize_perfect runs it on the
-perfect encoding from budget 1 up, one node per round, also assuming
-that the last node is a leaf, so its first satisfiable budget is minimal
-and no round climbs.  minimize_bounded starts, unless given a budget,
-from the size of an exact-fit decision set that a greedy pass over the
-data builds (_greedy_budget), capped at default_node_budget: below the
-cap its first round has a model and ends optimal; after an infeasible
-round, the next and last one runs at the greedy set's full size.  A
-round's first model is an anytime answer within its budget.
+largest budget the lower bound or an earlier round proved infeasible:
+the first satisfiable c is the optimum, with no cost counter, and a
+first model at the bound is optimal with no climb.  minimize_perfect
+runs it on the perfect encoding from the lower bound up (at least 1),
+one node per round, also assuming that the last node is a leaf, so its
+first satisfiable budget is minimal and no round climbs; where the
+bound is tight, no round is unsatisfiable.  minimize_bounded starts,
+unless given a budget, from the size of an exact-fit decision set that a
+greedy pass over the data builds (_greedy_budget), capped at
+default_node_budget: below the cap its first round has a model and ends
+optimal; after an infeasible round, the next and last one runs at the
+greedy set's full size.  A round's first model is an anytime answer
+within its budget.
 
 Exact fit splits by class: a class-c rule covers no example of another
 class, and some class-c rule covers each class-c example, so the
@@ -163,6 +168,80 @@ def _greedy_budget(ds: BinDataset, scope: Scope, cap: int) -> int:
         if size >= cap:
             return cap
     return max(size, 1)
+
+
+def _mask(bits) -> int:
+    return sum(bit << f for f, bit in enumerate(bits))
+
+
+def _lower_bound(ds: BinDataset, scope: Scope, clock: _Clock) -> int:
+    """A lower bound on the exact-fit size of the class scope.target that
+    calls no solver; 0 for a class with no example.  Once the clock has
+    expired it stops with SolveBudgetExceeded.  A vector's rule size is
+    counted only up to MAX_NODES + 1.
+
+    On distinct vectors as bit masks: a rule that covers a class-c vector
+    v covers no vector of another class, so its body holds a set of v's
+    literals on which v differs from each of them.  Its size is at least
+    s(v), 1 plus the fewest such features, v's smallest prime body.  Two
+    class-c vectors can share a rule only if the features they agree on
+    separate them from every other-class vector.  A greedy pass, larger
+    s(v) first and then fewer vectors to share with, keeps vectors no two
+    of which can share a rule; each needs its own rule, so the bound is
+    the sum of their s(v) (the prime-rule argument of Ignatiev, Lam,
+    Stuckey and Marques-Silva, AAAI 2021; see cover).
+    """
+    own = sorted({_mask(bits) for bits, cls, _ in ds.examples if cls == scope.target})
+    others = {_mask(bits) for bits, cls, _ in ds.examples if cls != scope.target}
+    sizes, sharers = [], [set() for _ in own]
+    for x, v in enumerate(own):
+        if clock.expired():
+            raise SolveBudgetExceeded
+        # a feature set meets every disagreement set iff it meets the minimal ones
+        sets = []
+        for d in sorted({v ^ o for o in others}, key=int.bit_count):
+            if not any(s & d == s for s in sets):
+                sets.append(d)
+        # past the node cap no round could fit v's rule, so the search stops
+        # there, which also bounds its depth of recursion
+        r = 0
+        while r < MAX_NODES and not _hittable(sets, 0, 0, r, clock):
+            r += 1
+        sizes.append(r + 1)
+        # v and w can share a rule iff the features they agree on meet each
+        # of v's disagreement sets; then they meet w's as well
+        for y, w in enumerate(own[:x]):
+            if all(d & ~(v ^ w) for d in sets):
+                sharers[x].add(y)
+                sharers[y].add(x)
+    kept = set()
+    for x in sorted(range(len(own)), key=lambda x: (-sizes[x], len(sharers[x]))):
+        if kept.isdisjoint(sharers[x]):
+            kept.add(x)
+    return sum(sizes[x] for x in kept)
+
+
+def _hittable(sets, chosen: int, banned: int, r: int, clock: _Clock) -> bool:
+    """Whether at most r more features, none of banned, added to chosen
+    meet every mask of sets: a search that branches on the features of a
+    mask chosen misses, each branch banning the ones tried before it."""
+    for d in sets:
+        if not d & chosen:
+            break
+    else:
+        return True
+    if r == 0:
+        return False
+    if clock.expired():
+        raise SolveBudgetExceeded
+    d &= ~banned
+    while d:
+        bit = d & -d
+        if _hittable(sets, chosen | bit, banned, r - 1, clock):
+            return True
+        banned |= bit
+        d ^= bit
+    return False
 
 
 def first_budget(ds: BinDataset, scope: Scope, mode: str, n0: int | None) -> int:
@@ -473,19 +552,25 @@ def _exact_fit(ds: BinDataset, scope: Scope, class_search, mode: str,
 def _exact_search(ds: BinDataset, scope: Scope, mode: str, n0: int | None, clock: _Clock,
                   progress) -> SolveOutcome:
     """The node search of minimize_perfect (mode "perfect", which takes no
-    n0) and minimize_bounded (mode "bounded") in scope, over data that
-    _exact_fit checked.  A timeout returns the best model so far as
-    "feasible"."""
+    n0 and starts at the lower bound) and minimize_bounded (mode
+    "bounded") in scope, over data that _exact_fit checked; its stats
+    carry the lower bound as "lower_bound".  A timeout returns the best
+    model so far as "feasible"."""
     perfect = mode == "perfect"
     if perfect and n0 is not None:
-        raise OptimizerError("a perfect search starts at one node and takes no first budget")
-    n = 1 if perfect else first_budget(ds, scope, mode, n0)
+        raise OptimizerError("a perfect search starts at its lower bound and takes no first budget")
+    try:
+        bound = _lower_bound(ds, scope, clock)
+    except SolveBudgetExceeded:  # past the deadline the first round times out unstarted
+        bound = 0
+    # a bound above the node cap leaves one round, at the cap, with no set
+    n = min(max(1, bound), MAX_NODES) if perfect else first_budget(ds, scope, mode, n0)
     solver = Solver()
     enc = Encoder(ds, scope, mode, solver)
     vm = enc.vm
     sat, unsat = ("sat", "unsat") if perfect else ("optimal", "infeasible")
     guard = None
-    floor = -1
+    floor = bound - 1  # the largest budget proven infeasible
 
     def solve_round(n, clock):
         nonlocal guard, floor
@@ -513,7 +598,7 @@ def _exact_search(ds: BinDataset, scope: Scope, mode: str, n0: int | None, clock
                         improved(solver.model)
                         break
             else:
-                floor = n
+                floor = max(floor, n)
         except SolveBudgetExceeded:
             status = "timeout"
         rnd = _Round(status)
@@ -530,19 +615,25 @@ def _exact_search(ds: BinDataset, scope: Scope, mode: str, n0: int | None, clock
                                          objective=cost)
         return rnd
 
-    return _search_budgets(clock, n, progress, solve_round)
+    outcome = _search_budgets(clock, n, progress, solve_round)
+    outcome.stats["lower_bound"] = bound
+    return outcome
 
 
 def minimize_perfect(ds: BinDataset, scope: Scope, limits: SearchLimits | None = None,
                      progress=None) -> SolveOutcome:
-    """Smallest exact-fit decision set by trying node counts 1, 2, 3, ...
+    """Smallest exact-fit decision set by trying node counts b, b + 1,
+    b + 2, ..., where b is the class's lower bound (_lower_bound), at
+    least 1.
 
-    Sizes below the answer are proven UNSAT along the way, so the first
-    satisfiable size is the minimum; no binary search is attempted since
-    the UNSAT proofs at n-1 are the expensive part and would be repeated.
-    The rounds grow one perfect encoding on one solver (_exact_search),
-    by one node each, so every clause learnt on a smaller size carries
-    over to the larger ones.
+    Sizes below b need no solve, and the sizes from b below the answer
+    are proven UNSAT along the way, so the first satisfiable size is the
+    minimum; no binary search is attempted since the UNSAT proofs at n-1
+    are the expensive part and would be repeated.  The rounds grow one
+    perfect encoding on one solver (_exact_search), by one node each, so
+    every clause learnt on a smaller size carries over to the larger
+    ones.  The stats report the bound as "lower_bound", in aggregated
+    scope the sum over the classes.
     """
     return _exact_fit(ds, scope, lambda scope, clock, progress: _exact_search(
         ds, scope, "perfect", None, clock, progress), "perfect", limits, progress)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from functools import partial
 from math import inf
 from types import SimpleNamespace
@@ -289,11 +290,11 @@ def test_minimize_perfect_aggregated_example():
         "mode": "perfect", "scope": "aggregated", "objective": 7,
     }
     assert evaluate(out.decision_set, make_ex1()).accuracy == 100.0
-    # one search per class: class 0's optimum 4, then class 1's optimum 3
+    # one search per class: class 0's optimum 4, then class 1's optimum 3,
+    # each proven by its lower bound with no unsatisfiable round
     rounds = out.stats["rounds"]
-    assert [(r["class"], r["n"], r["status"]) for r in rounds] == (
-        [("0", n, "unsat") for n in (1, 2, 3)] + [("0", 4, "sat")]
-        + [("1", n, "unsat") for n in (1, 2)] + [("1", 3, "sat")])
+    assert [(r["class"], r["n"], r["status"]) for r in rounds] == [("0", 4, "sat"), ("1", 3, "sat")]
+    assert out.stats["lower_bound"] == 7
     assert events == rounds
     assert [rule.head for rule in out.decision_set.rules] == [0, 0, 1]
 
@@ -320,6 +321,7 @@ def test_minimize_perfect_matches_oracles_on_micro_data():
             out = minimize_perfect(ds, scope)
             assert out.status == "optimal", (trial, scope)
             assert out.objective == expected, (trial, scope, ds)
+            assert out.stats["lower_bound"] <= expected, (trial, scope, ds)
             if expected <= 5:
                 assert sequence_min_size(ds, scope, cap=expected) == expected
 
@@ -353,7 +355,8 @@ def test_opt_sets_reencode_in_class_order_at_their_size():
 
 def test_minimize_perfect_rounds_match_fresh_solves(monkeypatch):
     # one growing encoding on one solver answers every round as a fresh
-    # solver does on that round's full perfect encoding
+    # solver does on that round's full perfect encoding; the rounds start
+    # at the lower bound, and a fresh solver refutes every budget below it
     created = []
 
     class CountedSolver(Solver):
@@ -372,7 +375,12 @@ def test_minimize_perfect_rounds_match_fresh_solves(monkeypatch):
             rounds = out.stats["rounds"]
             assert len(created) == 1
             assert out.stats["solve_calls"] == len(rounds)
-            assert [r["n"] for r in rounds] == list(range(1, len(rounds) + 1))
+            first = max(1, out.stats["lower_bound"])
+            assert [r["n"] for r in rounds] == list(range(first, first + len(rounds)))
+            for n in range(1, first):
+                fresh = Solver()
+                fresh.add_formula(build_perfect(ds, n, scope).formula)
+                assert not fresh.solve(), (trial, scope, n)
             for r in rounds:
                 fresh = Solver()
                 fresh.add_formula(build_perfect(ds, r["n"], scope).formula)
@@ -399,6 +407,28 @@ def test_minimize_perfect_immediate_timeout(ex1):
     out = minimize_perfect(ex1, AGG, SearchLimits(wall_time_budget=1e-9))
     assert out.status == "timeout"
     assert out.decision_set is None
+
+
+def test_lower_bound_stops_at_the_deadline():
+    # vector 0 against 300 random five-feature vectors at k=30: its
+    # smallest prime body is a hitting set of those 300 sets, a search
+    # that runs for more than 5 s unless the clock cuts it short
+    k, rng = 30, random.Random(30)
+    sets = set()
+    while len(sets) < 300:
+        sets.add(frozenset(rng.sample(range(k), 5)))
+    rows = [((0,) * k, 1, 1)] + [(tuple(int(f in s) for f in range(k)), 0, 1) for s in sets]
+    ds = BinDataset(k, ["0", "1"], ["f%d" % f for f in range(k)], rows)
+    scope = Scope.per_class(1)
+    with pytest.raises(SolveBudgetExceeded):
+        optimizer._lower_bound(ds, scope, optimizer._Clock(SearchLimits(wall_time_budget=0.2)))
+    for search in (minimize_perfect, minimize_bounded):
+        start = time.monotonic()
+        out = search(ds, scope, limits=SearchLimits(wall_time_budget=0.2))
+        assert time.monotonic() - start < 2.0, search
+        assert (out.status, out.decision_set) == ("timeout", None), search
+        assert [r["status"] for r in out.stats["rounds"]] == ["timeout"], search
+        assert out.stats["solve_calls"] == 0, search
 
 
 def test_minimize_perfect_covers_impossible_target_class():
@@ -552,7 +582,9 @@ def test_a_round_builds_no_node_after_the_deadline(ex1, monkeypatch):
 
 def test_a_round_climbs_above_the_budgets_proven_infeasible(ex1, monkeypatch):
     # a budget n proven infeasible rules out every set of at most n used
-    # nodes, so a later round asks for "at most c used" only from c = n + 1
+    # nodes, so a later round asks for "at most c used" only from c = n + 1;
+    # the lower bound b rules out every set of at most b - 1, so no round
+    # asks below c = b
     asked, encoders = [], []
 
     class Recording(Solver):
@@ -569,17 +601,18 @@ def test_a_round_climbs_above_the_budgets_proven_infeasible(ex1, monkeypatch):
     monkeypatch.setattr(optimizer, "Encoder", Kept)
 
     def climbs(ds, scope, n0):
-        """The search's outcome and, per round, the largest budget an
-        earlier round proved infeasible with the c of each climbing solve."""
+        """The search's outcome and, per round, the largest budget the
+        lower bound or an earlier round proved infeasible with the c of
+        each climbing solve."""
         out, _ = asks(ds, scope, n0)
         (enc,) = encoders
         c_of = {enc.vm.unused_var(j): j - 1 for j in range(1, enc.vm.n_nodes + 1)}
         rounds = iter(out.stats["rounds"])
-        floor, record, per_round = -1, None, []
+        floor, record, per_round = out.stats["lower_bound"] - 1, None, []
         for assumptions in asked:
             if len(assumptions) == 1:  # a round's first solve, under its guard alone
                 if record is not None and record["status"] == "infeasible":
-                    floor = record["n"]
+                    floor = max(floor, record["n"])
                 record = next(rounds)
                 per_round.append((floor, []))
             else:
@@ -593,7 +626,7 @@ def test_a_round_climbs_above_the_budgets_proven_infeasible(ex1, monkeypatch):
 
     out, per_round = climbs(ex1, Scope.per_class(1), 2)
     assert out.objective == 3
-    assert per_round[0] == (-1, [])
+    assert per_round[0] == (2, [])
     floor, cs = per_round[1]
     assert floor == 2 and cs[0] == 3
     rng = random.Random(606)
@@ -669,6 +702,7 @@ def test_minimize_bounded_matches_oracle_in_every_scope():
             out = minimize_bounded(ds, scope, n0=rng.randint(1, expected + 2))
             assert out.status == "optimal", (trial, scope)
             assert out.objective == expected, (trial, scope, ds)
+            assert out.stats["lower_bound"] <= expected, (trial, scope, ds)
             assert out.decision_set.total_size == expected
 
 
@@ -722,6 +756,28 @@ def test_greedy_budget_bounds_the_optimum_and_takes_one_round():
                     assert rounds == [(bound, "optimal", expected)], (trial, scope, ds)
                     one_round[scope.target] = rounds[0]
     assert below_cap > 100
+
+
+def test_lower_bound_is_at_most_the_oracle_minimum():
+    # the solver-free bound each class's node search starts from: never
+    # above the exhaustive minimum, 0 for a class with no example, and
+    # pinned at its optimum on all but one class with examples.  A looser
+    # greedy order (no "fewest sharers" tie-break) loses 12 of them
+    rng = random.Random(1)
+    classes = tight = 0
+    for trial in range(250):
+        ds = random_dataset(rng, max_m=8, max_k=4)
+        for c in (0, 1):
+            scope = Scope.per_class(c)
+            bound = optimizer._lower_bound(ds, scope, optimizer._Clock(SearchLimits()))
+            if not any(cls == c for _, cls, _ in ds.examples):
+                assert bound == 0, (trial, c)
+                continue
+            optimum = oracle_min_size(ds, scope, cap=40)
+            assert bound <= optimum, (trial, c, ds)
+            classes += 1
+            tight += bound == optimum
+    assert (classes, tight) == (391, 390)
 
 
 def test_minimize_bounded_climbs_without_a_cost_counter(monkeypatch):
@@ -814,6 +870,23 @@ def test_minimize_bounded_budget_above_node_cap(ex1, monkeypatch):
     out = minimize_sparse(ex1, AGG, lam=0.5)
     assert ([r["n"] for r in out.stats["rounds"]], out.status, out.objective) == (
         [2], "optimal", 7)
+
+
+def test_minimize_perfect_lower_bound_above_node_cap(monkeypatch):
+    # a lower bound above the node cap leaves one round, at the cap, which
+    # finds no set; a rule's size is counted only up to the cap + 1, so the
+    # search by size stops there
+    k = 8
+    rows = [((0,) * k, 1, 1)] + [(tuple(int(f == g) for f in range(k)), 0, 1) for g in range(k)]
+    ds = BinDataset(k, ["0", "1"], ["f%d" % f for f in range(k)], rows)
+    # vector 0 against the eight unit vectors: a body of all eight features
+    assert optimizer._lower_bound(ds, Scope.per_class(1), optimizer._Clock(SearchLimits())) == 9
+    monkeypatch.setattr(optimizer, "MAX_NODES", 4)
+    assert optimizer._lower_bound(ds, Scope.per_class(1), optimizer._Clock(SearchLimits())) == 5
+    out = minimize_perfect(ds, Scope.per_class(1))
+    assert ([(r["n"], r["status"]) for r in out.stats["rounds"]], out.status,
+            out.stats["note"], out.stats["lower_bound"]) == (
+        [(4, "unsat")], "timeout", "node cap 4 reached", 5)
 
 
 # ---------------------------------------------------------------- sparse
