@@ -56,6 +56,22 @@ Per-class encodings have one head and carry no such clauses.
 The aggregated encodings serve the sparse search and `rulesat encode`
 only: an exact fit splits by class, so the opt and mopt searches run per
 class in every scope and join the rules (optimizer._join).
+
+A per-class exact-fit search also hands its Encoder two facts of the
+class's prime rules (optimizer._prime_facts), and every node j then
+gets their clauses (Encoder._implied), with no new variable:
+
+* apart: for rows a and b that no rule can cover both of (a rule on
+  the features they agree on also covers a row of another class),
+  [-leaf_j, -v(a, j), -v(b, j)];
+* shortest: a rule covering row i has at least r literals, so for
+  d = 1..r, [-leaf_{j-d}, -leaf_j, -v(i, j)] while j - d >= 1, and
+  [-leaf_j, -v(i, j)] when j <= r.
+
+Every exact fit satisfies them, so they change no answer; they only
+spare the solver finding them by conflict.  The build_* functions, and
+so `rulesat encode`, do not write them, and sparse never gets them,
+since a sparse rule may cover a flagged row.
 """
 
 from __future__ import annotations
@@ -290,10 +306,11 @@ class Encoder:
     or a Formula: its selector choice, its links to the previous node
     (validity chain and unused suffix), class agreement, its coverage
     auxiliaries and its forced head (per class) or its place in the class
-    order (aggregated).  The class order admits exactly the sequences that
-    list every class-0 rule before every class-1 rule; each decision set
-    has such a listing, and a rule's coverage and size do not depend on
-    its place, so the order changes no optimum.  build() grows the
+    order (aggregated), then the clauses of the facts apart and shortest
+    (_implied; see the module docstring).  The class order admits exactly
+    the sequences that list every class-0 rule before every class-1 rule;
+    each decision set has such a listing, and a rule's coverage and size
+    do not depend on its place, so the order changes no optimum.  build() grows the
     encoding and then writes the clauses that end the sequence at the
     last node, as another node would void them.
 
@@ -308,7 +325,7 @@ class Encoder:
     """
 
     def __init__(self, ds: BinDataset, scope: Scope, mode: str, sink,
-                 lambda_cost: int | None = None):
+                 lambda_cost: int | None = None, apart=(), shortest=()):
         scope.validate(len(ds.classes))
         if ds.num_examples < 1:
             raise EncodingError("need at least one example")
@@ -341,6 +358,7 @@ class Encoder:
         # per covered example, the aux saying "node j's rule covers it"
         self._hits: list[list[int]] = [[] for _ in self.covered]
         self._order = 0  # s of the last node, in aggregated scope (see _class_order)
+        self.apart, self.shortest = apart, shortest  # see _implied
 
     def _put_each(self, clauses) -> None:
         for clause in clauses:
@@ -369,6 +387,23 @@ class Encoder:
             self._class_order(j)
         else:
             self._put([[-vm.class_sel_var(j), vm.truth_var(j)]])
+        self._implied(j)
+
+    def _implied(self, j: int) -> None:
+        """Node j's clauses that every exact fit entails: the rule ending
+        at leaf j covers no two rows of a pair of apart, and a row of
+        shortest's (r, rows) only if no leaf is among the r nodes before j
+        (and j > r)."""
+        vm = self.vm
+        leaf, t = vm.class_sel_var(j), vm.truth_var(j)
+        clauses = [[-leaf, -t - a, -t - b] for a, b in self.apart]
+        for r, rows in self.shortest:
+            if j <= r:
+                clauses += [[-leaf, -t - i] for i in rows]
+            for p in range(max(1, j - r), j):
+                before = -vm.class_sel_var(p)
+                clauses += [[before, -leaf, -t - i] for i in rows]
+        self._put(clauses)
 
     def _class_order(self, j: int) -> None:
         """Node j's clauses of the class order.  Its auxiliary s_j says a

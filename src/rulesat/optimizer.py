@@ -4,9 +4,15 @@ minimize_perfect and minimize_bounded run one exact search
 (_exact_search) that grows one encoding on one solver through its node
 budgets.  A round solves under the guard of the ending Encoder.build
 writes at its budget, and the next round retires it, so the clauses
-learnt on the smaller budgets carry over.  Before any round, a lower
-bound that calls no solver (_lower_bound, by the prime rules of cover)
-proves every budget below it infeasible.  The used count u of a round's
+learnt on the smaller budgets carry over.  Before any round,
+_prime_facts finds by the prime rules of cover, with no solver, a lower
+bound that proves every budget below it infeasible, and two facts every
+exact fit obeys: the pairs of class rows that no one rule can cover, and
+the fewest literals of a rule that covers each row.  The search's
+Encoder writes both facts as clauses at every node it builds
+(Encoder._implied), which cut no exact fit and add no variable, so no
+solve rediscovers them by conflict.  A bound above MAX_NODES ends the
+search with no round.  The used count u of a round's
 first model bounds the optimum from above.  The unused flags form a
 suffix, so "at most c used nodes" is the single assumption unused_{c+1},
 and the round climbs c from floor + 1 to u - 1, where floor is the
@@ -20,9 +26,9 @@ bound is tight, no round is unsatisfiable.  minimize_bounded starts,
 unless given a budget, from the size of an exact-fit decision set that a
 greedy pass over the data builds (_greedy_budget), capped at
 default_node_budget: below the cap its first round has a model and ends
-optimal; after an infeasible round, the next and last one runs at the
-greedy set's full size.  A round's first model is an anytime answer
-within its budget.
+optimal.  A first budget below the lower bound is raised to it.  After
+an infeasible round, the next and last one runs at the greedy set's full
+size.  A round's first model is an anytime answer within its budget.
 
 Exact fit splits by class: a class-c rule covers no example of another
 class, and some class-c rule covers each class-c example, so the
@@ -175,10 +181,26 @@ def _mask(bits) -> int:
 
 
 def _lower_bound(ds: BinDataset, scope: Scope, clock: _Clock) -> int:
-    """A lower bound on the exact-fit size of the class scope.target that
-    calls no solver; 0 for a class with no example.  Once the clock has
-    expired it stops with SolveBudgetExceeded.  A vector's rule size is
-    counted only up to MAX_NODES + 1.
+    """The lower bound of _prime_facts on the exact-fit size of the class
+    scope.target."""
+    return _prime_facts(ds, scope, clock).bound
+
+
+class _PrimeFacts:
+    """What the prime rules of one class prove, without a solver, about
+    each of its exact-fit sets, on its rows (1-based example ids)."""
+
+    def __init__(self, bound: int = 0, apart=(), shortest=()):
+        self.bound = bound  # a lower bound on the set's size
+        self.apart = apart  # row pairs (a, b), a < b, that no rule covers both of
+        self.shortest = shortest  # (r, rows): a rule covering one of rows has >= r literals
+
+
+def _prime_facts(ds: BinDataset, scope: Scope, clock: _Clock) -> _PrimeFacts:
+    """The prime-rule facts of the class scope.target; a bound of 0 for a
+    class with no example.  Once the clock has expired it stops with
+    SolveBudgetExceeded.  A vector's rule size is counted only up to
+    MAX_NODES + 1.
 
     On distinct vectors as bit masks: a rule that covers a class-c vector
     v covers no vector of another class, so its body holds a set of v's
@@ -189,10 +211,18 @@ def _lower_bound(ds: BinDataset, scope: Scope, clock: _Clock) -> int:
     s(v) first and then fewer vectors to share with, keeps vectors no two
     of which can share a rule; each needs its own rule, so the bound is
     the sum of their s(v) (the prime-rule argument of Ignatiev, Lam,
-    Stuckey and Marques-Silva, AAAI 2021; see cover).
+    Stuckey and Marques-Silva, AAAI 2021; see cover).  The pairs apart
+    are those of rows whose vectors cannot share a rule, one of them
+    kept: O(kept * rows) pairs, not all of them.
     """
-    own = sorted({_mask(bits) for bits, cls, _ in ds.examples if cls == scope.target})
-    others = {_mask(bits) for bits, cls, _ in ds.examples if cls != scope.target}
+    rows: dict[int, list[int]] = {}
+    others = set()
+    for i, (bits, cls, _) in enumerate(ds.examples, start=1):
+        if cls == scope.target:
+            rows.setdefault(_mask(bits), []).append(i)
+        else:
+            others.add(_mask(bits))
+    own = sorted(rows)
     sizes, sharers = [], [set() for _ in own]
     for x, v in enumerate(own):
         if clock.expired():
@@ -218,7 +248,13 @@ def _lower_bound(ds: BinDataset, scope: Scope, clock: _Clock) -> int:
     for x in sorted(range(len(own)), key=lambda x: (-sizes[x], len(sharers[x]))):
         if kept.isdisjoint(sharers[x]):
             kept.add(x)
-    return sum(sizes[x] for x in kept)
+    apart = {(min(a, b), max(a, b)) for x in kept for y, w in enumerate(own)
+             if y != x and y not in sharers[x] for a in rows[own[x]] for b in rows[w]}
+    shortest: dict[int, list[int]] = {}
+    for x, v in enumerate(own):
+        if sizes[x] > 1:
+            shortest.setdefault(sizes[x] - 1, []).extend(rows[v])
+    return _PrimeFacts(sum(sizes[x] for x in kept), sorted(apart), sorted(shortest.items()))
 
 
 def _hittable(sets, chosen: int, banned: int, r: int, clock: _Clock) -> bool:
@@ -553,20 +589,29 @@ def _exact_search(ds: BinDataset, scope: Scope, mode: str, n0: int | None, clock
                   progress) -> SolveOutcome:
     """The node search of minimize_perfect (mode "perfect", which takes no
     n0 and starts at the lower bound) and minimize_bounded (mode
-    "bounded") in scope, over data that _exact_fit checked; its stats
-    carry the lower bound as "lower_bound".  A timeout returns the best
-    model so far as "feasible"."""
+    "bounded", which starts at n0 or its default, raised to the lower
+    bound) in scope, over data that _exact_fit checked.  Its Encoder
+    writes the facts of _prime_facts at every node; a lower bound above
+    MAX_NODES ends the search with no round.  The stats carry the bound
+    as "lower_bound".  A timeout returns the best model so far as
+    "feasible"."""
     perfect = mode == "perfect"
     if perfect and n0 is not None:
         raise OptimizerError("a perfect search starts at its lower bound and takes no first budget")
     try:
-        bound = _lower_bound(ds, scope, clock)
+        facts = _prime_facts(ds, scope, clock)
     except SolveBudgetExceeded:  # past the deadline the first round times out unstarted
-        bound = 0
-    # a bound above the node cap leaves one round, at the cap, with no set
-    n = min(max(1, bound), MAX_NODES) if perfect else first_budget(ds, scope, mode, n0)
+        facts = _PrimeFacts()
+    bound = facts.bound
+    n = 1 if perfect else first_budget(ds, scope, mode, n0)
+    if 1 <= n <= MAX_NODES < bound:  # no budget within the cap can hold a set
+        return SolveOutcome(status="timeout", stats={
+            **dict.fromkeys(clock.tally, 0), "elapsed": clock.elapsed(), "rounds": [],
+            "note": "node cap %d reached" % MAX_NODES, "lower_bound": bound})
+    if 1 <= n:  # a first budget out of range is the error of _search_budgets
+        n = max(n, bound)
     solver = Solver()
-    enc = Encoder(ds, scope, mode, solver)
+    enc = Encoder(ds, scope, mode, solver, apart=facts.apart, shortest=facts.shortest)
     vm = enc.vm
     sat, unsat = ("sat", "unsat") if perfect else ("optimal", "infeasible")
     guard = None
@@ -644,11 +689,13 @@ def minimize_bounded(ds: BinDataset, scope: Scope, n0: int | None = None,
     """Exact fit within a node budget, minimizing the used-node count.
 
     Without n0 the budget is the greedy one of first_budget: below its
-    cap the first round has a model and ends optimal.  After a budget too
-    small for any exact fit, the last round runs at the greedy set's size,
-    capped only at MAX_NODES.  A round's first solve gives an anytime
-    model, and the climb of _exact_search proves or improves it.  In
-    aggregated scope n0 is each class's first budget.
+    cap the first round has a model and ends optimal.  The first budget,
+    n0 or the greedy one, is raised to the class's lower bound
+    (_lower_bound) when it is below it.  After a budget too small for any
+    exact fit, the last round runs at the greedy set's size, capped only
+    at MAX_NODES.  A round's first solve gives an anytime model, and the
+    climb of _exact_search proves or improves it.  In aggregated scope n0
+    is each class's first budget.
     """
     return _exact_fit(ds, scope, lambda scope, clock, progress: _exact_search(
         ds, scope, "bounded", n0, clock, progress), "bounded", limits, progress)

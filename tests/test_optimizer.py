@@ -33,6 +33,14 @@ from oracles import brute_min_cost, oracle_min_size, sequence_min_size, sparse_m
 AGG = Scope.aggregated()
 
 
+def make_loose() -> BinDataset:
+    """Class 0's lower bound, 2, is below its optimum, 4: its four vectors
+    share rules pairwise (s(v) = 2 each), but no one rule of size 2 covers
+    them all."""
+    rows = [((0, 0, 1), 0), ((1, 1, 0), 1), ((1, 0, 1), 0), ((0, 1, 1), 0), ((0, 0, 0), 0)]
+    return BinDataset(3, ["0", "1"], ["a", "b", "c"], [(bits, cls, 1) for bits, cls in rows])
+
+
 # ---------------------------------------------------------------- maxsat
 
 
@@ -409,6 +417,42 @@ def test_minimize_perfect_immediate_timeout(ex1):
     assert out.decision_set is None
 
 
+def test_the_prime_facts_clauses_change_no_status():
+    # the clauses the node search adds from optimizer._prime_facts hold in
+    # every exact fit: at every budget up to the optimum + 1, the perfect
+    # and the bounded encoding with them are satisfiable exactly when the
+    # ones without them are, and both drivers still find the optimum.  Some
+    # rows repeat a vector, so a vector's facts reach each of its rows
+    rng = random.Random(2828)
+    apart = shortest = 0
+    for trial in range(100):
+        ds = random_dataset(rng, max_m=6, max_k=3)
+        examples = ds.examples + rng.sample(ds.examples, min(2, ds.num_examples))
+        ds = BinDataset(ds.num_features, ds.classes, ds.feature_names, examples)
+        for target in sorted({cls for _, cls, _ in ds.examples}):
+            scope = Scope.per_class(target)
+            optimum = oracle_min_size(ds, scope, cap=24)
+            facts = optimizer._prime_facts(ds, scope, optimizer._Clock(SearchLimits()))
+            apart += bool(facts.apart)
+            shortest += bool(facts.shortest)
+            for mode, build in (("perfect", build_perfect), ("bounded", build_bounded)):
+                for n in range(1, optimum + 2):
+                    implied = Formula()
+                    Encoder(ds, scope, mode, implied, apart=facts.apart,
+                            shortest=facts.shortest).build(n)
+                    answers = []
+                    for formula in (build(ds, n, scope).formula, implied):
+                        solver = Solver()
+                        solver.add_formula(formula)
+                        answers.append(solver.solve())
+                    assert answers[0] == answers[1], (trial, scope, mode, n)
+                    assert answers[0] == (n >= optimum) or mode == "perfect", (trial, scope, n)
+            for search in (minimize_perfect, minimize_bounded):
+                out = search(ds, scope)
+                assert (out.status, out.objective) == ("optimal", optimum), (trial, scope, search)
+    assert apart > 20 and shortest > 80
+
+
 def test_lower_bound_stops_at_the_deadline():
     # vector 0 against 300 random five-feature vectors at k=30: its
     # smallest prime body is a hitting set of those 300 sets, a search
@@ -450,9 +494,11 @@ def test_minimize_perfect_covers_impossible_target_class():
 
 def test_minimize_bounded_rounds_match_fresh_solves(monkeypatch):
     # one growing encoding on one solver answers every round as a fresh
-    # solver does on that round's full bounded encoding; an infeasible
-    # budget is followed by the greedy set's size, the last round.  An
-    # aggregated search runs the rounds of each class's own search
+    # solver does on that round's full bounded encoding; the first round
+    # runs at n0 raised to the lower bound, and a fresh solver refutes
+    # every budget from n0 below it; an infeasible budget is followed by
+    # the greedy set's size, the last round.  An aggregated search runs
+    # the rounds of each class's own search
     created = []
 
     class CountedSolver(Solver):
@@ -462,9 +508,9 @@ def test_minimize_bounded_rounds_match_fresh_solves(monkeypatch):
 
     monkeypatch.setattr(optimizer, "Solver", CountedSolver)
     rng = random.Random(321)
-    below = above = 0
-    for trial in range(25):
-        ds = random_dataset(rng, max_m=5, max_k=3)
+    below = above = raised = 0
+    for trial in range(26):
+        ds = make_loose() if trial == 25 else random_dataset(rng, max_m=5, max_k=3)
         present = sorted({cls for _, cls, _ in ds.examples})
         for scope in [AGG] + [Scope.per_class(cls) for cls in present]:
             optimum = oracle_min_size(ds, scope, cap=24)
@@ -484,7 +530,13 @@ def test_minimize_bounded_rounds_match_fresh_solves(monkeypatch):
             assert len(created) == 1
             rounds = out.stats["rounds"]
             greedy = optimizer._greedy_budget(ds, scope, optimizer.MAX_NODES)
-            assert [r["n"] for r in rounds] == ([n0] if n0 >= optimum else [n0, greedy])
+            first = max(n0, out.stats["lower_bound"])
+            raised += first > n0
+            assert [r["n"] for r in rounds] == ([first] if first >= optimum else [first, greedy])
+            for n in range(n0, first):
+                fresh = Solver()
+                fresh.add_formula(build_bounded(ds, n, scope).formula)
+                assert not fresh.solve(), (trial, scope, n)
             for r in rounds:
                 fresh = Solver()
                 fresh.add_formula(build_bounded(ds, r["n"], scope).formula)
@@ -493,22 +545,23 @@ def test_minimize_bounded_rounds_match_fresh_solves(monkeypatch):
                 if expected == "optimal":
                     assert r["cost"] == optimum, (trial, scope, r["n"])
     assert below > 10 and above > 10  # budgets on both sides of the optimum
+    assert raised > 5
 
 
 def test_model_events_share_the_rounds_time_base(ex1):
     events = []
-    out = minimize_bounded(ex1, Scope.per_class(1), n0=2, progress=events.append)
-    assert [r["n"] for r in out.stats["rounds"]] == [2, 6]  # 6: the greedy budget
+    out = minimize_bounded(make_loose(), Scope.per_class(0), n0=2, progress=events.append)
+    assert [r["n"] for r in out.stats["rounds"]] == [2, 4]  # 4: the greedy budget
     models = [e for e in events if e.get("event") == "model"]
-    assert models and all(e["n"] == 6 for e in models)
+    assert models and all(e["n"] == 4 for e in models)
     assert all("n" in e for e in events)
     times = [e["elapsed"] for e in events]
     assert times == sorted(times)
-    # aggregated: both classes' records, tagged, on the one clock of the call
+    # aggregated: both classes' records, tagged, on the one clock of the
+    # call; class 1 climbs from its greedy budget 6 to its optimum 3
     events.clear()
-    out = minimize_bounded(ex1, AGG, n0=2, progress=events.append)
-    assert [(r["class"], r["n"]) for r in out.stats["rounds"]] == [
-        ("0", 2), ("0", 4), ("1", 2), ("1", 6)]
+    out = minimize_bounded(ex1, AGG, progress=events.append)
+    assert [(r["class"], r["n"]) for r in out.stats["rounds"]] == [("0", 4), ("1", 6)]
     models = [(e["class"], e["n"]) for e in events if e.get("event") == "model"]
     assert models == [("0", 4), ("1", 6), ("1", 6)]
     times = [e["elapsed"] for e in events]
@@ -580,7 +633,7 @@ def test_a_round_builds_no_node_after_the_deadline(ex1, monkeypatch):
         assert out.stats["solve_calls"] == 0
 
 
-def test_a_round_climbs_above_the_budgets_proven_infeasible(ex1, monkeypatch):
+def test_a_round_climbs_above_the_budgets_proven_infeasible(monkeypatch):
     # a budget n proven infeasible rules out every set of at most n used
     # nodes, so a later round asks for "at most c used" only from c = n + 1;
     # the lower bound b rules out every set of at most b - 1, so no round
@@ -624,9 +677,9 @@ def test_a_round_climbs_above_the_budgets_proven_infeasible(ex1, monkeypatch):
         del asked[:], encoders[:]
         return minimize_bounded(ds, scope, n0=n0), list(asked)
 
-    out, per_round = climbs(ex1, Scope.per_class(1), 2)
-    assert out.objective == 3
-    assert per_round[0] == (2, [])
+    out, per_round = climbs(make_loose(), Scope.per_class(0), 2)
+    assert out.objective == 4
+    assert per_round[0] == (1, [])
     floor, cs = per_round[1]
     assert floor == 2 and cs[0] == 3
     rng = random.Random(606)
@@ -666,19 +719,30 @@ def test_minimize_bounded_with_roomy_budget(ex1):
         ("0", 9, 4), ("1", 9, 3)]
 
 
-def test_minimize_bounded_grows_past_infeasible_budget(ex1):
-    out = minimize_bounded(ex1, Scope.per_class(1), n0=2)
+def test_minimize_bounded_grows_past_infeasible_budget():
+    out = minimize_bounded(make_loose(), Scope.per_class(0), n0=2)
     assert out.status == "optimal"
-    assert out.objective == 3
+    assert out.objective == 4
     rounds = out.stats["rounds"]
-    assert [r["n"] for r in rounds] == [2, 6]  # 6: the greedy budget
+    assert [r["n"] for r in rounds] == [2, 4]  # 4: the greedy budget
     assert rounds[0]["status"] == "infeasible"
     assert rounds[1]["status"] == "optimal"
     # aggregated: class 0 grows past 3 to its greedy budget 4, class 1 fits 3
-    out = minimize_bounded(ex1, AGG, n0=3)
+    out = minimize_bounded(make_loose(), AGG, n0=3)
     assert (out.status, out.objective) == ("optimal", 7)
     assert [(r["class"], r["n"], r["status"]) for r in out.stats["rounds"]] == [
         ("0", 3, "infeasible"), ("0", 4, "optimal"), ("1", 3, "optimal")]
+
+
+def test_minimize_bounded_starts_at_the_lower_bound(ex1):
+    # a first budget below the lower bound is raised to it: on ex1 both
+    # bounds are the optima, so no round is infeasible
+    out = minimize_bounded(ex1, Scope.per_class(1), n0=2)
+    assert (out.status, out.objective, out.stats["lower_bound"]) == ("optimal", 3, 3)
+    assert [(r["n"], r["status"]) for r in out.stats["rounds"]] == [(3, "optimal")]
+    out = minimize_bounded(ex1, AGG, n0=3)
+    assert [(r["class"], r["n"], r["status"]) for r in out.stats["rounds"]] == [
+        ("0", 4, "optimal"), ("1", 3, "optimal")]
 
 
 def test_minimize_bounded_matches_perfect_on_micro_data():
@@ -846,17 +910,23 @@ def test_minimize_bounded_budget_above_node_cap(ex1, monkeypatch):
         minimize_bounded(ex1, AGG, n0=70)
     with pytest.raises(OptimizerError, match="node cap"):
         minimize_sparse(ex1, AGG, lam=0.5, n0=65)
-    # a derived budget past the cap runs at the cap: class 1's greedy budget
-    # 6 after an infeasible 1, and sparse's bound 3 after the optimum 4 at 1
-    monkeypatch.setattr(optimizer, "MAX_NODES", 2)
-    out = minimize_bounded(ex1, Scope.per_class(1), n0=1)
+    # a derived budget past the cap runs at the cap: loose class 0's greedy
+    # budget 4 after an infeasible 2 (n0 = 1 raised to the lower bound)
+    monkeypatch.setattr(optimizer, "MAX_NODES", 3)
+    out = minimize_bounded(make_loose(), Scope.per_class(0), n0=1)
     assert ([r["n"] for r in out.stats["rounds"]], out.status, out.stats["note"]) == (
-        [1, 2], "timeout", "node cap 2 reached")
+        [2, 3], "timeout", "node cap 3 reached")
     # the cap holds per class, and no class starts after one found no set
-    out = minimize_bounded(ex1, AGG, n0=1)
+    out = minimize_bounded(make_loose(), AGG, n0=1)
     assert ([(r["class"], r["n"]) for r in out.stats["rounds"]], out.status,
             out.decision_set, out.stats["note"]) == (
-        [("0", 1), ("0", 2)], "timeout", None, "node cap 2 reached")
+        [("0", 2), ("0", 3)], "timeout", None, "node cap 3 reached")
+    # a lower bound above the cap runs no round: ex1 class 1's is 3
+    monkeypatch.setattr(optimizer, "MAX_NODES", 2)
+    out = minimize_bounded(ex1, Scope.per_class(1), n0=1)
+    assert (out.stats["rounds"], out.status, out.stats["note"], out.stats["solve_calls"]) == (
+        [], "timeout", "node cap 2 reached", 0)
+    # and sparse's bound 3 after the optimum 4 at 1 runs at the cap
     out = minimize_sparse(ex1, AGG, lam=0.005, n0=1)
     assert ([r["n"] for r in out.stats["rounds"]], out.status, out.objective,
             out.stats["note"]) == ([1, 2], "feasible", 4, "node cap 2 reached")
@@ -873,8 +943,9 @@ def test_minimize_bounded_budget_above_node_cap(ex1, monkeypatch):
 
 
 def test_minimize_perfect_lower_bound_above_node_cap(monkeypatch):
-    # a lower bound above the node cap leaves one round, at the cap, which
-    # finds no set; a rule's size is counted only up to the cap + 1, so the
+    # a lower bound above the node cap proves that no budget within it has
+    # a set: the search ends at the cap with no round, no build and no
+    # solve; a rule's size is counted only up to the cap + 1, so the
     # search by size stops there
     k = 8
     rows = [((0,) * k, 1, 1)] + [(tuple(int(f == g) for f in range(k)), 0, 1) for g in range(k)]
@@ -883,10 +954,11 @@ def test_minimize_perfect_lower_bound_above_node_cap(monkeypatch):
     assert optimizer._lower_bound(ds, Scope.per_class(1), optimizer._Clock(SearchLimits())) == 9
     monkeypatch.setattr(optimizer, "MAX_NODES", 4)
     assert optimizer._lower_bound(ds, Scope.per_class(1), optimizer._Clock(SearchLimits())) == 5
+    built = []
+    monkeypatch.setattr(Encoder, "append_node", counting(built, "append_node", Encoder.append_node))
     out = minimize_perfect(ds, Scope.per_class(1))
-    assert ([(r["n"], r["status"]) for r in out.stats["rounds"]], out.status,
-            out.stats["note"], out.stats["lower_bound"]) == (
-        [(4, "unsat")], "timeout", "node cap 4 reached", 5)
+    assert (out.stats["rounds"], out.status, out.stats["note"], out.stats["lower_bound"],
+            out.stats["solve_calls"], built) == ([], "timeout", "node cap 4 reached", 5, 0, [])
 
 
 # ---------------------------------------------------------------- sparse
@@ -1063,6 +1135,14 @@ def planted_probe(m, r):
 def test_scale_probe_optima_at_20_rows():
     for r, expected in enumerate((11, 12, 15)):
         ds = planted_probe(20, r)
+        for search in (minimize_perfect, minimize_bounded):
+            out = search(ds, AGG)
+            assert (out.status, out.objective) == ("optimal", expected), (r, search)
+
+
+def test_scale_probe_optima_at_40_rows():
+    for r, expected in enumerate((15, 18, 18)):
+        ds = planted_probe(40, r)
         for search in (minimize_perfect, minimize_bounded):
             out = search(ds, AGG)
             assert (out.status, out.objective) == ("optimal", expected), (r, search)

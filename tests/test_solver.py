@@ -441,25 +441,24 @@ def test_search_counts_are_pinned(monkeypatch):
     # the greedy budget: 4 nodes, the optimum itself, where 2(K+2) gave 12
     out = optimizer.minimize_bounded(make_ex1(), Scope.per_class(0))
     assert (out.objective, [r["n"] for r in out.stats["rounds"]], per_call) == (
-        4, [4], [5])
+        4, [4], [6])
     per_call.clear()
     out = optimizer.minimize_bounded(make_ex1(), Scope.per_class(1))
     assert (out.objective, [r["n"] for r in out.stats["rounds"]], per_call) == (
-        3, [6], [11, 2])
+        3, [6], [7, 2])
     per_call.clear()
     out = optimizer.minimize_bounded(make_ex1(), Scope.aggregated())
-    assert (out.objective, per_call) == (7, [5] + [11, 2])
+    assert (out.objective, per_call) == (7, [6] + [7, 2])
     per_call.clear()
-    # two rounds: budget 2 is infeasible, so the greedy budget 6 climbs
-    # from "at most 3 used"
+    # n0 = 2 is raised to the lower bound 3, the optimum: one round, no climb
     out = optimizer.minimize_bounded(make_ex1(), Scope.per_class(1), n0=2)
     assert (out.objective, [r["n"] for r in out.stats["rounds"]], per_call) == (
-        3, [2, 6], [4, 7, 1])
+        3, [3], [4])
     per_call.clear()
     # n0 is each class's first budget: 5 fits both classes' optima
     out = optimizer.minimize_bounded(make_ex1(), Scope.aggregated(), n0=5)
     assert (out.objective, [r["n"] for r in out.stats["rounds"]], per_call) == (
-        7, [5, 5], [14, 6, 16, 4])
+        7, [5, 5], [6, 5, 6, 2])
     per_call.clear()
     # lambda_cost 1: the optimum 4 at budget 2 leaves room for a cheaper set
     # of up to 3 nodes, so budget 3 runs; class 0's optimum 3 is certified at 2
