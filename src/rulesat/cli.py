@@ -186,12 +186,14 @@ def cmd_cv(args) -> int:
         raise CliError("--folds must be >= 2")
     ds = _load_bindata(args.data, args.bins)
     whole, folds = fold_carriers(ds, kfold_split(ds, args.folds, args.seed))
-    _sanitized(whole, args.mode)  # refuses contradictory data before fold 0, as learn does
+    # refuses contradictory data before fold 0, as learn does; the carriers
+    # are distinct examples, so a fold's training set is already sanitized
+    _sanitized(whole, args.mode)
     accuracies = []
     sizes = []
     for fold, (train, test) in enumerate(folds):
-        dset, status = _learn_model(_sanitized(train, args.mode), args,
-                                    clock.share(args.folds - fold), context={"fold": fold})
+        dset, status = _learn_model(train, args, clock.share(args.folds - fold),
+                                    context={"fold": fold})
         report = evaluate(dset, test, mode="standard")
         accuracies.append(report.accuracy)
         sizes.append(dset.total_size)

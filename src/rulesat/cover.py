@@ -10,16 +10,14 @@ size, |body| + 1 (Ignatiev, Lam, Stuckey and Marques-Silva, "A Scalable
 Two Stage Approach to Computing Optimal Decision Sets", AAAI 2021).
 Each class runs two stages, on distinct vectors held as bit masks.
 
-Stage 1 lists the primes.  A prime of a class-c vector v is a minimal
-hitting set of v's disagreement sets {f : v_f != o_f}, one per vector o
-of another class.  A Solver per vector holds one clause per disagreement
-set over the variables "feature f is in the body".  Each model shrinks to
-a minimal hitting set, and a clause then blocks its supersets, until the
-solver answers UNSAT: every hitting set then holds a listed prime.  A
-prime listed for an earlier vector that covers v is a prime of v as well,
-so it is blocked before v's first solve.  The clock is checked before
-each vector.  Then a rule is dropped when another covers a superset of
-its vectors at no higher cost (dominance): a cover can use that one.
+Stage 1 lists the primes, with no solver.  A prime of a class-c vector v
+is a minimal hitting set of v's disagreement sets {f : v_f != o_f}, one
+per vector o of another class, and optimizer._primes, the enumerator the
+node search's lower bound uses too, yields each of them once, checking
+the clock at every node that branches.  A prime shared by several
+vectors is kept where it is first found.  Then a rule is dropped when
+another covers a superset of its vectors at no higher cost (dominance):
+a cover can use that one.
 
 Stage 2 solves the weighted set cover: per class-c vector a hard clause
 "a rule that covers it is chosen", per rule a soft clause "not chosen"
@@ -39,42 +37,23 @@ and in the CLI a share of it (optimizer._Clock.share).
 from __future__ import annotations
 
 from functools import partial
+from math import inf
 
 from .dataset import BinDataset
 from .encoder import Scope
 from .model import DecisionSet, Rule
-from .optimizer import (SearchLimits, SolveOutcome, _Clock, _descend, _exact_fit, _mask,
-                        _verified)
+from .optimizer import (SearchLimits, SolveOutcome, _Clock, _descend, _disagreements,
+                        _exact_fit, _mask, _primes, _verified)
 from .solver import SolveBudgetExceeded, Solver
-
-
-def _variables(features: int) -> list[int]:
-    """The variables 1.. of the features in a mask."""
-    return [f + 1 for f in range(features.bit_length()) if features >> f & 1]
 
 
 def _prime_rules(own, others, clock: _Clock) -> list[tuple[int, int]]:
     """Stage 1: every prime rule, as (features, values) masks, of the
-    vectors own against the vectors others."""
-    primes: dict[tuple[int, int], None] = {}  # in the order found
+    vectors own against the vectors others, in the order found."""
+    primes: dict[tuple[int, int], None] = {}
     for v in own:
-        if clock.expired():
-            raise SolveBudgetExceeded
-        disagree = {v ^ o for o in others}
-        solver = Solver()
-        for d in disagree:
-            solver.add_clause(_variables(d))
-        for features, values in primes:
-            if v & features == values:
-                solver.add_clause([-x for x in _variables(features)])
-        while clock.solve(solver, ()):
-            body = sum(1 << (x - 1) for x in solver.model.true_vars())
-            for f in range(body.bit_length()):  # one pass leaves a minimal set
-                bit = 1 << f
-                if body & bit and all(body & ~bit & d for d in disagree):
-                    body ^= bit
+        for body in _primes(_disagreements(v, others), clock, inf):
             primes[(body, v & body)] = None
-            solver.add_clause([-x for x in _variables(body)])
     return list(primes)
 
 

@@ -5,10 +5,11 @@ minimize_perfect and minimize_bounded run one exact search
 budgets.  A round solves under the guard of the ending Encoder.build
 writes at its budget, and the next round retires it, so the clauses
 learnt on the smaller budgets carry over.  Before any round,
-_prime_facts finds by the prime rules of cover, with no solver, a lower
-bound that proves every budget below it infeasible, and two facts every
-exact fit obeys: the pairs of class rows that no one rule can cover, and
-the fewest literals of a rule that covers each row.  The search's
+_prime_facts finds by the prime rules, with no solver and with the
+enumerator of cover's stage 1 (_primes), a lower bound that proves every
+budget below it infeasible, and two facts every exact fit obeys: the
+pairs of class rows that no one rule can cover, and the fewest literals
+of a rule that covers each row.  The search's
 Encoder writes both facts as clauses at every node it builds
 (Encoder._implied), which cut no exact fit and add no variable, so no
 solve rediscovers them by conflict.  A bound above MAX_NODES ends the
@@ -180,12 +181,6 @@ def _mask(bits) -> int:
     return sum(bit << f for f, bit in enumerate(bits))
 
 
-def _lower_bound(ds: BinDataset, scope: Scope, clock: _Clock) -> int:
-    """The lower bound of _prime_facts on the exact-fit size of the class
-    scope.target."""
-    return _prime_facts(ds, scope, clock).bound
-
-
 class _PrimeFacts:
     """What the prime rules of one class prove, without a solver, about
     each of its exact-fit sets, on its rows (1-based example ids)."""
@@ -205,7 +200,8 @@ def _prime_facts(ds: BinDataset, scope: Scope, clock: _Clock) -> _PrimeFacts:
     On distinct vectors as bit masks: a rule that covers a class-c vector
     v covers no vector of another class, so its body holds a set of v's
     literals on which v differs from each of them.  Its size is at least
-    s(v), 1 plus the fewest such features, v's smallest prime body.  Two
+    s(v), 1 plus the fewest such features: v's smallest prime body, the
+    first prime _primes yields when held to 0, 1, 2, ... features.  Two
     class-c vectors can share a rule only if the features they agree on
     separate them from every other-class vector.  A greedy pass, larger
     s(v) first and then fewer vectors to share with, keeps vectors no two
@@ -227,15 +223,10 @@ def _prime_facts(ds: BinDataset, scope: Scope, clock: _Clock) -> _PrimeFacts:
     for x, v in enumerate(own):
         if clock.expired():
             raise SolveBudgetExceeded
-        # a feature set meets every disagreement set iff it meets the minimal ones
-        sets = []
-        for d in sorted({v ^ o for o in others}, key=int.bit_count):
-            if not any(s & d == s for s in sets):
-                sets.append(d)
-        # past the node cap no round could fit v's rule, so the search stops
-        # there, which also bounds its depth of recursion
+        sets = _disagreements(v, others)
+        # past the node cap no round could fit v's rule, so the search stops there
         r = 0
-        while r < MAX_NODES and not _hittable(sets, 0, 0, r, clock):
+        while r < MAX_NODES and next(_primes(sets, clock, r), None) is None:
             r += 1
         sizes.append(r + 1)
         # v and w can share a rule iff the features they agree on meet each
@@ -257,27 +248,53 @@ def _prime_facts(ds: BinDataset, scope: Scope, clock: _Clock) -> _PrimeFacts:
     return _PrimeFacts(sum(sizes[x] for x in kept), sorted(apart), sorted(shortest.items()))
 
 
-def _hittable(sets, chosen: int, banned: int, r: int, clock: _Clock) -> bool:
-    """Whether at most r more features, none of banned, added to chosen
-    meet every mask of sets: a search that branches on the features of a
-    mask chosen misses, each branch banning the ones tried before it."""
-    for d in sets:
-        if not d & chosen:
-            break
-    else:
-        return True
-    if r == 0:
-        return False
-    if clock.expired():
-        raise SolveBudgetExceeded
-    d &= ~banned
-    while d:
-        bit = d & -d
-        if _hittable(sets, chosen | bit, banned, r - 1, clock):
-            return True
-        banned |= bit
-        d ^= bit
-    return False
+def _disagreements(v: int, others) -> list[int]:
+    """The minimal disagreement sets of the vector v against the vectors
+    others, as feature masks, fewest features first: a feature set meets
+    every v ^ o iff it meets these."""
+    sets = []
+    for d in sorted({v ^ o for o in others}, key=int.bit_count):
+        if not any(s & d == s for s in sets):
+            sets.append(d)
+    return sets
+
+
+def _primes(sets, clock: _Clock, most):
+    """Yield, each exactly once, the minimal hitting sets of the masks sets
+    that have no more than most features.  Once the clock has expired it
+    stops with SolveBudgetExceeded; it checks at each node that branches.
+
+    A node branches on the features of the first set its chosen features
+    miss, each branch banning the ones tried before it, so no two
+    branches reach the same set, and every minimal one is reached by
+    following its own features.  A set that meets them all is yielded if
+    each of its features alone meets some set: then none can be dropped.
+    The search runs on an explicit stack, so its depth is not bound by
+    Python's recursion limit."""
+    stack = [(0, 0, most)]  # (chosen, banned, features left to add)
+    while stack:
+        chosen, banned, left = stack.pop()
+        for d in sets:
+            if not d & chosen:
+                break
+        else:
+            alone = 0  # the features that alone meet some set
+            for d in sets:
+                met = d & chosen
+                if not met & (met - 1):
+                    alone |= met
+            if alone == chosen:
+                yield chosen
+            continue
+        if not left:
+            continue
+        if clock.expired():
+            raise SolveBudgetExceeded
+        free = d & ~banned
+        while free:  # the highest feature first, so the lowest is searched first
+            bit = 1 << (free.bit_length() - 1)
+            free ^= bit
+            stack.append((chosen | bit, banned | free, left - 1))
 
 
 def first_budget(ds: BinDataset, scope: Scope, mode: str, n0: int | None) -> int:
@@ -668,7 +685,7 @@ def _exact_search(ds: BinDataset, scope: Scope, mode: str, n0: int | None, clock
 def minimize_perfect(ds: BinDataset, scope: Scope, limits: SearchLimits | None = None,
                      progress=None) -> SolveOutcome:
     """Smallest exact-fit decision set by trying node counts b, b + 1,
-    b + 2, ..., where b is the class's lower bound (_lower_bound), at
+    b + 2, ..., where b is the class's lower bound (_prime_facts), at
     least 1.
 
     Sizes below b need no solve, and the sizes from b below the answer
@@ -691,7 +708,7 @@ def minimize_bounded(ds: BinDataset, scope: Scope, n0: int | None = None,
     Without n0 the budget is the greedy one of first_budget: below its
     cap the first round has a model and ends optimal.  The first budget,
     n0 or the greedy one, is raised to the class's lower bound
-    (_lower_bound) when it is below it.  After a budget too small for any
+    (_prime_facts) when it is below it.  After a budget too small for any
     exact fit, the last round runs at the greedy set's size, capped only
     at MAX_NODES.  A round's first solve gives an anytime model, and the
     climb of _exact_search proves or improves it.  In aggregated scope n0

@@ -74,21 +74,11 @@ class Solver:
     # database construction
 
     def new_var(self) -> int:
-        self.num_vars += 1
-        self._assigns.append(0)
-        self._level.append(0)
-        self._reason.append(None)
-        self._saved.append(False)
-        self._activity.append(0.0)
-        self._queued.append(0.0)
-        self._seen.append(0)
-        self._watches[self.num_vars] = []
-        self._watches[-self.num_vars] = []
-        heappush(self._heap, (0.0, self.num_vars))
+        self.ensure_vars(self.num_vars + 1)
         return self.num_vars
 
     def ensure_vars(self, n: int) -> None:
-        """Grow to n variables, as one new_var per missing id would.
+        """Grow to n variables, each new one unassigned and at activity 0.
 
         The new heap entries (0.0, v) go on the end in id order, with no
         sift: every key already in the heap is -activity <= 0.0 with a

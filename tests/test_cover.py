@@ -4,6 +4,7 @@ the node search."""
 import importlib.util
 import json
 import random
+import signal
 import sys
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from rulesat.solver import SolveBudgetExceeded, Solver
 
 from conftest import random_dataset
 from oracles import oracle_min_size, prime_rules
-from test_optimizer import planted_probe
+from test_optimizer import five_sets, planted_probe
 
 AGG = Scope.aggregated()
 BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
@@ -148,6 +149,39 @@ def test_stage_one_out_of_time_is_a_timeout_with_no_set(ex1):
         assert (out.status, out.decision_set, out.objective) == ("timeout", None, None)
 
 
+def test_stage_one_stops_inside_one_vectors_enumeration(monkeypatch):
+    # one class-1 vector whose primes take minutes to list: the clock cuts
+    # the enumeration short, and stage 2 never starts
+    solves = []
+    monkeypatch.setattr(Solver, "solve", lambda solver, *args, **kwargs: solves.append(1))
+
+    def too_late(signum, frame):
+        raise AssertionError("stage 1 ran on for 2 s past a 0.2 s budget")
+    # an enumeration that ignored the clock would run for minutes: the
+    # alarm fails it after 2 s
+    handler = signal.signal(signal.SIGALRM, too_late)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        out = minimize_exact_fit(five_sets(), Scope.per_class(1),
+                                 SearchLimits(wall_time_budget=0.2))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+    assert (out.status, out.decision_set, out.objective) == ("timeout", None, None)
+    assert (out.stats["solve_calls"], solves) == (0, [])
+
+
+def test_a_prime_longer_than_the_recursion_limit():
+    # the zero vector against the k unit vectors: its one prime holds every
+    # feature, so its enumeration goes k deep, past Python's recursion limit
+    k = 1100
+    assert k > sys.getrecursionlimit()
+    rows = [((0,) * k, 1, 1)] + [(tuple(int(f == g) for f in range(k)), 0, 1) for g in range(k)]
+    ds = BinDataset(k, ["0", "1"], ["f%d" % f for f in range(k)], rows)
+    out = minimize_exact_fit(ds, Scope.per_class(1))
+    assert (out.status, out.objective, out.stats["primes"]) == ("optimal", k + 1, 1)
+
+
 def test_stage_two_out_of_time_before_its_first_cover_is_a_timeout(monkeypatch):
     def no_solve(solver, soft, phase, clock, progress, **tags):
         def out_of_time(solver, assumptions):
@@ -201,7 +235,9 @@ def test_records_and_stats_count_both_stages(monkeypatch):
     out = minimize_exact_fit(ds, AGG, progress=records.append)
     assert {k: out.stats[k] for k in counted} == counted
     assert counted["conflicts"] > 0
-    assert out.stats["solve_calls"] > 2 * 2  # more than stage 2's calls
+    # stage 1 calls no solver: two calls of stage 2 per class, the greedy
+    # cover and the proof that nothing is cheaper
+    assert out.stats["solve_calls"] == 2 * 2
     primes = [r for r in records if r["event"] == "primes"]
     assert [r["class"] for r in primes] == ["0", "1"]
     assert all(r["primes"] >= r["kept"] >= 1 for r in primes)

@@ -222,7 +222,9 @@ def test_stats_count_every_solve_and_its_conflicts(ex1, monkeypatch):
     searches = [
         lambda scope: minimize_perfect(ex1, scope),
         lambda scope: minimize_bounded(ex1, scope),
-        lambda scope: cover.minimize_exact_fit(ex1, scope),
+        # stage 1 of the cover calls no solver, and on ex1 stage 2 meets no
+        # conflict
+        lambda scope: cover.minimize_exact_fit(planted_probe(20, 1), scope),
         lambda scope: minimize_sparse(ex1, scope, lam=0.05),
         lambda scope: maxsat_solve(build_sparse(ex1, 3, 4, scope)),
     ]
@@ -453,19 +455,24 @@ def test_the_prime_facts_clauses_change_no_status():
     assert apart > 20 and shortest > 80
 
 
-def test_lower_bound_stops_at_the_deadline():
-    # vector 0 against 300 random five-feature vectors at k=30: its
-    # smallest prime body is a hitting set of those 300 sets, a search
-    # that runs for more than 5 s unless the clock cuts it short
+def five_sets():
+    """Vector 0 of class 1 against 300 random five-feature vectors of class
+    0 at k=30: its prime bodies are the minimal hitting sets of those 300
+    sets, a search that runs for more than 5 s unless the clock cuts it
+    short."""
     k, rng = 30, random.Random(30)
     sets = set()
     while len(sets) < 300:
         sets.add(frozenset(rng.sample(range(k), 5)))
     rows = [((0,) * k, 1, 1)] + [(tuple(int(f in s) for f in range(k)), 0, 1) for s in sets]
-    ds = BinDataset(k, ["0", "1"], ["f%d" % f for f in range(k)], rows)
+    return BinDataset(k, ["0", "1"], ["f%d" % f for f in range(k)], rows)
+
+
+def test_lower_bound_stops_at_the_deadline():
+    ds = five_sets()
     scope = Scope.per_class(1)
     with pytest.raises(SolveBudgetExceeded):
-        optimizer._lower_bound(ds, scope, optimizer._Clock(SearchLimits(wall_time_budget=0.2)))
+        optimizer._prime_facts(ds, scope, optimizer._Clock(SearchLimits(wall_time_budget=0.2)))
     for search in (minimize_perfect, minimize_bounded):
         start = time.monotonic()
         out = search(ds, scope, limits=SearchLimits(wall_time_budget=0.2))
@@ -833,7 +840,7 @@ def test_lower_bound_is_at_most_the_oracle_minimum():
         ds = random_dataset(rng, max_m=8, max_k=4)
         for c in (0, 1):
             scope = Scope.per_class(c)
-            bound = optimizer._lower_bound(ds, scope, optimizer._Clock(SearchLimits()))
+            bound = optimizer._prime_facts(ds, scope, optimizer._Clock(SearchLimits())).bound
             if not any(cls == c for _, cls, _ in ds.examples):
                 assert bound == 0, (trial, c)
                 continue
@@ -950,10 +957,13 @@ def test_minimize_perfect_lower_bound_above_node_cap(monkeypatch):
     k = 8
     rows = [((0,) * k, 1, 1)] + [(tuple(int(f == g) for f in range(k)), 0, 1) for g in range(k)]
     ds = BinDataset(k, ["0", "1"], ["f%d" % f for f in range(k)], rows)
+    def bound():
+        clock = optimizer._Clock(SearchLimits())
+        return optimizer._prime_facts(ds, Scope.per_class(1), clock).bound
     # vector 0 against the eight unit vectors: a body of all eight features
-    assert optimizer._lower_bound(ds, Scope.per_class(1), optimizer._Clock(SearchLimits())) == 9
+    assert bound() == 9
     monkeypatch.setattr(optimizer, "MAX_NODES", 4)
-    assert optimizer._lower_bound(ds, Scope.per_class(1), optimizer._Clock(SearchLimits())) == 5
+    assert bound() == 5
     built = []
     monkeypatch.setattr(Encoder, "append_node", counting(built, "append_node", Encoder.append_node))
     out = minimize_perfect(ds, Scope.per_class(1))

@@ -8,6 +8,7 @@ the branching heap, and pin the search itself: its conflict counts.
 
 import random
 import time
+from heapq import heappush
 
 import pytest
 
@@ -339,9 +340,19 @@ def test_heap_keeps_one_live_entry_per_variable(monkeypatch, cap, seed=707, tria
 
 
 class OneVarAtATime(Solver):
+    """A solver that grows one variable at a time, each pushed on the heap:
+    the per-variable setup ensure_vars must reproduce with no sift."""
+
     def ensure_vars(self, n):
         while self.num_vars < n:
-            self.new_var()
+            self.num_vars += 1
+            for values, value in ((self._assigns, 0), (self._level, 0), (self._reason, None),
+                                  (self._saved, False), (self._activity, 0.0),
+                                  (self._queued, 0.0), (self._seen, 0)):
+                values.append(value)
+            self._watches[self.num_vars] = []
+            self._watches[-self.num_vars] = []
+            heappush(self._heap, (0.0, self.num_vars))
 
 
 def solver_state(s):
