@@ -9,12 +9,16 @@ _prime_facts finds by the prime rules, with no solver and with the
 enumerator of cover's stage 1 (_primes), a lower bound that proves every
 budget below it infeasible, and two facts every exact fit obeys: the
 pairs of class rows that no one rule can cover, and the fewest literals
-of a rule that covers each row.  The search's
-Encoder writes both facts as clauses at every node it builds
-(Encoder._implied), which cut no exact fit and add no variable, so no
-solve rediscovers them by conflict.  A bound above MAX_NODES ends the
-search with no round.  The used count u of a round's
-first model bounds the optimum from above.  The unused flags form a
+of a rule that covers each row.  The search's Encoder writes both facts
+as clauses at every node it builds (Encoder._implied), which cut no
+exact fit and add no variable, so no solve rediscovers them by
+conflict.  Where a greedy choice of one smallest prime per vector the
+bound counts covers every class row, that witness is an exact fit of
+the bound's size, so the bound is the optimum; the first round, at a
+budget of at least the bound, then starts its solve from the witness's
+phases (_lay_out) and meets no conflict.  A bound above MAX_NODES ends
+the search with no round.  The used count u of a round's first model
+bounds the optimum from above.  The unused flags form a
 suffix, so "at most c used nodes" is the single assumption unused_{c+1},
 and the round climbs c from floor + 1 to u - 1, where floor is the
 largest budget the lower bound or an earlier round proved infeasible:
@@ -185,10 +189,11 @@ class _PrimeFacts:
     """What the prime rules of one class prove, without a solver, about
     each of its exact-fit sets, on its rows (1-based example ids)."""
 
-    def __init__(self, bound: int = 0, apart=(), shortest=()):
+    def __init__(self, bound: int = 0, apart=(), shortest=(), witness=None):
         self.bound = bound  # a lower bound on the set's size
         self.apart = apart  # row pairs (a, b), a < b, that no rule covers both of
         self.shortest = shortest  # (r, rows): a rule covering one of rows has >= r literals
+        self.witness = witness  # the rules of an exact fit of size bound, or None
 
 
 def _prime_facts(ds: BinDataset, scope: Scope, clock: _Clock) -> _PrimeFacts:
@@ -210,6 +215,13 @@ def _prime_facts(ds: BinDataset, scope: Scope, clock: _Clock) -> _PrimeFacts:
     Stuckey and Marques-Silva, AAAI 2021; see cover).  The pairs apart
     are those of rows whose vectors cannot share a rule, one of them
     kept: O(kept * rows) pairs, not all of them.
+
+    The witness takes for each kept vector, in ascending s(v), the one of
+    its smallest primes that covers the most class rows not yet covered.
+    Its size is the bound, so if it covers every class row it is an
+    optimal exact fit: no set is smaller than the bound.  It is then
+    returned as rules in that order, each body in feature order; else,
+    and for a bound above MAX_NODES, the witness is None.
     """
     rows: dict[int, list[int]] = {}
     others = set()
@@ -219,11 +231,12 @@ def _prime_facts(ds: BinDataset, scope: Scope, clock: _Clock) -> _PrimeFacts:
         else:
             others.add(_mask(bits))
     own = sorted(rows)
-    sizes, sharers = [], [set() for _ in own]
+    sizes, sharers, disagree = [], [set() for _ in own], []
     for x, v in enumerate(own):
         if clock.expired():
             raise SolveBudgetExceeded
         sets = _disagreements(v, others)
+        disagree.append(sets)
         # past the node cap no round could fit v's rule, so the search stops there
         r = 0
         while r < MAX_NODES and next(_primes(sets, clock, r), None) is None:
@@ -245,7 +258,23 @@ def _prime_facts(ds: BinDataset, scope: Scope, clock: _Clock) -> _PrimeFacts:
     for x, v in enumerate(own):
         if sizes[x] > 1:
             shortest.setdefault(sizes[x] - 1, []).extend(rows[v])
-    return _PrimeFacts(sum(sizes[x] for x in kept), sorted(apart), sorted(shortest.items()))
+    bound = sum(sizes[x] for x in kept)
+    witness = None
+    if bound <= MAX_NODES:
+        witness = []
+        left = set(own)  # the vectors no witness rule covers yet
+        for x in sorted(kept, key=lambda x: (sizes[x], x)):
+            v, best, gain = own[x], 0, -1
+            for body in _primes(disagree[x], clock, sizes[x] - 1):
+                hit = sum(len(rows[w]) for w in left if (w ^ v) & body == 0)
+                if hit > gain:
+                    best, gain = body, hit
+            left = {w for w in left if (w ^ v) & best}
+            witness.append(Rule(tuple((f, bool(v >> f & 1)) for f in range(best.bit_length())
+                                      if best >> f & 1), scope.target))
+        if left:
+            witness = None
+    return _PrimeFacts(bound, sorted(apart), sorted(shortest.items()), witness)
 
 
 def _disagreements(v: int, others) -> list[int]:
@@ -602,13 +631,34 @@ def _exact_fit(ds: BinDataset, scope: Scope, class_search, mode: str,
     return class_search(scope, clock, progress)
 
 
+def _lay_out(solver: Solver, vm, rules, n: int) -> None:
+    """Give solver's first decisions the phases of the set rules on the
+    first of vm's n nodes: each rule's features in ascending order, then
+    its leaf, every node's selectors and truth; in bounded mode the nodes
+    past them unused.  The validities and coverage auxiliaries follow by
+    propagation, so a solver branching in id order meets no conflict."""
+    nodes = []  # (selected feature, 1-based with k + 1 the leaf, truth)
+    for rule in rules:
+        nodes += [(f + 1, positive) for f, positive in rule.body]
+        nodes.append((vm.n_features + 1, True))
+    for j in range(1, n + 1):
+        chosen, positive = nodes[j - 1] if j <= len(nodes) else (0, False)
+        for r in range(1, vm.n_features + 2):
+            sel = vm.select_var(j, r)
+            solver.set_phase(sel if r == chosen else -sel)
+        solver.set_phase(vm.truth_var(j) if positive else -vm.truth_var(j))
+        if vm.has_unused:
+            solver.set_phase(vm.unused_var(j) if j > len(nodes) else -vm.unused_var(j))
+
+
 def _exact_search(ds: BinDataset, scope: Scope, mode: str, n0: int | None, clock: _Clock,
                   progress) -> SolveOutcome:
     """The node search of minimize_perfect (mode "perfect", which takes no
     n0 and starts at the lower bound) and minimize_bounded (mode
     "bounded", which starts at n0 or its default, raised to the lower
     bound) in scope, over data that _exact_fit checked.  Its Encoder
-    writes the facts of _prime_facts at every node; a lower bound above
+    writes the facts of _prime_facts at every node, and the first round
+    lays out their witness, if any (_lay_out); a lower bound above
     MAX_NODES ends the search with no round.  The stats carry the bound
     as "lower_bound".  A timeout returns the best model so far as
     "feasible"."""
@@ -633,9 +683,10 @@ def _exact_search(ds: BinDataset, scope: Scope, mode: str, n0: int | None, clock
     sat, unsat = ("sat", "unsat") if perfect else ("optimal", "infeasible")
     guard = None
     floor = bound - 1  # the largest budget proven infeasible
+    witness = facts.witness  # laid out for the first round, which runs at n >= bound
 
     def solve_round(n, clock):
-        nonlocal guard, floor
+        nonlocal guard, floor, witness
         best = None
 
         def improved(model):
@@ -651,6 +702,9 @@ def _exact_search(ds: BinDataset, scope: Scope, mode: str, n0: int | None, clock
             guard = enc.build(n, clock.expired, guarded=True)
             if not guard:
                 raise SolveBudgetExceeded
+            if witness:
+                _lay_out(solver, vm, witness, n)
+                witness = None
             status = unsat
             if clock.solve(solver, [vm.class_sel_var(n), guard] if perfect else [guard]):
                 status = sat
@@ -694,8 +748,10 @@ def minimize_perfect(ds: BinDataset, scope: Scope, limits: SearchLimits | None =
     are the expensive part and would be repeated.  The rounds grow one
     perfect encoding on one solver (_exact_search), by one node each, so
     every clause learnt on a smaller size carries over to the larger
-    ones.  The stats report the bound as "lower_bound", in aggregated
-    scope the sum over the classes.
+    ones.  Where _prime_facts finds a witness, the bound is the optimum,
+    and the one round, at b, solves from the witness's phases.  The stats
+    report the bound as "lower_bound", in aggregated scope the sum over
+    the classes.
     """
     return _exact_fit(ds, scope, lambda scope, clock, progress: _exact_search(
         ds, scope, "perfect", None, clock, progress), "perfect", limits, progress)
@@ -711,8 +767,11 @@ def minimize_bounded(ds: BinDataset, scope: Scope, n0: int | None = None,
     (_prime_facts) when it is below it.  After a budget too small for any
     exact fit, the last round runs at the greedy set's size, capped only
     at MAX_NODES.  A round's first solve gives an anytime model, and the
-    climb of _exact_search proves or improves it.  In aggregated scope n0
-    is each class's first budget.
+    climb of _exact_search proves or improves it.  Where _prime_facts
+    finds a witness, the first solve starts from its phases, with every
+    node past it unused, so its model has the bound's size and the round
+    ends optimal with no climb.  In aggregated scope n0 is each class's
+    first budget.
     """
     return _exact_fit(ds, scope, lambda scope, clock, progress: _exact_search(
         ds, scope, "bounded", n0, clock, progress), "bounded", limits, progress)

@@ -32,6 +32,16 @@ def make_ex1() -> BinDataset:
     )
 
 
+def make_untight() -> BinDataset:
+    """Both classes' solver-free lower bounds, 2, are below their optima, 3
+    (optimizer._prime_facts): no search of either class starts from a
+    witness, so each meets conflicts."""
+    rows = [((0, 0, 0, 0), 1), ((0, 0, 1, 1), 0), ((0, 1, 0, 1), 0), ((0, 1, 1, 1), 0),
+            ((1, 0, 0, 1), 1), ((1, 0, 0, 0), 1)]
+    return BinDataset(4, ["0", "1"], ["f%d" % f for f in range(4)],
+                      [(bits, cls, 1) for bits, cls in rows])
+
+
 @pytest.fixture
 def ex1() -> BinDataset:
     return make_ex1()

@@ -27,7 +27,7 @@ from rulesat.optimizer import (
 )
 from rulesat.solver import SolveBudgetExceeded, Solver
 
-from conftest import forced_rules, make_ex1, random_dataset
+from conftest import forced_rules, make_ex1, make_untight, random_dataset
 from oracles import brute_min_cost, oracle_min_size, sequence_min_size, sparse_min_objective
 
 AGG = Scope.aggregated()
@@ -220,8 +220,10 @@ def recorded_solves(monkeypatch, late_after=None):
 def test_stats_count_every_solve_and_its_conflicts(ex1, monkeypatch):
     totals = recorded_solves(monkeypatch)
     searches = [
-        lambda scope: minimize_perfect(ex1, scope),
-        lambda scope: minimize_bounded(ex1, scope),
+        # ex1's classes have witnesses, so their node searches make no
+        # conflict; make_untight's have none
+        lambda scope: minimize_perfect(make_untight(), scope),
+        lambda scope: minimize_bounded(make_untight(), scope),
         # stage 1 of the cover calls no solver, and on ex1 stage 2 meets no
         # conflict
         lambda scope: cover.minimize_exact_fit(planted_probe(20, 1), scope),
@@ -238,7 +240,7 @@ def test_stats_count_every_solve_and_its_conflicts(ex1, monkeypatch):
 
 def test_stats_count_a_solve_cut_off_mid_search(ex1, monkeypatch):
     totals = recorded_solves(monkeypatch, late_after=2)
-    for search in (lambda: minimize_perfect(ex1, AGG),
+    for search in (lambda: minimize_perfect(make_untight(), AGG),
                    lambda: minimize_sparse(ex1, AGG, lam=0.05),
                    lambda: maxsat_solve(build_sparse(ex1, 3, 4, AGG))):
         totals.update(solve_calls=0, conflicts=0)
@@ -565,12 +567,13 @@ def test_model_events_share_the_rounds_time_base(ex1):
     times = [e["elapsed"] for e in events]
     assert times == sorted(times)
     # aggregated: both classes' records, tagged, on the one clock of the
-    # call; class 1 climbs from its greedy budget 6 to its optimum 3
+    # call; at its greedy budget 6, class 1's first model is its witness,
+    # of its optimum 3, so it does not climb
     events.clear()
     out = minimize_bounded(ex1, AGG, progress=events.append)
     assert [(r["class"], r["n"]) for r in out.stats["rounds"]] == [("0", 4), ("1", 6)]
-    models = [(e["class"], e["n"]) for e in events if e.get("event") == "model"]
-    assert models == [("0", 4), ("1", 6), ("1", 6)]
+    models = [(e["class"], e["n"], e["cost"]) for e in events if e.get("event") == "model"]
+    assert models == [("0", 4, 4), ("1", 6, 3)]
     times = [e["elapsed"] for e in events]
     assert times == sorted(times)
     assert out.stats["rounds"] == [e for e in events if "status" in e]
@@ -689,29 +692,35 @@ def test_a_round_climbs_above_the_budgets_proven_infeasible(monkeypatch):
     assert per_round[0] == (1, [])
     floor, cs = per_round[1]
     assert floor == 2 and cs[0] == 3
-    rng = random.Random(606)
-    above_a_floor = 0
-    for trial in range(25):
-        ds = random_dataset(rng, max_m=5, max_k=3)
-        present = sorted({cls for _, cls, _ in ds.examples})
-        for scope in [AGG] + [Scope.per_class(cls) for cls in present]:
-            optimum = oracle_min_size(ds, scope, cap=24)
-            n0 = rng.randint(1, optimum)
-            if scope.is_aggregated:
-                # the solves and climbs of each class's own search, in class order
-                out, agg_asked = asks(ds, scope, n0)
-                per_round, per_class_asked = [], []
-                for c in present:
-                    per_round += climbs(ds, Scope.per_class(c), n0)[1]
-                    per_class_asked += asked
-                assert agg_asked == per_class_asked, trial
-            else:
-                out, per_round = climbs(ds, scope, n0)
-            assert (out.status, out.objective) == ("optimal", optimum), (trial, scope)
-            for floor, cs in per_round:
-                assert cs == list(range(floor + 1, floor + 1 + len(cs))), (trial, scope)
-                above_a_floor += floor >= 0 and bool(cs)
-    assert above_a_floor > 5
+    # a class with a witness ends its first round at the bound with no
+    # climb; with no witness laid out, the first model of an aggregated n0
+    # above a class's optimum is often above it, and the round climbs
+    for hinted in (True, False):
+        if not hinted:
+            monkeypatch.setattr(optimizer, "_lay_out", lambda *args: None)
+        rng = random.Random(606)
+        above_a_floor = 0
+        for trial in range(25):
+            ds = random_dataset(rng, max_m=5, max_k=3)
+            present = sorted({cls for _, cls, _ in ds.examples})
+            for scope in [AGG] + [Scope.per_class(cls) for cls in present]:
+                optimum = oracle_min_size(ds, scope, cap=24)
+                n0 = rng.randint(1, optimum)
+                if scope.is_aggregated:
+                    # the solves and climbs of each class's own search, in class order
+                    out, agg_asked = asks(ds, scope, n0)
+                    per_round, per_class_asked = [], []
+                    for c in present:
+                        per_round += climbs(ds, Scope.per_class(c), n0)[1]
+                        per_class_asked += asked
+                    assert agg_asked == per_class_asked, trial
+                else:
+                    out, per_round = climbs(ds, scope, n0)
+                assert (out.status, out.objective) == ("optimal", optimum), (trial, scope)
+                for floor, cs in per_round:
+                    assert cs == list(range(floor + 1, floor + 1 + len(cs))), (trial, scope)
+                    above_a_floor += floor >= 0 and bool(cs)
+        assert above_a_floor == 0 if hinted else above_a_floor > 5
 
 
 def test_minimize_bounded_with_roomy_budget(ex1):
@@ -851,6 +860,131 @@ def test_lower_bound_is_at_most_the_oracle_minimum():
     assert (classes, tight) == (391, 390)
 
 
+def smallest_rule(v, others) -> int:
+    """s(v), by brute force: the size of the smallest rule on v's literals
+    that covers no vector of others."""
+    for r in range(len(v) + 1):
+        for features in itertools.combinations(range(len(v)), r):
+            rule = Rule(tuple((f, v[f] == 1) for f in features), 0)
+            if not any(map(rule.covers, others)):
+                return r + 1
+    raise AssertionError("v is also a vector of another class")
+
+
+def test_every_witness_is_a_smallest_exact_fit():
+    # on the micro datasets of test_lower_bound_is_at_most_the_oracle_minimum:
+    # a witness is one smallest prime per kept vector, so its size is the
+    # bound, and it is kept only if it covers every class row, which makes
+    # it an optimal exact fit.  The one class whose bound is below its
+    # optimum has none
+    rng = random.Random(1)
+    witnessed = []
+    for trial in range(250):
+        ds = random_dataset(rng, max_m=8, max_k=4)
+        for c in (0, 1):
+            scope = Scope.per_class(c)
+            own = [bits for bits, cls, _ in ds.examples if cls == c]
+            others = [bits for bits, cls, _ in ds.examples if cls != c]
+            facts = optimizer._prime_facts(ds, scope, optimizer._Clock(SearchLimits()))
+            if not own:
+                continue
+            witnessed.append(facts.witness is not None)
+            if facts.witness is None:
+                continue
+            for rule in facts.witness:
+                assert rule.head == c and not any(map(rule.covers, others)), (trial, c)
+                # a smallest prime of a vector it covers: no literal can go
+                assert any(rule.size == smallest_rule(v, others)
+                           for v in own if rule.covers(v)), (trial, c, rule)
+                for literal in rule.body:
+                    shorter = Rule(tuple(lit for lit in rule.body if lit != literal), c)
+                    assert any(map(shorter.covers, others)), (trial, c, rule)
+            assert all(any(rule.covers(v) for rule in facts.witness) for v in own), (trial, c)
+            size = sum(rule.size for rule in facts.witness)
+            assert size == facts.bound == oracle_min_size(ds, scope, cap=40), (trial, c)
+    assert (len(witnessed), sum(witnessed)) == (391, 390)
+
+
+def test_a_witness_round_makes_no_conflict(monkeypatch):
+    # every class of the 20-row probe has a witness; laid out as the first
+    # phases of the round at the bound, it is the first model, found with
+    # no conflict by the perfect and by the bounded search, whose greedy
+    # first budget is above the bound for some classes
+    per_call = []
+
+    class Recording(Solver):
+        def solve(self, *args, **kwargs):
+            before = self.conflicts
+            try:
+                return super().solve(*args, **kwargs)
+            finally:
+                per_call.append(self.conflicts - before)
+
+    monkeypatch.setattr(optimizer, "Solver", Recording)
+    above = 0
+    for r in range(3):
+        ds = planted_probe(20, r)
+        for c in (0, 1):
+            scope = Scope.per_class(c)
+            facts = optimizer._prime_facts(ds, scope, optimizer._Clock(SearchLimits()))
+            for search in (minimize_perfect, minimize_bounded):
+                per_call.clear()
+                out = search(ds, scope)
+                assert per_call == [0], (r, c, search)
+                assert (out.status, out.objective) == ("optimal", facts.bound), (r, c, search)
+                assert out.decision_set.rules == facts.witness, (r, c, search)
+            above += out.stats["rounds"][0]["n"] > facts.bound
+    assert above >= 3
+
+
+def test_mopt_ends_at_a_witness_without_a_climb():
+    # a default-budget bounded search on a class with a witness: its one
+    # round, at the greedy budget, ends optimal after its first solve,
+    # though that budget is above the optimum, which the round would
+    # otherwise climb down to
+    for ds in (make_ex1(), planted_probe(20, 1), planted_probe(40, 1)):
+        for c in (0, 1):
+            scope = Scope.per_class(c)
+            facts = optimizer._prime_facts(ds, scope, optimizer._Clock(SearchLimits()))
+            assert facts.witness is not None
+            out = minimize_bounded(ds, scope)
+            (record,) = out.stats["rounds"]
+            assert record["n"] == optimizer.first_budget(ds, scope, "bounded", None)
+            assert (record["status"], record["cost"]) == ("optimal", facts.bound)
+            assert out.stats["solve_calls"] == 1
+    out = minimize_bounded(make_ex1(), Scope.per_class(1))
+    assert (out.stats["rounds"][0]["n"], out.objective) == (6, 3)
+
+
+def many_primes():
+    """The zero vector and the all-ones vector of class 1, at k=2000,
+    against the ones of each half of the features in class 0: s(v) = 3
+    for both is found at once, but each has 10^6 smallest primes (a
+    feature from each half), and no prime of one covers the other, so the
+    witness pass enumerates all of the first's, for over a second."""
+    k = 2000
+    h = k // 2
+    rows = [((0,) * k, 1, 1), ((1,) * k, 1, 1),
+            ((1,) * h + (0,) * (k - h), 0, 1), ((0,) * h + (1,) * (k - h), 0, 1)]
+    return BinDataset(k, ["0", "1"], ["f%d" % f for f in range(k)], rows)
+
+
+def test_the_witness_pass_stops_at_the_deadline():
+    ds = many_primes()
+    scope = Scope.per_class(1)
+    start = time.monotonic()
+    with pytest.raises(SolveBudgetExceeded):
+        optimizer._prime_facts(ds, scope, optimizer._Clock(SearchLimits(wall_time_budget=0.2)))
+    assert time.monotonic() - start < 1.0
+    for search in (minimize_perfect, minimize_bounded):
+        start = time.monotonic()
+        out = search(ds, scope, limits=SearchLimits(wall_time_budget=0.2))
+        assert time.monotonic() - start < 2.0, search
+        assert (out.status, out.decision_set) == ("timeout", None), search
+        assert [r["status"] for r in out.stats["rounds"]] == ["timeout"], search
+        assert out.stats["solve_calls"] == 0, search
+
+
 def test_minimize_bounded_climbs_without_a_cost_counter(monkeypatch):
     calls = []
     for name in ("build_totalizer", "_cost_levels"):
@@ -876,7 +1010,9 @@ def test_minimize_bounded_climbs_without_a_cost_counter(monkeypatch):
     assert calls == []
 
 
-def test_minimize_bounded_timeout_keeps_the_first_model(ex1, monkeypatch):
+def test_minimize_bounded_timeout_keeps_the_first_model(monkeypatch):
+    # neither class of make_untight has a witness, so a first model at
+    # budget 12 is followed by a climbing solve, the one that times out
     solve = Solver.solve
     seen = []
 
@@ -888,17 +1024,17 @@ def test_minimize_bounded_timeout_keeps_the_first_model(ex1, monkeypatch):
 
     monkeypatch.setattr(Solver, "solve", second_call_times_out)
     events = []
-    out = minimize_bounded(ex1, Scope.per_class(0), n0=12, progress=events.append)
+    out = minimize_bounded(make_untight(), Scope.per_class(0), n0=12, progress=events.append)
     (first,) = [e for e in events if e.get("event") == "model"]
     assert out.status == "feasible"
-    assert out.objective == first["cost"] >= 4
+    assert out.objective == first["cost"] >= 3
     assert out.decision_set.metadata["objective"] == first["cost"]
     (record,) = out.stats["rounds"]
     assert (record["status"], record["cost"]) == ("timeout", first["cost"])
     # aggregated: class 0's first model joins class 1's optimum 3 as feasible
     seen.clear()
     events.clear()
-    out = minimize_bounded(ex1, AGG, n0=12, progress=events.append)
+    out = minimize_bounded(make_untight(), AGG, n0=12, progress=events.append)
     first = [e for e in events if e.get("event") == "model"][0]
     assert first["class"] == "0"
     assert (out.status, out.objective) == ("feasible", first["cost"] + 3)

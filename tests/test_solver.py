@@ -12,7 +12,7 @@ from heapq import heappush
 
 import pytest
 
-from conftest import make_ex1
+from conftest import make_ex1, make_untight
 from oracles import all_models, code_satisfies, is_satisfiable, php_clauses, solve_dpll
 from rulesat import optimizer
 from rulesat.encoder import Scope
@@ -426,6 +426,7 @@ def test_search_counts_are_pinned(monkeypatch):
         40, 122, 303, 31, 73, 193, 19, 62, 219, 122, 65]
 
     # the conflicts of every solve call of the opt, mopt and sparse searches on ex1
+    # and, for classes with no witness, on make_untight
     per_call = []
 
     class Recording(Solver):
@@ -438,38 +439,51 @@ def test_search_counts_are_pinned(monkeypatch):
 
     monkeypatch.setattr(optimizer, "Solver", Recording)
     # an aggregated search's calls are class 0's search's, then class 1's.
-    # Both classes' lower bounds (4 and 3) are their optima, so a perfect
-    # search makes one solve and a bounded one climbs at most once
+    # Both classes' lower bounds (4 and 3) are their optima, and the search
+    # lays out each class's witness (optimizer._prime_facts) as its first
+    # phases, so every search makes one solve, with no conflict, and no
+    # bounded round climbs
     out = optimizer.minimize_perfect(make_ex1(), Scope.per_class(0))
-    assert (out.objective, per_call) == (4, [4])
+    assert (out.objective, per_call) == (4, [0])
     per_call.clear()
     out = optimizer.minimize_perfect(make_ex1(), Scope.per_class(1))
-    assert (out.objective, per_call) == (3, [3])
+    assert (out.objective, per_call) == (3, [0])
     per_call.clear()
     out = optimizer.minimize_perfect(make_ex1(), Scope.aggregated())
-    assert (out.objective, per_call) == (7, [4] + [3])
+    assert (out.objective, per_call) == (7, [0] + [0])
     per_call.clear()
     # the greedy budget: 4 nodes, the optimum itself, where 2(K+2) gave 12
     out = optimizer.minimize_bounded(make_ex1(), Scope.per_class(0))
     assert (out.objective, [r["n"] for r in out.stats["rounds"]], per_call) == (
-        4, [4], [6])
+        4, [4], [0])
     per_call.clear()
+    # at the greedy budget 6 the first model is the witness, of size 3
     out = optimizer.minimize_bounded(make_ex1(), Scope.per_class(1))
     assert (out.objective, [r["n"] for r in out.stats["rounds"]], per_call) == (
-        3, [6], [7, 2])
+        3, [6], [0])
     per_call.clear()
     out = optimizer.minimize_bounded(make_ex1(), Scope.aggregated())
-    assert (out.objective, per_call) == (7, [6] + [7, 2])
+    assert (out.objective, per_call) == (7, [0] + [0])
     per_call.clear()
     # n0 = 2 is raised to the lower bound 3, the optimum: one round, no climb
     out = optimizer.minimize_bounded(make_ex1(), Scope.per_class(1), n0=2)
     assert (out.objective, [r["n"] for r in out.stats["rounds"]], per_call) == (
-        3, [3], [4])
+        3, [3], [0])
     per_call.clear()
     # n0 is each class's first budget: 5 fits both classes' optima
     out = optimizer.minimize_bounded(make_ex1(), Scope.aggregated(), n0=5)
     assert (out.objective, [r["n"] for r in out.stats["rounds"]], per_call) == (
-        7, [5, 5], [6, 5, 6, 2])
+        7, [5, 5], [0, 0])
+    per_call.clear()
+    # both classes' lower bounds, 2, are below their optima, 3: no witness,
+    # so the searches run from phase False, as before witnesses
+    out = optimizer.minimize_perfect(make_untight(), Scope.aggregated())
+    assert (out.objective, [r["n"] for r in out.stats["rounds"]], per_call) == (
+        6, [2, 3, 2, 3], [4, 0, 3, 2])
+    per_call.clear()
+    out = optimizer.minimize_bounded(make_untight(), Scope.aggregated())
+    assert (out.objective, [r["n"] for r in out.stats["rounds"]], per_call) == (
+        6, [4, 5], [3, 3, 0, 5, 2, 2])
     per_call.clear()
     # lambda_cost 1: the optimum 4 at budget 2 leaves room for a cheaper set
     # of up to 3 nodes, so budget 3 runs; class 0's optimum 3 is certified at 2
